@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,6 +43,12 @@ def _round12(x) -> float:
     return float(_fmt(x))
 
 
+def _finite(flag: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise UsageError(f"{flag} must be finite, got {x}")
+    return x
+
+
 def parse_params(alpha, delta) -> NetworkParams:
     if alpha is None and delta is None:
         raise UsageError("one of --alpha or --delta is required")
@@ -66,14 +73,14 @@ def parse_grid(spec: str) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError(f"grid must be min:max:count, got {spec!r}")
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = (_finite("--grid", float(x)) for x in parts[:2])
         n = int(parts[2])
         if n < 2:
             raise UsageError(f"grid needs at least 2 points, got {n}")
         if not lo < hi:
             raise UsageError(f"grid needs min < max, got {spec!r}")
         return np.linspace(lo, hi, n)
-    vals = np.array([float(v) for v in spec.split(",")])
+    vals = np.array([_finite("--grid", float(v)) for v in spec.split(",")])
     if vals.size < 1 or np.any(np.diff(vals) <= 0):
         raise UsageError("explicit grid values must be strictly increasing")
     return vals
@@ -122,12 +129,11 @@ def emit_curve(args, variable, kind, rows, flags=None, sidecars=None):
         if args.format == "json":
             doc = curve_doc(variable, kind, unit, rows, flags,
                             **(sidecars or {}))
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         else:
             write_rows(fh, unit, rows, flags)
             for name, payload in (sidecars or {}).items():
-                data = json.dumps(payload, indent=2) + "\n"
+                data = json.dumps(payload, indent=2, allow_nan=False) + "\n"
                 if close:
                     with open(f"{args.out}.{name}.json", "w",
                               encoding="utf-8", newline="\n") as side:
@@ -142,8 +148,7 @@ def emit_curve(args, variable, kind, rows, flags=None, sidecars=None):
 def emit_json(args, doc):
     fh, close = _open_out(args.out)
     try:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     finally:
         if close:
             fh.close()
@@ -298,7 +303,7 @@ def cmd_plp(args):
     if name == "gn":
         n = int(arg or 1)
         if args.t is not None:
-            val = plp.g_n(params, n, args.t)
+            val = plp.g_n(params, n, _finite("--t", args.t))
             doc = {"stat": f"gn:{n}", "delta": _round12(params.delta),
                    "t": _round12(args.t), "value": _round12(val)}
             if not plp.g_n_is_exact(args.t):
@@ -377,7 +382,7 @@ def cmd_convert(args):
     from_lin = {"linear": lambda x: x,
                 "dB": transforms.linear_to_db,
                 "MH": transforms.linear_to_mh}
-    lin = to_lin[args.src](args.value)
+    lin = to_lin[args.src](_finite("--value", args.value))
     out = from_lin[args.dst](lin)
     emit_json(args, {"value": _round12(args.value), "from": args.src,
                      "to": args.dst, "result": _round12(out)})

@@ -15,6 +15,12 @@ arrival time G = xi_K^delta, the tail of sum h_k/xi_k has
 
 by Campbell's formula over the unit-rate remainder.
 
+Every association rule runs on the same batched chunk generator.
+Random association keeps a value-weighted reservoir of one candidate
+per realization across the chunks and, when the realization finishes,
+replaces it by a size-biased draw from the not-yet-generated tail with
+the tail's share of the total power.
+
 Realizations are grouped into fixed-size shards; each shard draws from
 its own counter-based (Philox) stream keyed by (seed, shard index), so
 results are bit-identical for any worker count or scheduling order.
@@ -143,6 +149,8 @@ class EmpiricalDistribution:
         object.__setattr__(self, "count", int(x.size))
         if x.size == 0:
             raise ValueError("empirical distribution needs at least one sample")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("samples must be finite")
         if x[0] < 0.0 or x[-1] > 1.0 or np.any(np.diff(x) < 0.0):
             raise ValueError("samples must be sorted and lie in [0, 1]")
 
@@ -246,6 +254,21 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     values has shape (n,) for scalar associations or (n, ntop) when the
     ntop strongest no-fading signal fractions per realization are
     requested.
+
+    Random association is a size-1 weighted reservoir over the chunks
+    (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
+    candidate with probability W / (power so far + W), so the first
+    chunk always does, and the index inside the chunk is drawn
+    value-weighted.  When a row finishes, the pick falls in the
+    not-yet-generated tail with probability (total - power) / total;
+    the tail values follow a Poisson process with intensity
+    d v^(-1-d) dv on (0, v_K), so the value-weighted tail pick has cdf
+    (v/v_K)^(1-d) and is sampled by inversion.  Each stored value is
+    thus picked with probability v / total; using the mean tail weight
+    errs by the tail fluctuation, at most tail_eps * total.  Draw order
+    per chunk: the exponentials, one uniform per active row, one per
+    switched row; at finish, one uniform per finishing row, then one per
+    tail pick.
     """
     params = config.params
     delta = params.delta
@@ -257,6 +280,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     eps = config.tail_eps
     budget = config.point_budget
     isba_fad = config.assoc.kind == "isba" and fad_m is not None
+    rba = config.assoc.kind == "rba" and not ntop
 
     idx = np.arange(n)
     glast = np.zeros(n)
@@ -285,7 +309,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
         v = _pow_neg(e, pw, out=e)
         if fad_m is not None:
             v *= sample_nakagami(fad_m, rng, (na, chunk))
-        power[idx] += v.sum(axis=1)
+        w = v.sum(axis=1)
+        power[idx] += w
         if first:
             if ntop:
                 out[idx] = v[:, :ntop]
@@ -294,6 +319,12 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             first = False
         if isba_fad:
             sig[idx] = np.maximum(sig[idx], v.max(axis=1))
+        if rba:
+            sw = np.flatnonzero(rng.random(na) * power[idx] < w)
+            cs = np.cumsum(v[sw], axis=1)
+            u = rng.random(sw.size) * w[sw]
+            k = np.minimum(np.count_nonzero(cs < u[:, None], axis=1), chunk - 1)
+            sig[idx[sw]] = v[sw, k]
         glast[idx] = newg
         npts += chunk
 
@@ -309,6 +340,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             if ntop:
                 out[fin] /= tot[done][:, None]
             else:
+                if rba:
+                    tl = fin[rng.random(fin.size) * tot[done] > power[fin]]
+                    sig[tl] = _pow_neg(glast[tl], pw) * rng.random(tl.size) ** (
+                        1.0 / (1.0 - delta))
                 out[fin] = sig[fin] / tot[done]
         idx = idx[~done]
         if idx.size:
@@ -316,63 +351,6 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             deficit = g_req - glast[idx]
             chunk = int(np.percentile(deficit, 75.0)) + 32
     return out, int(np.count_nonzero(flagged))
-
-
-def _rba_shard(config: SimConfig, n: int, rng: np.random.Generator):
-    """Random association: one realization at a time, since the selection
-    walk needs every generated point.
-
-    When the selection lands in the not-yet-generated tail (probability
-    M/total, about 1% at delta = 2/3), the picked value is drawn from
-    the tail's size-biased law: the tail values follow a Poisson process
-    with intensity d v^(-1-d) dv on (0, v_K), so the value-weighted pick
-    has cdf (v/v_K)^(1-d) and is sampled by direct inversion.  The error
-    of using the mean tail weight for the band is the tail fluctuation,
-    bounded by tail_eps * total."""
-    params = config.params
-    delta = params.delta
-    pw = -1.0 / delta
-    cm, cv, em, ev = _tail_consts(delta, 1.0)
-    g_expo = 2.0 * delta / (2.0 - delta)
-    eps = config.tail_eps
-    budget = config.point_budget
-
-    out = np.empty(n)
-    flagged = 0
-    for j in range(n):
-        blocks = []
-        g0 = 0.0
-        power = 0.0
-        npts = 0
-        chunk = 64
-        while True:
-            e = rng.standard_exponential(chunk)
-            np.cumsum(e, out=e)
-            e += g0
-            g0 = e[-1]
-            v = _pow_neg(e, pw, out=e)
-            blocks.append(v)
-            power += v.sum()
-            npts += chunk
-            tot = power + cm * g0 ** em
-            if cv * g0 ** ev <= eps * tot:
-                break
-            if npts >= budget:
-                flagged += 1
-                break
-            need = (cv / (eps * tot)) ** g_expo - g0
-            chunk = int(min(max(need + 32.0, 64.0), _CHUNK_MAX,
-                            budget - npts))
-        vals = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        u = rng.random() * tot
-        if u <= power:
-            k = int(np.searchsorted(np.cumsum(vals), u))
-            if k >= vals.size:
-                k = vals.size - 1
-            out[j] = vals[k] / tot
-        else:
-            out[j] = vals[-1] * rng.random() ** (1.0 / (1.0 - delta)) / tot
-    return out, flagged
 
 
 def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
@@ -414,11 +392,8 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
 
 def _run_shard(args):
     config, shard_idx, count, ntop = args
-    rng = _rng_for(config.seed, shard_idx)
-    if config.assoc.kind == "rba":
-        vals, flagged = _rba_shard(config, count, rng)
-    else:
-        vals, flagged = _sim_shard(config, count, rng, ntop=ntop)
+    vals, flagged = _sim_shard(config, count, _rng_for(config.seed, shard_idx),
+                               ntop=ntop)
     return shard_idx, vals, flagged
 
 
@@ -463,7 +438,9 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
 
     nba serves the nearest base station (fading applied to every
     received power); isba serves the instantaneously strongest one;
-    rba picks station k with probability SF_k; kth_strongest(k) returns
+    rba picks station k with probability SF_k, by a weighted reservoir
+    over the generated chunks and a size-biased pick from the truncated
+    tail with the tail's share of the power; kth_strongest(k) returns
     the k-th largest element of the no-fading SF sequence.  Identical
     configs (including seed) give bit-identical output for any worker
     count.

@@ -74,7 +74,7 @@ def g_n(params: NetworkParams, n: int, t: float) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if t <= 0.0 or t >= 1.0:
+    if not 0.0 < t < 1.0:
         raise ValueError(f"t must be in (0, 1), got {t}")
     d = params.delta
     return (1.0 / t - 1.0) ** (n * d) * math.exp(

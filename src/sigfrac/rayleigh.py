@@ -59,7 +59,7 @@ def misr(params: NetworkParams) -> float:
 def sf_ccdf_exact(params: NetworkParams, t: float,
                   tol: Tolerance = DEFAULT_TOL) -> float:
     """Exact ccdf of the signal fraction at t in [0, 1]."""
-    if t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0, 1], got {t}")
     if t == 0.0:
         return 1.0

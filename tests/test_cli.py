@@ -85,6 +85,12 @@ class TestExact:
         assert rc == 2
         assert "MH" in err
 
+    def test_nan_grid_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, "exact", "--alpha", "4", "--grid", "0,nan")
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_json_schema(self, capsys):
         rc, out, _ = run(capsys, "exact", "--alpha", "4", "--var", "SF",
                          "--grid", "0:1:11", "--format", "json")
@@ -262,6 +268,14 @@ class TestPlpCommand:
         rc, _, err = run(capsys, "plp", "--stat", "what", "--delta", "0.5")
         assert rc == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_t_rejected(self, capsys, t):
+        rc, out, err = run(capsys, "plp", "--alpha", "4", "--stat", "gn:2",
+                           "--t", t, "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert "--t must be finite" in err
+
 
 class TestConjecture:
     def test_gating_below_threshold(self, capsys):
@@ -301,6 +315,14 @@ class TestConvert:
         rc, out, _ = run(capsys, "convert", "--value", "1", "--from",
                          "linear", "--to", "dB")
         assert json.loads(out)["result"] == 0.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, capsys, value):
+        rc, out, err = run(capsys, "convert", "--value", value, "--from",
+                           "dB", "--to", "linear", "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert "--value must be finite" in err
 
 
 class TestEntryPoint:

@@ -195,6 +195,31 @@ class TestDeterminism:
         b = sample_sf(cfg, workers=2).dist.samples
         np.testing.assert_array_equal(a, b)
 
+    # sorted samples of a 5-realization run at seed 34, alpha = 4, recorded
+    # before random association moved into the shared chunk generator; any
+    # change in the draw order of these rules moves them at O(1), the
+    # tolerance only absorbs last-digit differences of the math library
+    RECORDED = {
+        "nba": (FadingModel.nakagami(1.0), AssociationRule.nba(),
+                [0.04672369794604472, 0.11477543202433402, 0.6291604238243825,
+                 0.6346396335392305, 0.9666443274961807]),
+        "isba": (FadingModel.nakagami(1.0), AssociationRule.isba(),
+                 [0.16696740151377543, 0.6291604238243825, 0.6346396335392305,
+                  0.6504434275901932, 0.9666443274961807]),
+        "kth2": (FadingModel.none(), AssociationRule.kth_strongest(2),
+                 [0.019155522705212962, 0.024415306717735348,
+                  0.15723423132785053, 0.1787281224526148,
+                  0.19553362106803124]),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(RECORDED))
+    def test_recorded_stream(self, params_half, rule):
+        fading, assoc, expected = self.RECORDED[rule]
+        cfg = SimConfig(params=params_half, fading=fading, assoc=assoc,
+                        samples=5, seed=34)
+        np.testing.assert_allclose(sample_sf(cfg, workers=1).dist.samples,
+                                   expected, rtol=1e-13, atol=0.0)
+
     def test_topk_invariance(self, params_half):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
                         assoc=AssociationRule.nba(), samples=40_000, seed=33)
@@ -227,6 +252,13 @@ class TestTruncation:
         with pytest.raises(sg.SimulationError):
             sample_sf(cfg)
 
+    def test_tight_budget_flags_and_aborts_rba(self, params_half):
+        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
+                        assoc=AssociationRule.rba(), samples=2_000, seed=44,
+                        point_budget=16)
+        with pytest.raises(sg.SimulationError):
+            sample_sf(cfg)
+
 
 class TestEmpirical:
     def test_ccdf_and_moment(self):
@@ -242,6 +274,10 @@ class TestEmpirical:
             EmpiricalDistribution(samples=np.array([0.5, 0.2]))
         with pytest.raises(ValueError):
             EmpiricalDistribution(samples=np.array([0.2, 1.5]))
+        # every comparison with NaN is False, so order and range checks
+        # alone would let it through
+        with pytest.raises(ValueError):
+            EmpiricalDistribution(samples=np.array([0.1, math.nan, 0.5]))
 
     def test_ks_of_uniforms(self):
         rng = _rng_for(51, 0)

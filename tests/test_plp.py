@@ -120,6 +120,11 @@ class TestGn:
         # only an upper bound there
         assert g_n(params_half, 1, 0.2) > 1.0
 
+    def test_domain(self, params_half):
+        for t in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                g_n(params_half, 1, t)
+
     def test_joint_event_mc_agreement(self, nofad_half_top5, params_half):
         # P(SF_n + t (SF_1+...+SF_{n-1}) > t) = g_n(t) on t >= 1/2
         vals = nofad_half_top5

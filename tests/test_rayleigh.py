@@ -84,6 +84,8 @@ class TestSfCcdf:
             sf_ccdf_exact(params_half, -0.1)
         with pytest.raises(ValueError):
             sf_ccdf_exact(params_half, 1.1)
+        with pytest.raises(ValueError):
+            sf_ccdf_exact(params_half, math.nan)
 
 
 class TestSirCcdf:
