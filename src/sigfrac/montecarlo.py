@@ -265,10 +265,14 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     d v^(-1-d) dv on (0, v_K), so the value-weighted tail pick has cdf
     (v/v_K)^(1-d) and is sampled by inversion.  Each stored value is
     thus picked with probability v / total; using the mean tail weight
-    errs by the tail fluctuation, at most tail_eps * total.  Draw order
-    per chunk: the exponentials, one uniform per active row, one per
-    switched row; at finish, one uniform per finishing row, then one per
-    tail pick.
+    errs by the tail fluctuation, at most tail_eps * total.  One uniform
+    u per decision, as in a single u * total walk over all values: a
+    chunk takes over when u * power < W, and u * power, uniform on
+    [0, W) given that, is the position in the chunk's cumsum; a
+    finishing row picks from the tail when u * total > power, and
+    (u * total - power) / (total - power) is the tail's inversion
+    uniform.  Draw order per chunk: the exponentials, then one uniform
+    per active row; at finish, one uniform per finishing row.
     """
     params = config.params
     delta = params.delta
@@ -320,10 +324,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
         if isba_fad:
             sig[idx] = np.maximum(sig[idx], v.max(axis=1))
         if rba:
-            sw = np.flatnonzero(rng.random(na) * power[idx] < w)
+            u = rng.random(na) * power[idx]
+            sw = np.flatnonzero(u < w)
             cs = np.cumsum(v[sw], axis=1)
-            u = rng.random(sw.size) * w[sw]
-            k = np.minimum(np.count_nonzero(cs < u[:, None], axis=1), chunk - 1)
+            k = np.minimum(np.count_nonzero(cs < u[sw, None], axis=1), chunk - 1)
             sig[idx[sw]] = v[sw, k]
         glast[idx] = newg
         npts += chunk
@@ -341,8 +345,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
                 out[fin] /= tot[done][:, None]
             else:
                 if rba:
-                    tl = fin[rng.random(fin.size) * tot[done] > power[fin]]
-                    sig[tl] = _pow_neg(glast[tl], pw) * rng.random(tl.size) ** (
+                    u = rng.random(fin.size) * tot[done] - power[fin]
+                    tl = u > 0.0
+                    ut = u[tl] / (tot[done][tl] - power[fin[tl]])
+                    sig[fin[tl]] = _pow_neg(glast[fin[tl]], pw) * ut ** (
                         1.0 / (1.0 - delta))
                 out[fin] = sig[fin] / tot[done]
         idx = idx[~done]
