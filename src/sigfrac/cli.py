@@ -155,15 +155,13 @@ def emit_json(args, doc):
 
 
 def _sir_grid_to_linear(grid, unit):
-    if unit == "dB":
-        return np.array([transforms.db_to_linear(g) for g in grid])
-    if unit == "MH":
-        if grid[-1] >= 1.0:
-            raise UsageError("MH-unit grid arguments must lie in [0, 1)")
-        return np.array([transforms.mh_to_linear(g) for g in grid])
-    if grid[0] < 0.0:
+    unit = AxisUnit(unit)
+    if unit == AxisUnit.MH and grid[-1] >= 1.0:
+        raise UsageError("MH-unit grid arguments must lie in [0, 1)")
+    if unit == AxisUnit.LINEAR and grid[0] < 0.0:
         raise UsageError("linear SIR grid must be non-negative")
-    return grid
+    to_lin = transforms.TO_LINEAR[unit]
+    return np.array([to_lin(g) for g in grid])
 
 
 def cmd_exact(args):
@@ -292,14 +290,9 @@ def cmd_simulate(args):
     return 0
 
 
-def _parse_stat(spec: str):
-    name, _, arg = spec.partition(":")
-    return name, arg
-
-
 def cmd_plp(args):
     params = parse_params(args.alpha, args.delta)
-    name, arg = _parse_stat(args.stat)
+    name, arg = _parse_method(args.stat)
     if name == "gn":
         n = int(arg or 1)
         if args.t is not None:
@@ -376,14 +369,8 @@ def cmd_conjecture(args):
 
 
 def cmd_convert(args):
-    to_lin = {"linear": lambda x: x,
-              "dB": transforms.db_to_linear,
-              "MH": transforms.mh_to_linear}
-    from_lin = {"linear": lambda x: x,
-                "dB": transforms.linear_to_db,
-                "MH": transforms.linear_to_mh}
-    lin = to_lin[args.src](_finite("--value", args.value))
-    out = from_lin[args.dst](lin)
+    lin = transforms.TO_LINEAR[AxisUnit(args.src)](_finite("--value", args.value))
+    out = transforms.FROM_LINEAR[AxisUnit(args.dst)](lin)
     emit_json(args, {"value": _round12(args.value), "from": args.src,
                      "to": args.dst, "result": _round12(out)})
     return 0
@@ -455,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between linear, dB, and MH units")
     p.add_argument("--value", type=float, required=True)
-    p.add_argument("--from", dest="src", choices=["linear", "dB", "MH"],
+    p.add_argument("--from", dest="src", choices=[u.value for u in AxisUnit],
                    required=True)
-    p.add_argument("--to", dest="dst", choices=["linear", "dB", "MH"],
+    p.add_argument("--to", dest="dst", choices=[u.value for u in AxisUnit],
                    required=True)
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default="-")

@@ -182,14 +182,13 @@ def empirical_moment(dist: EmpiricalDistribution, k: int) -> float:
 
 
 def ks_distance(dist: EmpiricalDistribution, cdf_fn) -> float:
-    """Exact sup over the sample points of |F_emp - F|."""
+    """Exact sup over the sample points of |F_emp - F|; cdf_fn must map
+    the sample array to an array of the same shape."""
     x = dist.samples
-    try:
-        f = np.asarray(cdf_fn(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([cdf_fn(v) for v in x])
+    f = np.asarray(cdf_fn(x), dtype=float)
+    if f.shape != x.shape:
+        raise ValueError(
+            f"cdf_fn returned shape {f.shape} for samples of shape {x.shape}")
     n = x.size
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 
+from scipy import special as _special
+
 from .rayleigh import NetworkParams
 from .specfun import (DEFAULT_TOL, NumericError, Tolerance, find_root,
-                      harmonic, hyp1f1, ln_gamma, quad, sinc_pi)
+                      harmonic, hyp1f1, ln_gamma, sinc_pi)
 
 #: g_n(t) is the exact ccdf of SF_n/(1 - SF_1 - ... - SF_{n-1}) only for
 #: t >= 1/2; below that it is an upper bound.
@@ -31,7 +33,7 @@ def ordered_pathloss_pdf(params: NetworkParams, k: int, x: float) -> float:
     """Density of the k-th smallest path loss: d x^(kd-1) e^(-x^d) / Gamma(k)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"x must be positive, got {x}")
     d = params.delta
     return d * x ** (k * d - 1.0) * math.exp(-x ** d - ln_gamma(k))
@@ -43,7 +45,7 @@ def ratio_cdf(params: NetworkParams, i: int, r: float) -> float:
     i delta/(1 + i delta)."""
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    if r < 0.0 or r > 1.0:
+    if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
     return r ** (i * params.delta)
 
@@ -87,57 +89,34 @@ def g1_unit_crossing(params: NetworkParams) -> float:
     return 1.0 / (1.0 + sinc_pi(d) ** (-1.0 / d))
 
 
-def mean_sf1_upper_bound(params: NetworkParams,
-                         tol: Tolerance = DEFAULT_TOL) -> float:
+def mean_sf1_upper_bound(params: NetworkParams) -> float:
     """Upper bound on E[SF_1] without fading: int_0^1 min(1, g_1(t)) dt.
 
-    The crossing g_1(t0) = 1 is known in closed form and is
-    cross-checked against the root finder; the integral of g_1 over
-    (t0, 1) has a (1-t)^delta endpoint.
+    Beyond the crossing g_1(t0) = 1, g_1(t) = t^-d (1-t)^d / B(1-d, 1+d)
+    is the Beta(1-d, 1+d) density, because Gamma(1+d) Gamma(1-d) =
+    B(1-d, 1+d).  The bound is therefore t0 + 1 - I_t0(1-d, 1+d).
     """
     d = params.delta
     t0 = g1_unit_crossing(params)
-    t0_root = find_root(lambda t: g_n(params, 1, t) - 1.0,
-                        max(t0 / 2.0, 1e-9), (1.0 + t0) / 2.0, tol)
-    if abs(t0_root - t0) > 1e-9:
-        raise NumericError(
-            f"g1 crossing mismatch: closed form {t0}, root {t0_root}")
-    integral = quad(lambda t: g_n(params, 1, t), t0, 1.0, tol,
-                    right_power=1.0 + d)
-    return t0 + integral
+    return t0 + float(_special.betaincc(1.0 - d, 1.0 + d, t0))
 
 
 def rba_pdf(params: NetworkParams, t: float) -> float:
     """Density of the SF under random association with selection
     probabilities SF_k: sin(pi d) / (pi t^d (1-t)^(1-d)), a Beta(1-d, d)."""
-    if t <= 0.0 or t >= 1.0:
+    if not 0.0 < t < 1.0:
         raise ValueError(f"t must be in (0, 1), got {t}")
     d = params.delta
     return math.sin(math.pi * d) / (math.pi * t ** d * (1.0 - t) ** (1.0 - d))
 
 
-def rba_cdf(params: NetworkParams, t: float,
-            tol: Tolerance = DEFAULT_TOL) -> float:
-    """CDF of the random-association SF; the arcsine law 2 arcsin(sqrt t)/pi
-    when delta = 1/2, quadrature with declared endpoint exponents otherwise."""
-    if t < 0.0 or t > 1.0:
+def rba_cdf(params: NetworkParams, t: float) -> float:
+    """CDF of the random-association SF, the regularized incomplete beta
+    I_t(1-d, d); the arcsine law 2 arcsin(sqrt t)/pi when delta = 1/2."""
+    if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0, 1], got {t}")
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return 1.0
     d = params.delta
-    if d == 0.5:
-        return 2.0 * math.asin(math.sqrt(t)) / math.pi
-    if t <= 0.5:
-        return quad(lambda x: rba_pdf(params, x), 0.0, t, tol,
-                    left_power=1.0 - d)
-    # integrate the tail in the distance-to-1 variable, where the
-    # singular coordinate is exact (1 - x would lose precision)
-    c = math.sin(math.pi * d) / math.pi
-    tail = quad(lambda w: c * w ** (d - 1.0) * (1.0 - w) ** -d,
-                0.0, 1.0 - t, tol, left_power=d)
-    return 1.0 - tail
+    return float(_special.betainc(1.0 - d, d, t))
 
 
 def rba_mean(params: NetworkParams) -> float:
@@ -158,7 +137,7 @@ def flatness_rate(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> float:
     d = params.delta
 
     def f(s):
-        return hyp1f1(-d, 1.0 - d, s, tol)
+        return hyp1f1(-d, 1.0 - d, s)
 
     lo = 1e-3
     if f(lo) <= 0.0:
@@ -179,7 +158,7 @@ def flatness_rate(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> float:
 def flat_cdf_asymptote(params: NetworkParams, t: float,
                        tol: Tolerance = DEFAULT_TOL) -> float:
     """The small-t cdf asymptote exp(-s* (1/t - 1)) itself."""
-    if t <= 0.0 or t >= 1.0:
+    if not 0.0 < t < 1.0:
         raise ValueError(f"t must be in (0, 1), got {t}")
     s = flatness_rate(params, tol)
     return math.exp(-s * (1.0 / t - 1.0))

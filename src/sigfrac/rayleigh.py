@@ -13,12 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .specfun import DEFAULT_TOL, Tolerance, hyp2f1_11, quad, sinc_pi
+from .specfun import DEFAULT_TOL, Tolerance, hyp2f1_11, quad
 from .transforms import t_map
-
-# beyond this point the hypergeometric form cancels; the second-order
-# tail sinc(d)(1-t)^d (1+d(1-t)) is accurate to ~1e-13 relative there
-_TAIL_SWITCH = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,20 +57,16 @@ def sf_ccdf_exact(params: NetworkParams, t: float,
     """Exact ccdf of the signal fraction at t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0, 1], got {t}")
-    if t == 0.0:
-        return 1.0
     if t == 1.0:
         return 0.0
-    d = params.delta
-    if t > _TAIL_SWITCH:
-        return sinc_pi(d) * (1.0 - t) ** d * (1.0 + d * (1.0 - t))
-    return 1.0 / ((1.0 - t) * hyp2f1_11(d, t, tol))
+    # rounding 1 - t at t below ~1e-15 can lift the quotient one ulp above 1
+    return min(1.0, 1.0 / ((1.0 - t) * hyp2f1_11(params.delta, t, tol)))
 
 
 def sir_ccdf_exact(params: NetworkParams, theta: float,
                    tol: Tolerance = DEFAULT_TOL) -> float:
     """Exact ccdf of the SIR at theta >= 0, evaluated as Fbar_SF(T(theta))."""
-    if theta < 0.0:
+    if not theta >= 0.0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     return sf_ccdf_exact(params, t_map(theta), tol)
 
@@ -87,7 +79,7 @@ def sf_pdf_exact(params: NetworkParams, t: float,
     themselves are rejected.  The step adapts to the distance from the
     endpoints, keeping the stencil inside the domain.
     """
-    if t <= 0.0 or t >= 1.0:
+    if not 0.0 < t < 1.0:
         raise ValueError(
             f"t must be in (0, 1), got {t}; f(0+) = MISR and f(1-) diverges")
     h = max(1e-6, 1e-4 * min(t, 1.0 - t))

@@ -2,18 +2,15 @@
 and the change-of-variable formulas for ccdfs and pdfs.
 
 SIR = S/I lives on [0, inf); the signal fraction SF = S/(S+I) = T(SIR)
-lives on [0, 1), where T(x) = x/(1+x).  Curves are stored with
-linear-unit arguments internally; dB and MH are presentation units
-applied when re-axing for output.
+lives on [0, 1), where T(x) = x/(1+x).  Curves are computed with
+linear-unit arguments; dB and MH are presentation units, converted
+through TO_LINEAR and FROM_LINEAR.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 
 class AxisUnit(str, Enum):
@@ -22,20 +19,16 @@ class AxisUnit(str, Enum):
     MH = "MH"
 
 
-CURVE_KINDS = ("ccdf", "cdf", "pdf")
-CURVE_VARIABLES = ("SF", "SIR")
-
-
 def t_map(x: float) -> float:
     """T(x) = x/(1+x), the homeomorphism from [0, inf) onto [0, 1)."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"t_map requires x >= 0, got {x}")
     return x / (1.0 + x)
 
 
 def t_inv(t: float) -> float:
     """Inverse of t_map: t/(1-t) for t in [0, 1)."""
-    if t < 0.0 or t >= 1.0:
+    if not 0.0 <= t < 1.0:
         raise ValueError(f"t_inv requires t in [0, 1), got {t}")
     return t / (1.0 - t)
 
@@ -59,13 +52,6 @@ def linear_to_mh(x: float) -> float:
     return t_map(x)
 
 
-def sinr_to_sfn(sinr: float) -> float:
-    """Signal fraction with noise S/(S+N+I) from the SINR; the map is T."""
-    if sinr < 0.0:
-        raise ValueError(f"SINR must be >= 0, got {sinr}")
-    return t_map(sinr)
-
-
 def sir_ccdf_to_sf_ccdf(ccdf_fn):
     """Compose an SIR ccdf into the SF ccdf: Fbar_SF(t) = Fbar_SIR(t/(1-t))."""
     return lambda t: ccdf_fn(t_inv(t))
@@ -86,75 +72,15 @@ def sf_pdf_to_sir_pdf(pdf_fn):
     return lambda theta: pdf_fn(theta / (1.0 + theta)) / (1.0 + theta) ** 2
 
 
-_FROM_LINEAR = {
+# keyed by member: look a unit name up as AxisUnit(name), which also
+# rejects an unknown name
+FROM_LINEAR = {
     AxisUnit.LINEAR: lambda x: x,
     AxisUnit.DB: linear_to_db,
     AxisUnit.MH: linear_to_mh,
 }
-_TO_LINEAR = {
+TO_LINEAR = {
     AxisUnit.LINEAR: lambda x: x,
     AxisUnit.DB: db_to_linear,
     AxisUnit.MH: mh_to_linear,
 }
-
-
-@dataclass(frozen=True)
-class DistributionCurve:
-    """A sampled distribution curve: ordered (arg, value) pairs plus metadata.
-
-    args must be strictly increasing; ccdf values must be non-increasing
-    and, like cdf values, lie in [0, 1].  pdf values must be
-    non-negative.  flags optionally annotates individual points.
-    """
-
-    args: np.ndarray
-    values: np.ndarray
-    axis_unit: AxisUnit
-    kind: str
-    variable: str
-    flags: tuple | None = None
-
-    def __post_init__(self):
-        args = np.asarray(self.args, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "values", values)
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"kind must be one of {CURVE_KINDS}, got {self.kind}")
-        if self.variable not in CURVE_VARIABLES:
-            raise ValueError(
-                f"variable must be one of {CURVE_VARIABLES}, got {self.variable}")
-        if args.ndim != 1 or args.shape != values.shape:
-            raise ValueError("args and values must be 1-d arrays of equal length")
-        if args.size >= 2 and not np.all(np.diff(args) > 0.0):
-            raise ValueError("curve arguments must be strictly increasing")
-        if self.axis_unit == AxisUnit.MH and args.size and args[-1] >= 1.0:
-            raise ValueError("MH-unit arguments must lie in [0, 1)")
-        if self.kind in ("ccdf", "cdf"):
-            if values.size and (values.min() < -1e-9 or values.max() > 1.0 + 1e-9):
-                raise ValueError(f"{self.kind} values must lie in [0, 1]")
-            if self.kind == "ccdf" and values.size >= 2 and \
-                    np.any(np.diff(values) > 1e-9):
-                raise ValueError("ccdf values must be non-increasing")
-        elif values.size and values.min() < 0.0:
-            raise ValueError("pdf values must be non-negative")
-        if self.flags is not None and len(self.flags) != args.size:
-            raise ValueError("flags must have one entry per point")
-
-
-def reaxis(curve: DistributionCurve, target: AxisUnit) -> DistributionCurve:
-    """Convert the argument axis of a curve to another unit.
-
-    Values are untouched; both conversions are strictly increasing, so
-    point order is preserved.  Round trips reproduce arguments to
-    floating precision.
-    """
-    target = AxisUnit(target)
-    if target == curve.axis_unit:
-        return curve
-    to_lin = _TO_LINEAR[curve.axis_unit]
-    from_lin = _FROM_LINEAR[target]
-    args = np.array([from_lin(to_lin(float(x))) for x in curve.args])
-    return DistributionCurve(args=args, values=curve.values, axis_unit=target,
-                             kind=curve.kind, variable=curve.variable,
-                             flags=curve.flags)

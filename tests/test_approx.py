@@ -98,6 +98,12 @@ class TestPoly:
             assert poly_ccdf(p, 1, t) >= ex
             assert poly_ccdf(p, 2, t) >= ex
 
+    def test_domain(self, params_half):
+        with pytest.raises(ValueError):
+            poly_ccdf(params_half, 1, 1.5)
+        with pytest.raises(ValueError):
+            poly_ccdf(params_half, 2, -0.1)
+
 
 class TestTail:
     def test_zero_at_one(self):
@@ -192,9 +198,10 @@ class TestGeneralizedBeta:
             assert mass == pytest.approx(1.0, abs=1e-8)
 
     @staticmethod
-    def _moment_by_quadrature(gbp, k):
+    def _moment_by_quadrature(gbp, k, w_max=1.0):
         # integrate in the distance-to-1 variable so the (q-1) power sees
-        # an exact coordinate; 1-(1-w)^a via expm1/log1p
+        # an exact coordinate; 1-(1-w)^a via expm1/log1p.  With k = 0 and
+        # w_max = 1 - t this is the ccdf at t.
         a, b, p, q = gbp.a, gbp.b, gbp.p, gbp.q
         cb = a / (b * sg.beta_fn(p, q))
         bma = b ** -a - 1.0
@@ -204,7 +211,7 @@ class TestGeneralizedBeta:
             return ((1.0 - w) ** k * cb * s ** (q - 1.0)
                     / (1.0 + bma * (1.0 - s)) ** (p + q))
 
-        return sg.quad(f, 0.0, 1.0, left_power=q)
+        return sg.quad(f, 0.0, w_max, left_power=q)
 
     def test_moment_formula_vs_quadrature(self):
         rng = np.random.default_rng(11)
@@ -216,6 +223,14 @@ class TestGeneralizedBeta:
             for k in (1, 2):
                 direct = self._moment_by_quadrature(gbp, k)
                 assert gb_moment(gbp, k) == pytest.approx(direct, rel=1e-7)
+            # the closed-form cdf against quadrature of the density, on
+            # both sides of its t = 1/2 branch
+            for t in (0.05, 0.3, 0.5):
+                direct = sg.quad(lambda x: gb_pdf(gbp, x), 0.0, t)
+                assert gb_cdf(gbp, t) == pytest.approx(direct, abs=1e-9)
+            for t in (0.7, 0.95, 1.0 - 1e-6):
+                ccdf = self._moment_by_quadrature(gbp, 0, w_max=1.0 - t)
+                assert 1.0 - gb_cdf(gbp, t) == pytest.approx(ccdf, rel=1e-7)
 
     def test_cdf_endpoints(self, params_half):
         gbp = gb_params_from_pq(params_half, 1.0, 0.5)

@@ -1,0 +1,40 @@
+import math
+
+import pytest
+
+import sigfrac as sg
+from sigfrac import approx, plp, rayleigh, specfun, transforms
+
+P = sg.NetworkParams.from_delta(0.5)
+GBP = approx.gb_params_from_pq(P, 1.0, 0.5)
+NAN = math.nan
+
+# every range check must reject NaN instead of passing it on
+NAN_CALLS = {
+    "poly_ccdf": lambda: approx.poly_ccdf(P, 1, NAN),
+    "rational_ccdf": lambda: approx.rational_ccdf(P, 2, NAN),
+    "tail_ccdf": lambda: approx.tail_ccdf(P, 2, NAN),
+    "best_sf_ccdf": lambda: approx.best_sf_ccdf(P, NAN),
+    "best_sir_ccdf": lambda: approx.best_sir_ccdf(P, NAN),
+    "markov_lower_bound": lambda: approx.markov_lower_bound(P, NAN),
+    "nba_m_cdf_asymptote": lambda: approx.nba_m_cdf_asymptote(P, 2, NAN),
+    "gb_pdf": lambda: approx.gb_pdf(GBP, NAN),
+    "gb_cdf": lambda: approx.gb_cdf(GBP, NAN),
+    "rba_cdf": lambda: plp.rba_cdf(P, NAN),
+    "rba_pdf": lambda: plp.rba_pdf(P, NAN),
+    "ratio_cdf": lambda: plp.ratio_cdf(P, 1, NAN),
+    "ordered_pathloss_pdf": lambda: plp.ordered_pathloss_pdf(P, 1, NAN),
+    "flat_cdf_asymptote": lambda: plp.flat_cdf_asymptote(P, NAN),
+    "sir_ccdf_exact": lambda: rayleigh.sir_ccdf_exact(P, NAN),
+    "sf_pdf_exact": lambda: rayleigh.sf_pdf_exact(P, NAN),
+    "t_map": lambda: transforms.t_map(NAN),
+    "t_inv": lambda: transforms.t_inv(NAN),
+    "hyp2f1_11": lambda: specfun.hyp2f1_11(0.5, NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_nan_is_a_domain_error(name):
+    with pytest.raises(ValueError):
+        NAN_CALLS[name]()
+

@@ -290,6 +290,11 @@ class TestEmpirical:
         dist = EmpiricalDistribution(samples=np.array([0.5]))
         assert ks_distance(dist, lambda t: t) == 0.5
 
+    def test_ks_rejects_non_vectorized_cdf(self):
+        dist = EmpiricalDistribution(samples=np.array([0.2, 0.5]))
+        with pytest.raises(ValueError):
+            ks_distance(dist, lambda t: 0.5)
+
 
 class TestConjectureReport:
     def test_arcsine_moments(self):

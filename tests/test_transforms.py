@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import sigfrac as sg
-from sigfrac.transforms import (AxisUnit, DistributionCurve, db_to_linear,
-                                linear_to_db, linear_to_mh, mh_to_linear,
-                                reaxis, sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
-                                sinr_to_sfn, sir_ccdf_to_sf_ccdf,
+from sigfrac.transforms import (FROM_LINEAR, TO_LINEAR, AxisUnit,
+                                db_to_linear, linear_to_db, linear_to_mh,
+                                mh_to_linear, sf_ccdf_to_sir_ccdf,
+                                sf_pdf_to_sir_pdf, sir_ccdf_to_sf_ccdf,
                                 sir_pdf_to_sf_pdf, t_inv, t_map)
 
 
@@ -62,12 +62,27 @@ class TestUnits:
         ms = np.linspace(0, 0.99, 101)
         assert np.all(np.diff([mh_to_linear(m) for m in ms]) > 0)
 
-    def test_sfn_is_t_map(self):
-        assert sinr_to_sfn(0.0) == 0.0
-        assert sinr_to_sfn(1.0) == 0.5
-        assert sinr_to_sfn(9.0) == 0.9
+    def test_table_values(self):
+        assert FROM_LINEAR[AxisUnit("dB")](1.0) == 0.0
+        assert FROM_LINEAR[AxisUnit("MH")](1.0) == 0.5
+        assert FROM_LINEAR[AxisUnit("dB")](0.1) == pytest.approx(-10.0,
+                                                                 rel=1e-14)
+        assert TO_LINEAR[AxisUnit("MH")](10.0 / 11.0) == pytest.approx(
+            10.0, rel=1e-14)
+        assert TO_LINEAR[AxisUnit("linear")](0.3) == 0.3
         with pytest.raises(ValueError):
-            sinr_to_sfn(-1.0)
+            AxisUnit("dBm")
+
+    def test_table_round_trips(self):
+        args = np.linspace(0.1, 10.0, 50)
+        for unit in AxisUnit:
+            back = [TO_LINEAR[unit](FROM_LINEAR[unit](x)) for x in args]
+            np.testing.assert_allclose(back, args, rtol=1e-12)
+        # dB -> MH -> dB on a 50-point grid
+        db = [FROM_LINEAR[AxisUnit.DB](x) for x in args]
+        back = [FROM_LINEAR[AxisUnit.DB](TO_LINEAR[AxisUnit.MH](
+            FROM_LINEAR[AxisUnit.MH](TO_LINEAR[AxisUnit.DB](x)))) for x in db]
+        np.testing.assert_allclose(back, db, rtol=1e-12, atol=1e-12)
 
 
 class TestCcdfTransforms:
@@ -129,53 +144,3 @@ class TestPdfTransforms:
                            0.0, 1.0, left_power=p, right_power=q)
             assert mass == pytest.approx(1.0, abs=1e-6)
 
-
-class TestCurves:
-    def _curve(self, unit=AxisUnit.LINEAR):
-        args = np.linspace(0.1, 10.0, 50)
-        vals = np.array([1.0 / (1.0 + a) for a in args])
-        return DistributionCurve(args=args, values=vals, axis_unit=unit,
-                                 kind="ccdf", variable="SIR")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DistributionCurve(args=np.array([0.2, 0.1]),
-                              values=np.array([1.0, 0.5]),
-                              axis_unit=AxisUnit.LINEAR, kind="ccdf",
-                              variable="SF")
-        with pytest.raises(ValueError):
-            DistributionCurve(args=np.array([0.1, 0.2]),
-                              values=np.array([0.5, 1.0]),
-                              axis_unit=AxisUnit.LINEAR, kind="ccdf",
-                              variable="SF")
-        with pytest.raises(ValueError):
-            DistributionCurve(args=np.array([0.5, 1.5]),
-                              values=np.array([1.0, 0.5]),
-                              axis_unit=AxisUnit.MH, kind="ccdf",
-                              variable="SIR")
-
-    def test_reaxis_values(self):
-        c = self._curve()
-        db = reaxis(c, AxisUnit.DB)
-        assert db.args[0] == pytest.approx(linear_to_db(0.1), rel=1e-14)
-        np.testing.assert_array_equal(db.values, c.values)
-        mh = reaxis(c, AxisUnit.MH)
-        assert mh.args[-1] == pytest.approx(10.0 / 11.0, rel=1e-14)
-
-    def test_reaxis_linear_one(self):
-        c = DistributionCurve(args=np.array([0.5, 1.0, 2.0]),
-                              values=np.array([0.9, 0.7, 0.4]),
-                              axis_unit=AxisUnit.LINEAR, kind="ccdf",
-                              variable="SIR")
-        assert reaxis(c, AxisUnit.DB).args[1] == 0.0
-        assert reaxis(c, AxisUnit.MH).args[1] == 0.5
-
-    def test_round_trips(self):
-        c = self._curve()
-        for unit in (AxisUnit.DB, AxisUnit.MH):
-            back = reaxis(reaxis(c, unit), AxisUnit.LINEAR)
-            np.testing.assert_allclose(back.args, c.args, rtol=1e-12)
-        # dB -> MH -> dB on a 50-point grid
-        db = reaxis(c, AxisUnit.DB)
-        back = reaxis(reaxis(db, AxisUnit.MH), AxisUnit.DB)
-        np.testing.assert_allclose(back.args, db.args, rtol=1e-12, atol=1e-12)
