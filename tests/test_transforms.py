@@ -63,8 +63,6 @@ class TestUnits:
         assert np.all(np.diff([mh_to_linear(m) for m in ms]) > 0)
 
     def test_table_values(self):
-        assert FROM_LINEAR[AxisUnit("dB")](1.0) == 0.0
-        assert FROM_LINEAR[AxisUnit("MH")](1.0) == 0.5
         assert FROM_LINEAR[AxisUnit("dB")](0.1) == pytest.approx(-10.0,
                                                                  rel=1e-14)
         assert TO_LINEAR[AxisUnit("MH")](10.0 / 11.0) == pytest.approx(
@@ -83,6 +81,27 @@ class TestUnits:
         back = [FROM_LINEAR[AxisUnit.DB](TO_LINEAR[AxisUnit.MH](
             FROM_LINEAR[AxisUnit.MH](TO_LINEAR[AxisUnit.DB](x)))) for x in db]
         np.testing.assert_allclose(back, db, rtol=1e-12, atol=1e-12)
+
+
+class TestCurves:
+    """Re-expressing a curve's linear SIR grid in dB or MH."""
+
+    @staticmethod
+    def _reaxis(args, unit):
+        return [FROM_LINEAR[unit](x) for x in args]
+
+    def test_reaxis_values(self):
+        args = np.linspace(0.1, 10.0, 50)
+        db = self._reaxis(args, AxisUnit.DB)
+        assert db[0] == pytest.approx(linear_to_db(0.1), rel=1e-14)
+        assert np.all(np.diff(db) > 0)
+        mh = self._reaxis(args, AxisUnit.MH)
+        assert mh[-1] == pytest.approx(10.0 / 11.0, rel=1e-14)
+
+    def test_reaxis_linear_one(self):
+        args = np.array([0.5, 1.0, 2.0])
+        assert self._reaxis(args, AxisUnit.DB)[1] == 0.0
+        assert self._reaxis(args, AxisUnit.MH)[1] == 0.5
 
 
 class TestCcdfTransforms:
