@@ -144,11 +144,11 @@ class GBParams:
     q: float
 
     def __post_init__(self):
-        if self.p <= 0.0 or self.q <= 0.0:
+        if not (self.p > 0.0 and self.q > 0.0):
             raise ValueError(f"p, q must be positive, got ({self.p}, {self.q})")
         if not 0.0 < self.b <= 1.0:
             raise ValueError(f"b must be in (0, 1], got {self.b}")
-        if abs(self.a * self.p - 1.0) > 1e-12:
+        if not abs(self.a * self.p - 1.0) <= 1e-12:
             raise ValueError(f"a must equal 1/p, got a={self.a}, p={self.p}")
 
 
@@ -172,7 +172,7 @@ def gb_params_for_nakagami(params: NetworkParams, m: float) -> GBParams:
     """Experimental tail-matched family for Nakagami-m: p = m, q = delta,
     b from the density-at-zero constraint.  For m = 1 this is the
     closed-form tail-matched density (p = 1, q = delta, b = 1 - delta)."""
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError(f"m must be positive, got {m}")
     return gb_params_from_pq(params, m, params.delta)
 

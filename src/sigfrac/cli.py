@@ -31,6 +31,12 @@ _CONJ_KS_TOL = 1.0 / 3000.0
 _CONJ_GATE_SAMPLES = 20_000_000
 
 
+_TAIL_EPS_HELP = ("truncation tolerance in (0, 1): a realization stops once "
+                  "the un-generated tail's third cumulant is at most "
+                  "tail_eps^2 * total^3, and the tail is added as a "
+                  "mean- and variance-matched Gaussian draw")
+
+
 class UsageError(ValueError):
     pass
 
@@ -284,6 +290,7 @@ def cmd_simulate(args):
         "variance": _round12(x.var()),
         "count": int(x.size),
         "flagged": int(res.flagged),
+        "points_per_realization": _round12(res.points_per_realization),
         "seed": int(args.seed),
     }
     emit_curve(args, "SF", "ccdf", rows, sidecars={"summary": summary})
@@ -354,6 +361,7 @@ def cmd_conjecture(args):
         for key in ("empirical", "arcsine", "rel_diff"):
             row[key] = _round12(row[key])
     doc["ks_distance"] = _round12(doc["ks_distance"])
+    doc["points_per_realization"] = _round12(doc["points_per_realization"])
     doc["moment_threshold"] = _CONJ_MOMENT_TOL
     doc["ks_threshold"] = _round12(_CONJ_KS_TOL)
     if args.samples >= _CONJ_GATE_SAMPLES:
@@ -417,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--point-budget", type=int, default=1_000_000)
-    p.add_argument("--tail-eps", type=float, default=1e-4)
+    p.add_argument("--tail-eps", type=float, default=1e-4, help=_TAIL_EPS_HELP)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("plp", help="no-fading path-loss-process statistics")
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--point-budget", type=int, default=1_000_000)
-    p.add_argument("--tail-eps", type=float, default=1e-4)
+    p.add_argument("--tail-eps", type=float, default=1e-4, help=_TAIL_EPS_HELP)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_conjecture)

@@ -2,18 +2,22 @@
 
 The path loss process is sampled exactly in one dimension: the delta-th
 powers of the ordered path loss values are unit-rate Poisson arrival
-times, so no spatial window is involved.  Per realization, generation
-stops once the not-yet-generated tail of the received power can only
-move the result at the configured relative tolerance; the tail's
-conditional mean is added to the denominator, which turns the
-truncation error into a zero-mean fluctuation of relative size at most
-tail_eps instead of a one-sided bias.  Conditioned on the current
-arrival time G = xi_K^delta, the tail of sum h_k/xi_k has
+times, so no spatial window is involved.  Conditioned on the current
+arrival time G = xi_K^delta, the not-yet-generated tail of the received
+power sum h_k/xi_k has, by Campbell's formula over the unit-rate
+remainder, the cumulants
 
-    mean      delta/(1-delta)          * G^((delta-1)/delta)
-    variance  E[h^2] delta/(2-delta)   * G^((delta-2)/delta)
+    kappa_n = E[h^n] delta/(n-delta) * G^((delta-n)/delta),
 
-by Campbell's formula over the unit-rate remainder.
+so kappa_1 is its mean and kappa_2 its variance.  When a realization
+finishes, the tail is replaced by a Gaussian with the same mean and
+variance (the Gaussian approximation of small jumps, Asmussen &
+Rosinski 2001), clamped at zero so the total never falls below the
+generated power.  What the Gaussian leaves unmatched starts at the
+third cumulant, so generation stops once kappa_3 <= tail_eps^2 *
+total^3, which leaves an error of order tail_eps^2 in the
+signal-fraction law.  The per-realization fluctuation the tail
+contributes is drawn, not bounded by tail_eps.
 
 Every association rule runs on the same batched chunk generator.
 Random association keeps a value-weighted reservoir of one candidate
@@ -58,8 +62,9 @@ class FadingModel:
         if self.kind not in ("none", "nakagami"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
         if self.kind == "nakagami":
-            if self.m is None or self.m <= 0.0:
-                raise ValueError(f"nakagami parameter m must be > 0, got {self.m}")
+            if self.m is None or not 0.0 < self.m < math.inf:
+                raise ValueError(
+                    f"nakagami parameter m must be finite and > 0, got {self.m}")
         elif self.m is not None:
             raise ValueError("fading 'none' takes no parameter")
 
@@ -76,6 +81,12 @@ class FadingModel:
         if self.kind == "none":
             return 1.0
         return 1.0 + 1.0 / self.m
+
+    @property
+    def third_moment(self) -> float:
+        if self.kind == "none":
+            return 1.0
+        return (1.0 + 1.0 / self.m) * (1.0 + 2.0 / self.m)
 
 
 @dataclass(frozen=True)
@@ -163,8 +174,13 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Sorted samples, the count of realizations that hit the point
+    budget, and the mean number of points generated per realization
+    (seed-determined, independent of the worker count)."""
+
     dist: EmpiricalDistribution
     flagged: int
+    points_per_realization: float
 
 
 def empirical_ccdf(dist: EmpiricalDistribution, t):
@@ -225,7 +241,7 @@ def sample_nakagami(m: float, rng: np.random.Generator, size=None):
     m = 1 is the unit exponential (Rayleigh power); m = 1/2 is the
     square of a standard normal.
     """
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError(f"m must be positive, got {m}")
     if m == 0.5:
         z = rng.standard_normal(size)
@@ -238,49 +254,56 @@ def sample_nakagami(m: float, rng: np.random.Generator, size=None):
     return h if size is not None else float(h)
 
 
-def _tail_consts(delta: float, h2: float):
-    cm = delta / (1.0 - delta)
-    cv = math.sqrt(h2 * delta / (2.0 - delta))
-    em = (delta - 1.0) / delta
-    ev = (delta - 2.0) / (2.0 * delta)
-    return cm, cv, em, ev
+def _cumulant(n: int, delta: float, hn: float):
+    """(c, e) with kappa_n = c * G**e for the tail beyond arrival time G;
+    hn is the n-th moment of the fading gain."""
+    return hn * delta / (n - delta), (delta - n) / delta
 
 
 def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
                ntop: int = 0):
-    """Simulate n realizations; returns (values, flagged_count).
+    """Simulate n realizations; returns (values, flagged_count, points).
 
     values has shape (n,) for scalar associations or (n, ntop) when the
     ntop strongest no-fading signal fractions per realization are
-    requested.
+    requested; points is the number of path loss values generated.
+
+    A row stops once the tail's third cumulant is at most
+    tail_eps^2 * total^3, with total = power so far + tail mean, and its
+    total becomes power + max(mean + sd * Z, 0) with a standard normal Z.
 
     Random association is a size-1 weighted reservoir over the chunks
     (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
     candidate with probability W / (power so far + W), so the first
     chunk always does, and the index inside the chunk is drawn
     value-weighted.  When a row finishes, the pick falls in the
-    not-yet-generated tail with probability (total - power) / total;
-    the tail values follow a Poisson process with intensity
-    d v^(-1-d) dv on (0, v_K), so the value-weighted tail pick has cdf
-    (v/v_K)^(1-d) and is sampled by inversion.  Each stored value is
-    thus picked with probability v / total; using the mean tail weight
-    errs by the tail fluctuation, at most tail_eps * total.  One uniform
-    u per decision, as in a single u * total walk over all values: a
-    chunk takes over when u * power < W, and u * power, uniform on
-    [0, W) given that, is the position in the chunk's cumsum; a
-    finishing row picks from the tail when u * total > power, and
-    (u * total - power) / (total - power) is the tail's inversion
-    uniform.  Draw order per chunk: the exponentials, then one uniform
-    per active row; at finish, one uniform per finishing row.
+    not-yet-generated tail with probability tail / total, tail being
+    the drawn tail power; the tail values follow a Poisson process with
+    intensity d v^(-1-d) dv on (0, v_K), so the value-weighted tail pick
+    has cdf (v/v_K)^(1-d) and is sampled by inversion.  Each value, the
+    drawn tail included, is thus picked with probability v / total.
+    One uniform u per decision, as in a single u * total walk over all
+    values: a chunk takes over when u * power < W, and u * power,
+    uniform on [0, W) given that, is the position in the chunk's cumsum;
+    a finishing row picks from the tail when u * total > power, and
+    (u * total - power) / tail is the tail's inversion uniform.
+
+    Draw order per chunk: the exponentials, the fading gains, then one
+    uniform per active row (rba).  At finish: one standard normal per
+    finishing row, then one uniform per finishing row (rba).
     """
     params = config.params
     delta = params.delta
     pw = -1.0 / delta
     fading = config.fading
     fad_m = fading.m if fading.kind == "nakagami" else None
-    cm, cv, em, ev = _tail_consts(delta, fading.second_moment)
-    g_expo = 2.0 * delta / (2.0 - delta)   # inverts the sd criterion for G
-    eps = config.tail_eps
+    c1, e1 = _cumulant(1, delta, 1.0)
+    c2, e2 = _cumulant(2, delta, fading.second_moment)
+    c3, e3 = _cumulant(3, delta, fading.third_moment)
+    # the stop kappa_3 <= tail_eps^2 * total^3, compared as cube roots so
+    # that the cube of a large total cannot overflow
+    k3r, e3r = c3 ** (1.0 / 3.0), e3 / 3.0
+    eps_r = config.tail_eps ** (2.0 / 3.0)
     budget = config.point_budget
     isba_fad = config.assoc.kind == "isba" and fad_m is not None
     rba = config.assoc.kind == "rba" and not ntop
@@ -296,6 +319,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
         out = np.empty(n)
 
     npts = 0
+    points = 0
     chunk = max(32, ntop)
     first = True
     while idx.size:
@@ -330,32 +354,35 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             sig[idx[sw]] = v[sw, k]
         glast[idx] = newg
         npts += chunk
+        points += na * chunk
 
-        mean_tail = cm * np.power(newg, em)
-        sd_tail = cv * np.power(newg, ev)
+        mean_tail = c1 * np.power(newg, e1)
         tot = power[idx] + mean_tail
-        done = sd_tail <= eps * tot
+        done = k3r * np.power(newg, e3r) <= eps_r * tot
         if npts >= budget:
             flagged[idx[~done]] = True
             done[:] = True
         if done.any():
             fin = idx[done]
+            sd = np.sqrt(c2 * np.power(newg[done], e2))
+            z = rng.standard_normal(fin.size)
+            tail = np.maximum(mean_tail[done] + sd * z, 0.0)
+            totf = power[fin] + tail
             if ntop:
-                out[fin] /= tot[done][:, None]
+                out[fin] /= totf[:, None]
             else:
                 if rba:
-                    u = rng.random(fin.size) * tot[done] - power[fin]
+                    u = rng.random(fin.size) * totf - power[fin]
                     tl = u > 0.0
-                    ut = u[tl] / (tot[done][tl] - power[fin[tl]])
-                    sig[fin[tl]] = _pow_neg(glast[fin[tl]], pw) * ut ** (
-                        1.0 / (1.0 - delta))
-                out[fin] = sig[fin] / tot[done]
+                    sig[fin[tl]] = _pow_neg(newg[done][tl], pw) * (
+                        u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
+                out[fin] = sig[fin] / totf
         idx = idx[~done]
         if idx.size:
-            g_req = (cv / (eps * tot[~done])) ** g_expo
+            g_req = (eps_r * tot[~done] / k3r) ** (1.0 / e3r)
             deficit = g_req - glast[idx]
             chunk = int(np.percentile(deficit, 75.0)) + 32
-    return out, int(np.count_nonzero(flagged))
+    return out, int(np.count_nonzero(flagged)), points
 
 
 def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
@@ -363,12 +390,13 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
     """One realization of the ordered path loss values xi_1 < xi_2 < ...
 
     xi_k = (E_1 + ... + E_k)^(1/delta) with iid unit exponentials E_j;
-    generation stops by the same tail criterion as the SF sampler.
-    Returns (values, truncated_flag).
+    generation stops once the standard deviation of the un-generated
+    tail power is at most tail_eps times the total (generated power plus
+    tail mean).  Returns (values, truncated_flag).
     """
     delta = params.delta
-    cm, cv, em, ev = _tail_consts(delta, 1.0)
-    g_expo = 2.0 * delta / (2.0 - delta)
+    c1, e1 = _cumulant(1, delta, 1.0)
+    c2, e2 = _cumulant(2, delta, 1.0)
     blocks = []
     g0 = 0.0
     power = 0.0
@@ -383,13 +411,13 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
         blocks.append(e)
         power += _pow_neg(e, -1.0 / delta).sum()
         npts += chunk
-        tot = power + cm * g0 ** em
-        if cv * g0 ** ev <= tail_eps * tot:
+        tot = power + c1 * g0 ** e1
+        if c2 * g0 ** e2 <= (tail_eps * tot) ** 2:
             break
         if npts >= point_budget:
             flag = True
             break
-        need = (cv / (tail_eps * tot)) ** g_expo - g0
+        need = (c2 / (tail_eps * tot) ** 2) ** (-1.0 / e2) - g0
         chunk = int(min(max(need + 32.0, 64.0), _CHUNK_MAX, point_budget - npts))
     g = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
     return g ** (1.0 / delta), flag
@@ -397,9 +425,8 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
 
 def _run_shard(args):
     config, shard_idx, count, ntop = args
-    vals, flagged = _sim_shard(config, count, _rng_for(config.seed, shard_idx),
-                               ntop=ntop)
-    return shard_idx, vals, flagged
+    return (shard_idx,
+            *_sim_shard(config, count, _rng_for(config.seed, shard_idx), ntop))
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -435,7 +462,7 @@ def _run_all(config: SimConfig, ntop: int, workers: int | None):
         raise SimulationError(
             f"{flagged} of {config.samples} realizations hit the point "
             f"budget {config.point_budget} before the tail criterion")
-    return vals, flagged
+    return vals, flagged, sum(r[3] for r in results) / config.samples
 
 
 def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
@@ -451,14 +478,15 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     count.
     """
     ntop = config.assoc.k if config.assoc.kind == "kth" else 0
-    vals, flagged = _run_all(config, ntop, workers)
+    vals, flagged, points = _run_all(config, ntop, workers)
     if ntop:
         vals = vals[:, ntop - 1].copy()
         if vals.max() > 1.0 / ntop:
             raise AssertionError(
                 f"SF_{ntop} sample exceeds its support bound 1/{ntop}")
     vals.sort()
-    return SimResult(dist=EmpiricalDistribution(samples=vals), flagged=flagged)
+    return SimResult(dist=EmpiricalDistribution(samples=vals), flagged=flagged,
+                     points_per_realization=points)
 
 
 def sample_sf_topk(config: SimConfig, ntop: int,
@@ -470,7 +498,8 @@ def sample_sf_topk(config: SimConfig, ntop: int,
         raise ValueError("ordered signal fractions require no fading")
     if ntop < 1:
         raise ValueError(f"ntop must be >= 1, got {ntop}")
-    return _run_all(config, ntop, workers)
+    vals, flagged, _ = _run_all(config, ntop, workers)
+    return vals, flagged
 
 
 def arcsine_moment(k: int) -> float:
@@ -496,6 +525,7 @@ class ConjectureReport:
     rel_moment_diffs: tuple
     ks_distance: float
     flagged: int
+    points_per_realization: float
 
     def to_dict(self) -> dict:
         return {
@@ -511,6 +541,7 @@ class ConjectureReport:
             ],
             "ks_distance": self.ks_distance,
             "flagged": self.flagged,
+            "points_per_realization": self.points_per_realization,
         }
 
 
@@ -538,4 +569,5 @@ def conjecture_report(samples: int, seed: int, point_budget: int = 1_000_000,
                             empirical_moments=tuple(emp),
                             arcsine_moments=tuple(arc),
                             rel_moment_diffs=tuple(rel),
-                            ks_distance=ks, flagged=res.flagged)
+                            ks_distance=ks, flagged=res.flagged,
+                            points_per_realization=res.points_per_realization)

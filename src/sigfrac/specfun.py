@@ -53,14 +53,14 @@ DEFAULT_TOL = Tolerance()
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
 
 def beta_fn(p: float, q: float) -> float:
     """Beta function B(p, q) = Gamma(p)Gamma(q)/Gamma(p+q), p, q > 0."""
-    if p <= 0.0 or q <= 0.0:
+    if not (p > 0.0 and q > 0.0):
         raise ValueError(f"beta_fn requires p, q > 0, got ({p}, {q})")
     return math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
 
@@ -194,7 +194,7 @@ def quad(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL,
     lo, hi = float(a), float(b)
     lp = 1.0 if left_power is None else float(left_power)
     rp = 1.0 if right_power is None else float(right_power)
-    if lp <= 0.0 or rp <= 0.0:
+    if not (lp > 0.0 and rp > 0.0):
         raise ValueError(f"endpoint powers must be > 0, got ({lp}, {rp})")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _integrate.IntegrationWarning)

@@ -34,7 +34,13 @@ def t_inv(t: float) -> float:
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    # Python float power raises OverflowError where a numpy scalar
+    # would return inf
+    try:
+        return 10.0 ** (float(x_db) / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"{x_db} dB overflows a double in linear units") from None
 
 
 def linear_to_db(x: float) -> float:

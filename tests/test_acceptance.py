@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line.  The heavy Monte Carlo inputs are shared session
 fixtures (see conftest).  The full-scale arcsine comparison (2e7
-samples, ~5-10 min) only runs when SIGFRAC_FULL_SCALE=1; its relaxed
-1e6-sample smoke variant always runs.
+samples, ~1 min on two cores) only runs when SIGFRAC_FULL_SCALE=1; its
+relaxed 1e6-sample smoke variant always runs.
 """
 
 import math

@@ -97,6 +97,13 @@ class TestExact:
         assert rc == 0
         validate(json.loads(out), "curve")
 
+    def test_db_overflow_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, "exact", "--alpha", "4", "--var", "SIR",
+                           "--unit", "dB", "--grid", "0,4000")
+        assert rc == 2
+        assert out == ""
+        assert "4000" in err and "overflows" in err
+
 
 class TestApprox:
     def test_best_value(self, capsys):
@@ -190,6 +197,14 @@ class TestSimulate:
         monkeypatch.setenv("SIGFRAC_THREADS", "3")
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("m", ["nan", "inf", "0"])
+    def test_bad_nakagami_parameter_rejected(self, capsys, m):
+        rc, out, err = run(capsys, "simulate", "--alpha", "4", "--fading",
+                           f"nakagami:{m}", "--samples", "100")
+        assert rc == 2
+        assert out == ""
+        assert f"nakagami parameter m must be finite and > 0, got {m}" in err
 
     def test_rba_with_fading_rejected(self, capsys):
         rc, _, err = run(capsys, "simulate", "--alpha", "4", "--fading",
@@ -323,6 +338,14 @@ class TestConvert:
         assert rc == 2
         assert out == ""
         assert "--value must be finite" in err
+
+
+    def test_db_overflow_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, "convert", "--value", "4000", "--from",
+                           "dB", "--to", "linear")
+        assert rc == 2
+        assert out == ""
+        assert "4000.0 dB overflows" in err
 
 
 class TestEntryPoint:

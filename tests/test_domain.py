@@ -3,7 +3,7 @@ import math
 import pytest
 
 import sigfrac as sg
-from sigfrac import approx, plp, rayleigh, specfun, transforms
+from sigfrac import approx, montecarlo, plp, rayleigh, specfun, transforms
 
 P = sg.NetworkParams.from_delta(0.5)
 GBP = approx.gb_params_from_pq(P, 1.0, 0.5)
@@ -32,9 +32,27 @@ NAN_CALLS = {
     "hyp2f1_11": lambda: specfun.hyp2f1_11(0.5, NAN),
 }
 
+# parameter checks written as x <= 0 would let NaN through
+NAN_PARAMS = {
+    "GBParams": lambda: approx.GBParams(a=NAN, b=0.5, p=NAN, q=0.5),
+    "GBParams_a": lambda: approx.GBParams(a=NAN, b=0.5, p=2.0, q=0.5),
+    "gb_params_for_nakagami": lambda: approx.gb_params_for_nakagami(P, NAN),
+    "FadingModel.nakagami": lambda: montecarlo.FadingModel.nakagami(NAN),
+    "sample_nakagami": lambda: montecarlo.sample_nakagami(
+        NAN, montecarlo._rng_for(0, 0), 4),
+    "ln_gamma": lambda: specfun.ln_gamma(NAN),
+    "beta_fn": lambda: specfun.beta_fn(NAN, 1.0),
+}
+
 
 @pytest.mark.parametrize("name", sorted(NAN_CALLS))
 def test_nan_is_a_domain_error(name):
     with pytest.raises(ValueError):
         NAN_CALLS[name]()
 
+
+
+@pytest.mark.parametrize("name", sorted(NAN_PARAMS))
+def test_nan_parameter_is_rejected(name):
+    with pytest.raises(ValueError):
+        NAN_PARAMS[name]()
