@@ -25,7 +25,7 @@ from .rayleigh import (NetworkParams, misr, sf_ccdf_exact, sf_moment_exact,
                        sf_pdf_exact, sir_ccdf_exact)
 from .specfun import (DEFAULT_TOL, BracketError, NumericError, Tolerance,
                       beta_fn, find_root, harmonic, hyp1f1, hyp2f1_11,
-                      hyp2f1_series, ln_gamma, quad, sinc_pi)
+                      ln_gamma, quad, sinc_pi)
 from .transforms import (AxisUnit, db_to_linear, linear_to_db, linear_to_mh,
                          mh_to_linear, sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
                          sir_ccdf_to_sf_ccdf, sir_pdf_to_sf_pdf, t_inv, t_map)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as _special
 
 from .rayleigh import NetworkParams, misr, sf_moment_exact
-from .specfun import (DEFAULT_TOL, Tolerance, beta_fn, hyp2f1_series, ln_gamma,
-                      sinc_pi)
+from .specfun import (DEFAULT_TOL, NumericError, Tolerance, _by_half, _checked,
+                      beta_fn, ln_gamma, sinc_pi)
 
 _FIT_RESIDUAL_TOL = 1e-6
 
@@ -187,42 +188,55 @@ def gb_pdf(gbp: GBParams, t: float) -> float:
         b * beta_fn(p, q) * (1.0 + (b ** -a - 1.0) * ta) ** (p + q))
 
 
-def gb_cdf(gbp: GBParams, t: float) -> float:
-    """CDF of the generalized beta, the regularized incomplete beta
-    I_w(p, q) with u = t^a, c = b^-a and w = c u / (1 + (c-1) u)
-    (McDonald & Xu 1995)."""
-    if math.isnan(t):
-        raise ValueError("t must not be NaN")
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
+def gb_cdf(gbp: GBParams, t):
+    """CDF of the generalized beta at t, a float or an array, the
+    regularized incomplete beta I_w(p, q) with u = t^a, c = b^-a and
+    w = c u / (1 + (c-1) u) (McDonald & Xu 1995); 0 below t = 0 and 1
+    above t = 1."""
     a, p, q = gbp.a, gbp.p, gbp.q
-    u = t ** a
     c = gbp.b ** -a
-    den = 1.0 + (c - 1.0) * u
-    if t <= 0.5:
-        return float(_special.betainc(p, q, c * u / den))
-    # I_w(p, q) = 1 - I_{1-w}(q, p), with 1 - w = (1 - t^a)/den formed
-    # without cancellation: rounding w itself costs up to 7e-8 relative
-    # in the ccdf at t = 1 - 1e-9
-    return float(_special.betaincc(q, p, -math.expm1(a * math.log(t)) / den))
+    t = _checked(t, "t", -math.inf, math.inf)
+    # np.clip costs 4 us on a float
+    t = (np.clip(t, 0.0, 1.0) if isinstance(t, np.ndarray)
+         else min(max(t, 0.0), 1.0))
+
+    def lower(s):
+        u = np.power(s, a)
+        return _special.betainc(p, q, c * u / (1.0 + (c - 1.0) * u))
+
+    def upper(s):
+        # I_w(p, q) = 1 - I_{1-w}(q, p), with 1 - w = (1 - t^a)/(1 + (c-1) u)
+        # formed without cancellation: rounding w itself costs up to 7e-8
+        # relative in the ccdf at t = 1 - 1e-9
+        u = np.power(s, a)
+        return _special.betaincc(q, p, -np.expm1(a * np.log(s))
+                                 / (1.0 + (c - 1.0) * u))
+
+    return _by_half(t, lower, upper)
 
 
-def gb_moment(gbp: GBParams, k: int, tol: Tolerance = DEFAULT_TOL) -> float:
-    """k-th moment b^k B((k+1)p, q)/B(p, q) 2F1((k+1)p, kp; (k+1)p+q; 1-b^a)."""
+def gb_moment(gbp: GBParams, k: int) -> float:
+    """k-th moment b^k B((k+1)p, q)/B(p, q) 2F1((k+1)p, kp; (k+1)p+q; 1-b^a).
+
+    scipy's 2F1 returns inf near z = 1 when c - a - b < 0 (at
+    z = 1 - 6e-14 with p = 0.1, q = 0.072 and k = 1, where the value is
+    4.59); a non-finite value is raised as NumericError, never returned.
+    """
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
     a, b, p, q = gbp.a, gbp.b, gbp.p, gbp.q
     z = 1.0 - b ** a
-    f = hyp2f1_series((k + 1.0) * p, k * p, (k + 1.0) * p + q, z, tol)
+    if not abs(z) < 1.0:
+        raise ValueError(f"gb_moment requires |1 - b^a| < 1, got {z}")
+    f = float(_special.hyp2f1((k + 1.0) * p, k * p, (k + 1.0) * p + q, z))
+    if not math.isfinite(f):
+        raise NumericError(f"2F1 at z = {z} for p = {p}, q = {q} is {f}")
     return b ** k * beta_fn((k + 1.0) * p, q) / beta_fn(p, q) * f
 
 
-def _fit_residuals(params, p, q, m1, m2, tol):
+def _fit_residuals(params, p, q, m1, m2):
     gbp = gb_params_from_pq(params, p, q)
-    return (gb_moment(gbp, 1, tol) / m1 - 1.0,
-            gb_moment(gbp, 2, tol) / m2 - 1.0)
+    return gb_moment(gbp, 1) / m1 - 1.0, gb_moment(gbp, 2) / m2 - 1.0
 
 
 def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
@@ -231,16 +245,18 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
 
     Damped Newton with a forward-difference Jacobian, seeded at
     (p, q) = (1, delta) which is the closed-form tail-matched solution;
-    relative moment residual at the returned point is <= 1e-6.  For
-    delta below roughly 0.3 the scale constraint would need b > 1, which
-    leaves the family; that surfaces as a FitError.
+    relative moment residual at the returned point is <= 1e-6.  The
+    moment solution is lost at a fold near delta = 0.385: the fit solves
+    at 0.385 and 0.39 but not at 0.38 or 0.33, although the best (p, q)
+    there still has b < 1 (b passes 1 only below delta ~ 0.32).  That
+    surfaces as a FitError carrying the best iterate.
     """
     d = params.delta
     m1 = sf_moment_exact(params, 1, tol)
     m2 = sf_moment_exact(params, 2, tol)
 
     p, q = 1.0, d
-    r1, r2 = _fit_residuals(params, p, q, m1, m2, tol)
+    r1, r2 = _fit_residuals(params, p, q, m1, m2)
     best = (p, q, math.hypot(r1, r2))
     for _ in range(60):
         norm = math.hypot(r1, r2)
@@ -251,13 +267,13 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
         hp = 1e-6 * max(1.0, abs(p))
         hq = 1e-6 * max(1.0, abs(q))
         try:
-            r1p, r2p = _fit_residuals(params, p + hp, q, m1, m2, tol)
-            r1q, r2q = _fit_residuals(params, p, q + hq, m1, m2, tol)
+            r1p, r2p = _fit_residuals(params, p + hp, q, m1, m2)
+            r1q, r2q = _fit_residuals(params, p, q + hq, m1, m2)
         except ValueError:
             # differencing stepped over the b <= 1 wall; probe backwards
             hp, hq = -hp, -hq
-            r1p, r2p = _fit_residuals(params, p + hp, q, m1, m2, tol)
-            r1q, r2q = _fit_residuals(params, p, q + hq, m1, m2, tol)
+            r1p, r2p = _fit_residuals(params, p + hp, q, m1, m2)
+            r1q, r2q = _fit_residuals(params, p, q + hq, m1, m2)
         j11, j12 = (r1p - r1) / hp, (r1q - r1) / hq
         j21, j22 = (r2p - r2) / hp, (r2q - r2) / hq
         det = j11 * j22 - j12 * j21
@@ -270,7 +286,7 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
             pn = max(p - step * dp, 1e-3)
             qn = max(q - step * dq, 1e-3)
             try:
-                n1, n2 = _fit_residuals(params, pn, qn, m1, m2, tol)
+                n1, n2 = _fit_residuals(params, pn, qn, m1, m2)
             except (ValueError, OverflowError):
                 step *= 0.5
                 continue
@@ -285,7 +301,7 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
     if norm > _FIT_RESIDUAL_TOL:
         try:
             p, q = _fit_bisect_fallback(params, m1, m2, tol, seed=(p, q))
-            r1, r2 = _fit_residuals(params, p, q, m1, m2, tol)
+            r1, r2 = _fit_residuals(params, p, q, m1, m2)
             norm = math.hypot(r1, r2)
         except ValueError:
             pass
@@ -296,8 +312,7 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
     gbp = gb_params_from_pq(params, p, q)
     return FitResult(params=gbp,
                      target_moments=(m1, m2),
-                     achieved_moments=(gb_moment(gbp, 1, tol),
-                                       gb_moment(gbp, 2, tol)),
+                     achieved_moments=(gb_moment(gbp, 1), gb_moment(gbp, 2)),
                      residual=max(abs(r1), abs(r2)))
 
 
@@ -306,11 +321,11 @@ def _fit_bisect_fallback(params, m1, m2, tol, seed, sweeps=40):
     from .specfun import find_root
     p, q = seed
     for _ in range(sweeps):
-        p = find_root(lambda x: _fit_residuals(params, x, q, m1, m2, tol)[0],
+        p = find_root(lambda x: _fit_residuals(params, x, q, m1, m2)[0],
                       1e-3, 50.0, tol)
-        q = find_root(lambda x: _fit_residuals(params, p, x, m1, m2, tol)[1],
+        q = find_root(lambda x: _fit_residuals(params, p, x, m1, m2)[1],
                       1e-3, 50.0, tol)
-        r1, r2 = _fit_residuals(params, p, q, m1, m2, tol)
+        r1, r2 = _fit_residuals(params, p, q, m1, m2)
         if math.hypot(r1, r2) < 1e-9:
             break
     return p, q

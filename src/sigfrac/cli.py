@@ -178,11 +178,10 @@ def cmd_exact(args):
             raise UsageError("SF curves use the linear unit (t in [0, 1])")
         if grid[0] < 0.0 or grid[-1] > 1.0:
             raise UsageError("SF grid must lie within [0, 1]")
-        rows = [(t, rayleigh.sf_ccdf_exact(params, float(t))) for t in grid]
+        rows = zip(grid, rayleigh.sf_ccdf_exact(params, grid))
     else:
         theta = _sir_grid_to_linear(grid, args.unit or "linear")
-        rows = [(g, rayleigh.sir_ccdf_exact(params, float(th)))
-                for g, th in zip(grid, theta)]
+        rows = zip(grid, rayleigh.sir_ccdf_exact(params, theta))
     emit_curve(args, args.var, "ccdf", rows)
     return 0
 
@@ -221,7 +220,7 @@ def cmd_approx(args):
     elif name == "gb-fit":
         fit = approx.gb_fit(params)
         gbp = fit.params
-        rows = [(t, 1.0 - approx.gb_cdf(gbp, float(t))) for t in grid]
+        rows = zip(grid, 1.0 - approx.gb_cdf(gbp, grid))
         sidecars = {"fit": {
             "schema": "fit",
             "alpha": _round12(params.alpha),
@@ -337,12 +336,9 @@ def cmd_plp(args):
         return 0
     if name == "rba-curve":
         grid = parse_grid(args.grid)
-        pts = [t for t in grid if 0.0 < t < 1.0]
-        if args.kind == "pdf":
-            rows = [(t, plp.rba_pdf(params, float(t))) for t in pts]
-        else:
-            rows = [(t, plp.rba_cdf(params, float(t))) for t in pts]
-        emit_curve(args, "SF", args.kind, rows)
+        pts = grid[(grid > 0.0) & (grid < 1.0)]
+        curve = plp.rba_pdf if args.kind == "pdf" else plp.rba_cdf
+        emit_curve(args, "SF", args.kind, zip(pts, curve(params, pts)))
         return 0
     raise UsageError(
         f"unknown stat {args.stat!r}; available: gn:n, sfirat:i, loggap:i, "

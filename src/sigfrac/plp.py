@@ -17,8 +17,8 @@ import math
 from scipy import special as _special
 
 from .rayleigh import NetworkParams
-from .specfun import (DEFAULT_TOL, NumericError, Tolerance, find_root,
-                      harmonic, hyp1f1, ln_gamma, sinc_pi)
+from .specfun import (DEFAULT_TOL, NumericError, Tolerance, _checked,
+                      _rba_cdf, find_root, harmonic, hyp1f1, ln_gamma, sinc_pi)
 
 #: g_n(t) is the exact ccdf of SF_n/(1 - SF_1 - ... - SF_{n-1}) only for
 #: t >= 1/2; below that it is an upper bound.
@@ -101,22 +101,22 @@ def mean_sf1_upper_bound(params: NetworkParams) -> float:
     return t0 + float(_special.betaincc(1.0 - d, 1.0 + d, t0))
 
 
-def rba_pdf(params: NetworkParams, t: float) -> float:
+def rba_pdf(params: NetworkParams, t):
     """Density of the SF under random association with selection
-    probabilities SF_k: sin(pi d) / (pi t^d (1-t)^(1-d)), a Beta(1-d, d)."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must be in (0, 1), got {t}")
+    probabilities SF_k: sin(pi d) / (pi t^d (1-t)^(1-d)), a Beta(1-d, d);
+    t in (0, 1) is a float or an array."""
+    t = _checked(t, "t", 0.0, 1.0, open_=True)
     d = params.delta
     return math.sin(math.pi * d) / (math.pi * t ** d * (1.0 - t) ** (1.0 - d))
 
 
-def rba_cdf(params: NetworkParams, t: float) -> float:
+def rba_cdf(params: NetworkParams, t):
     """CDF of the random-association SF, the regularized incomplete beta
-    I_t(1-d, d); the arcsine law 2 arcsin(sqrt t)/pi when delta = 1/2."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    d = params.delta
-    return float(_special.betainc(1.0 - d, d, t))
+    I_t(1-d, d) at t in [0, 1], a float or an array; the arcsine law
+    2 arcsin(sqrt t)/pi when delta = 1/2.  Through
+    rayleigh.sf_ccdf_exact = 1 / (1 + (t/(1-t))^d rba_cdf / sinc d) it
+    also gives the exact Rayleigh/NBA law."""
+    return _rba_cdf(params.delta, _checked(t, "t", 0.0, 1.0))
 
 
 def rba_mean(params: NetworkParams) -> float:

@@ -4,17 +4,26 @@ with nearest-base-station association in a Poisson network.
 Everything depends on the path loss exponent alpha only through
 delta = 2/alpha in (0, 1).  The SF ccdf is
 
-    Fbar_SF(t) = 1 / ((1-t) 2F1(1, 1; 1-delta; t)),
+    Fbar_SF(t) = 1 / ((1-t) 2F1(1, 1; 1-delta; t)) = 1 / (1 + A(t)),
+    A(t) = (t/(1-t))^delta I_t(1-delta, delta) / sinc(delta),
 
-and the SIR ccdf is the same curve read through T(theta) = theta/(1+theta).
+where I_t(1-delta, delta) is the regularized incomplete beta ratio, the
+cdf `plp.rba_cdf` of the signal fraction under random association.  So
+the nearest-station law is an algebraic function of the random-
+association law, and no hypergeometric series is summed.  It is
+evaluated as u / (u + w) with u = (1-t)^delta and w = A u, so t = 1
+needs no special case.  At t -> 0 this is 1 - MISR t, and at t -> 1 it
+is sinc(delta) (1-t)^delta.  The SIR ccdf is the same curve read
+through T(theta) = theta/(1+theta).  The ccdf, the SIR ccdf and the
+density take a float or an array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .specfun import DEFAULT_TOL, Tolerance, hyp2f1_11, quad
-from .transforms import t_map
+from .specfun import DEFAULT_TOL, Tolerance, _checked, _nba_parts, quad
 
 
 @dataclass(frozen=True)
@@ -52,41 +61,33 @@ def misr(params: NetworkParams) -> float:
     return params.delta / (1.0 - params.delta)
 
 
-def sf_ccdf_exact(params: NetworkParams, t: float,
-                  tol: Tolerance = DEFAULT_TOL) -> float:
-    """Exact ccdf of the signal fraction at t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    if t == 1.0:
-        return 0.0
-    # rounding 1 - t at t below ~1e-15 can lift the quotient one ulp above 1
-    return min(1.0, 1.0 / ((1.0 - t) * hyp2f1_11(params.delta, t, tol)))
+def sf_ccdf_exact(params: NetworkParams, t):
+    """Exact ccdf of the signal fraction at t in [0, 1], a float or an
+    array, as u / (u + w) = 1 / (1 + A(t))."""
+    u, w = _nba_parts(params.delta, _checked(t, "t", 0.0, 1.0))
+    return u / (u + w)
 
 
-def sir_ccdf_exact(params: NetworkParams, theta: float,
-                   tol: Tolerance = DEFAULT_TOL) -> float:
-    """Exact ccdf of the SIR at theta >= 0, evaluated as Fbar_SF(T(theta))."""
-    if not theta >= 0.0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    return sf_ccdf_exact(params, t_map(theta), tol)
+def sir_ccdf_exact(params: NetworkParams, theta):
+    """Exact ccdf of the SIR at theta >= 0, a float or an array,
+    evaluated as Fbar_SF(T(theta))."""
+    theta = _checked(theta, "theta", 0.0, math.inf)
+    return sf_ccdf_exact(params, theta / (1.0 + theta))
 
 
-def sf_pdf_exact(params: NetworkParams, t: float,
-                 tol: Tolerance = DEFAULT_TOL) -> float:
-    """Density of the signal fraction on (0, 1) by central differencing.
+def sf_pdf_exact(params: NetworkParams, t):
+    """Density of the signal fraction at t in (0, 1), a float or an array.
 
-    The analytic limits are f(0+) = MISR and f(1-) = +inf; the endpoints
-    themselves are rejected.  The step adapts to the distance from the
-    endpoints, keeping the stencil inside the domain.
+    Differentiating 1 / (1 + A) gives A'/(1+A)^2, and with x = t/(1-t)
+    A' = [d x^(d-1) I_t / (1-t)^2 + x^d rba_pdf(t)] / sinc(d)
+       = d (A/t + 1) / (1-t).
+    The limits are f(0+) = MISR and f(1-) = +inf; the endpoints are
+    rejected.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError(
-            f"t must be in (0, 1), got {t}; f(0+) = MISR and f(1-) diverges")
-    h = max(1e-6, 1e-4 * min(t, 1.0 - t))
-    h = min(h, 0.5 * t, 0.5 * (1.0 - t))
-    lo = sf_ccdf_exact(params, t - h, tol)
-    hi = sf_ccdf_exact(params, t + h, tol)
-    return (lo - hi) / (2.0 * h)
+    d = params.delta
+    t = _checked(t, "t", 0.0, 1.0, open_=True)
+    u, w = _nba_parts(d, t)
+    return d * u * (t * u + w) / (t * (1.0 - t) * (u + w) ** 2)
 
 
 def sf_moment_exact(params: NetworkParams, k: int,
@@ -97,7 +98,7 @@ def sf_moment_exact(params: NetworkParams, k: int,
     d = params.delta
 
     def integrand(t):
-        return t ** (k - 1) * sf_ccdf_exact(params, t, tol)
+        return t ** (k - 1) * sf_ccdf_exact(params, t)
 
     # the ccdf vanishes like (1-t)^delta at the right endpoint
     return k * quad(integrand, 0.0, 1.0, tol, right_power=1.0 + d)

@@ -1,10 +1,10 @@
-"""Scalar special-function kernel.
+"""Special-function kernel.
 
-Gamma/beta, the Gauss hypergeometric series for the real parameter
-patterns used elsewhere in this package (last argument in [0, 1)),
-the Kummer confluent function, sinc, harmonic numbers, bracketing
-root-finding and adaptive quadrature with declared algebraic endpoint
-singularities.  Everything operates on Python floats and is pure.
+Gamma/beta, the closed form of 2F1(1, 1; 1-delta; t) through the
+incomplete beta ratio, the Kummer confluent function, sinc, harmonic
+numbers, bracketing root-finding and adaptive quadrature with declared
+algebraic endpoint singularities.  Everything is pure; the incomplete
+beta kernels also take arrays.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate as _integrate
 from scipy import optimize as _optimize
 from scipy import special as _special
 
 
 class NumericError(RuntimeError):
-    """A series, quadrature, or iteration failed its accuracy target."""
+    """A quadrature, an iteration or a special function failed its
+    accuracy target."""
 
 
 class BracketError(ValueError):
@@ -28,22 +30,18 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy knobs shared by series, quadrature, and root-finding.
+    """Accuracy knobs shared by quadrature and root-finding.
 
-    rel_eps is the relative accuracy *accepted* by quad (series stop at
-    machine precision regardless); max_terms caps series length and
-    max_iter caps root-finder iterations.
+    rel_eps is the relative accuracy *accepted* by quad; max_iter caps
+    root-finder iterations.
     """
 
     rel_eps: float = 1e-9
-    max_terms: int = 200_000
     max_iter: int = 100
 
     def __post_init__(self):
         if not self.rel_eps > 0.0:
             raise ValueError("rel_eps must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -79,73 +77,62 @@ def harmonic(i: int) -> float:
     return sum(1.0 / k for k in range(1, i + 1))
 
 
-def _series_sum(term_ratio, tol: Tolerance, what: str) -> float:
-    """Sum 1 + sum_n t_n with t_{n+1}/t_n given by term_ratio(n).
+def _checked(x, name: str, lo: float, hi: float, open_: bool = False):
+    """x as a float, or as a float array when it is array-like, after
+    checking lo <= x <= hi (lo < x < hi when open_); NaN fails."""
+    scalar = isinstance(x, (int, float))
+    v = x if scalar else np.asarray(x, dtype=float)
+    ok = (lo < v) & (v < hi) if open_ else (lo <= v) & (v <= hi)
+    if not (ok if scalar else ok.all()):
+        bad = v if scalar else v[~ok][0]
+        left, right = "()" if open_ else "[]"
+        raise ValueError(
+            f"{name} must be in {left}{lo:g}, {hi:g}{right}, got {bad}")
+    return v
 
-    Stops after two consecutive terms below machine-level relative size
-    (a single small term can be an accidental zero of a signed series).
+
+def _by_half(t, lower, upper):
+    """lower(t) where t <= 1/2 and upper(t) above, for a float or an
+    array t.  The incomplete beta ratios switch there to their
+    complement at 1 - t, which is exact for t >= 1/2."""
+    if not isinstance(t, np.ndarray):
+        return lower(t) if t <= 0.5 else upper(t)
+    out = np.empty_like(t)
+    lo = t <= 0.5
+    out[lo] = lower(t[lo])
+    out[~lo] = upper(t[~lo])
+    return out
+
+
+def _rba_cdf(d: float, t):
+    """I_t(1-d, d), the Beta(1-d, d) cdf of the random-association signal
+    fraction, for t in [0, 1].  betainc itself is up to 1e-10 off near
+    t = 1, so the upper half is betaincc(d, 1-d, 1-t)."""
+    return _by_half(t, lambda s: _special.betainc(1.0 - d, d, s),
+                    lambda s: _special.betaincc(d, 1.0 - d, 1.0 - s))
+
+
+def _nba_parts(d: float, t):
+    """u = (1-t)^d and w = t^d I_t(1-d, d) / sinc(d) for t in [0, 1], a
+    float or an array, so that (1-t) 2F1(1, 1; 1-d; t) = 1 + w/u.
+
+    This is DLMF 8.17.8 plus one integration by parts.  np.power, unlike
+    float **, rounds a float exactly as it rounds an array element, so
+    scalar and array calls agree bit for bit.
     """
-    s = 1.0
-    term = 1.0
-    small = 0
-    for n in range(tol.max_terms):
-        term *= term_ratio(n)
-        s += term
-        if abs(term) <= 1e-16 * abs(s):
-            small += 1
-            if small >= 2:
-                return s
-        else:
-            small = 0
-    raise NumericError(f"{what}: series did not converge in {tol.max_terms} terms")
+    return (np.power(1.0 - t, d),
+            np.power(t, d) * _rba_cdf(d, t) / sinc_pi(d))
 
 
-def hyp2f1_series(a: float, b: float, c: float, z: float,
-                  tol: Tolerance = DEFAULT_TOL) -> float:
-    """Gauss series sum of 2F1(a, b; c; z) for real parameters, |z| < 1.
-
-    Plain term-by-term summation; adequate for the parameter patterns
-    used here, where either |z| is bounded away from 1 or c - a - b > 0.
-    """
-    if abs(z) >= 1.0:
-        raise ValueError(f"hyp2f1_series requires |z| < 1, got {z}")
-    if c <= 0.0 and c == math.floor(c):
-        raise ValueError(f"c must not be a non-positive integer, got {c}")
-    if z == 0.0:
-        return 1.0
-    return _series_sum(
-        lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z, tol, "hyp2f1")
-
-
-def hyp2f1_11(delta: float, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """2F1(1, 1; 1 - delta; t) for delta in (0, 1), t in [0, 1).
-
-    Three regimes: the direct series for t <= 1/2; the Euler
-    transformation (1-t)^(-1-delta) 2F1(-delta, -delta; 1-delta; t) for
-    moderate t; and for t > 0.9 the 1-t connection formula
-
-        delta/(1+delta) * 2F1(1, 1; 2+delta; 1-t)
-          + (1-t)^(-1-delta) t^delta / sinc(delta),
-
-    whose series converges geometrically all the way to t -> 1 (the
-    Euler series alone needs O((1-t)^-1) terms there).
-    """
+def hyp2f1_11(delta: float, t: float) -> float:
+    """2F1(1, 1; 1 - delta; t) for delta in (0, 1), t in [0, 1), in closed
+    form as (u + w)/(u (1-t)); see _nba_parts."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must be in [0, 1), got {t}")
-    if t == 0.0:
-        return 1.0
-    if t <= 0.5:
-        # 2F1(1,1;1-d;t) = sum a_n t^n with a_n = n! Gamma(1-d)/Gamma(n+1-d)
-        return _series_sum(lambda n: (n + 1.0) / (n + 1.0 - delta) * t,
-                           tol, "hyp2f1_11")
-    if t <= 0.9:
-        f = hyp2f1_series(-delta, -delta, 1.0 - delta, t, tol)
-        return (1.0 - t) ** (-1.0 - delta) * f
-    w = 1.0 - t
-    f = hyp2f1_series(1.0, 1.0, 2.0 + delta, w, tol)
-    return (delta / (1.0 + delta)) * f + w ** (-1.0 - delta) * t ** delta / sinc_pi(delta)
+    u, w = _nba_parts(delta, t)
+    return (u + w) / (u * (1.0 - t))
 
 
 def hyp1f1(a: float, b: float, z: float) -> float:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -232,11 +233,39 @@ class TestGeneralizedBeta:
                 ccdf = self._moment_by_quadrature(gbp, 0, w_max=1.0 - t)
                 assert 1.0 - gb_cdf(gbp, t) == pytest.approx(ccdf, rel=1e-7)
 
+    def test_moment_against_mpmath(self):
+        # (p, q, b, k), the first two putting 2F1 at the arguments
+        # (1.8, 0.9; 2.7; 0.64) and (2.6, 1.73; 3.1; 0.55), the last at
+        # the delta = 1/2 fit
+        cases = [(0.9, 0.9, 0.36 ** 0.9, 1),
+                 (2.6 / 3.0, 0.5, 0.45 ** (2.6 / 3.0), 2),
+                 (0.867878216063, 0.528299167141, 0.555427676035, 2)]
+        for pp, qq, b, k in cases:
+            gbp = GBParams(a=1.0 / pp, b=b, p=pp, q=qq)
+            with mp.workdps(30):
+                z = 1 - mp.mpf(b) ** (1 / mp.mpf(pp))
+                ref = (mp.mpf(b) ** k * mp.beta((k + 1) * pp, qq)
+                       / mp.beta(pp, qq)
+                       * mp.hyp2f1((k + 1) * pp, k * pp, (k + 1) * pp + qq, z))
+            assert gb_moment(gbp, k) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_moment_domain(self):
+        # b^a underflows to 0, so z = 1
+        with pytest.raises(ValueError):
+            gb_moment(GBParams(a=100.0, b=1e-5, p=0.01, q=0.5), 1)
+        # scipy's 2F1 is inf here (the value is 4.59): an error, not inf
+        gbp = GBParams(a=10.0, b=6e-14 ** 0.1, p=0.1, q=0.072)
+        with pytest.raises(sg.NumericError):
+            gb_moment(gbp, 1)
+
     def test_cdf_endpoints(self, params_half):
         gbp = gb_params_from_pq(params_half, 1.0, 0.5)
         assert gb_cdf(gbp, 0.0) == 0.0
         assert gb_cdf(gbp, 1.0) == 1.0
         assert gb_cdf(gbp, 0.5) + (1.0 - gb_cdf(gbp, 0.5)) == 1.0
+        grid = np.array([-1.0, 0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
+        assert gb_cdf(gbp, grid).tolist() == [gb_cdf(gbp, t) for t in grid]
+        assert gb_cdf(gbp, grid)[[0, 1, 5, 6]].tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_nakagami_constructor(self, params_half):
         gbp = gb_params_for_nakagami(params_half, 2.0)
@@ -271,16 +300,21 @@ class TestFit:
             assert got == pytest.approx(tgt, rel=1e-8)
 
     def test_other_deltas_converge(self):
-        for d in (0.45, 0.75):
+        # 0.385 is just above the fold where the moment solution is lost
+        for d in (0.385, 0.39, 0.45, 0.75):
             fit = gb_fit(NetworkParams.from_delta(d))
             assert fit.residual <= 1e-6
 
     def test_small_delta_leaves_family(self):
-        # the b <= 1 scale constraint is infeasible around delta = 0.3;
-        # the failure must carry the best iterate
-        with pytest.raises(sg.FitError) as exc:
-            gb_fit(NetworkParams.from_delta(0.3))
-        assert exc.value.best is not None
+        # below a fold near delta = 0.385 the family has no moment
+        # solution, although the best iterate still has b < 1; the
+        # failure must carry that iterate
+        for d in (0.38, 0.33, 0.3):
+            p = NetworkParams.from_delta(d)
+            with pytest.raises(sg.FitError) as exc:
+                gb_fit(p)
+            best_p, best_q, _ = exc.value.best
+            assert gb_params_from_pq(p, best_p, best_q).b < 1.0
 
 
 class TestEq5TailConstant:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import sigfrac as sg
@@ -8,8 +9,10 @@ from sigfrac import approx, montecarlo, plp, rayleigh, specfun, transforms
 P = sg.NetworkParams.from_delta(0.5)
 GBP = approx.gb_params_from_pq(P, 1.0, 0.5)
 NAN = math.nan
+ARR = np.array([0.25, NAN, 0.75])
 
-# every range check must reject NaN instead of passing it on
+# every range check must reject NaN instead of passing it on, also
+# inside an array
 NAN_CALLS = {
     "poly_ccdf": lambda: approx.poly_ccdf(P, 1, NAN),
     "rational_ccdf": lambda: approx.rational_ccdf(P, 2, NAN),
@@ -26,6 +29,12 @@ NAN_CALLS = {
     "ordered_pathloss_pdf": lambda: plp.ordered_pathloss_pdf(P, 1, NAN),
     "flat_cdf_asymptote": lambda: plp.flat_cdf_asymptote(P, NAN),
     "sir_ccdf_exact": lambda: rayleigh.sir_ccdf_exact(P, NAN),
+    "sf_ccdf_exact_array": lambda: rayleigh.sf_ccdf_exact(P, ARR),
+    "sir_ccdf_exact_array": lambda: rayleigh.sir_ccdf_exact(P, ARR),
+    "sf_pdf_exact_array": lambda: rayleigh.sf_pdf_exact(P, ARR),
+    "rba_cdf_array": lambda: plp.rba_cdf(P, ARR),
+    "rba_pdf_array": lambda: plp.rba_pdf(P, ARR),
+    "gb_cdf_array": lambda: approx.gb_cdf(GBP, ARR),
     "sf_pdf_exact": lambda: rayleigh.sf_pdf_exact(P, NAN),
     "t_map": lambda: transforms.t_map(NAN),
     "t_inv": lambda: transforms.t_inv(NAN),

@@ -1,8 +1,10 @@
-"""Property tests over random (delta, t): range, monotonicity and
-continuity of the exact ccdf, and the SF <-> SIR map round trips."""
+"""Property tests over random (delta, t): range, monotonicity,
+continuity and an mpmath oracle of the exact ccdf, and the SF <-> SIR
+map round trips."""
 
 import math
 
+import mpmath as mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,9 +34,10 @@ def test_ccdf_in_unit_interval_and_non_increasing(d, t1, t2):
 @PROPS
 @given(deltas, st.sampled_from([0.5, 0.9, 1.0 - 1e-6]))
 def test_ccdf_continuous_at_regime_switches(d, s):
-    # 0.5 and 0.9 are the hyp2f1_11 regime switches; at 1 - 1e-6 the
-    # second-order t -> 1 expansion is still 2.5e-8 off at small delta,
-    # so switching to it there would show as a jump
+    # 0.5 is the one regime switch, from betainc to its betaincc
+    # complement.  0.9 and 1 - 1e-6 guard against new ones: at 1 - 1e-6
+    # the second-order t -> 1 expansion is still 2.5e-8 off at small
+    # delta, so switching to it there would show as a jump
     p = sg.NetworkParams.from_delta(d)
     s_up = math.nextafter(s, 1.0)
     f, f_up = sg.sf_ccdf_exact(p, s), sg.sf_ccdf_exact(p, s_up)
@@ -42,6 +45,18 @@ def test_ccdf_continuous_at_regime_switches(d, s):
     slope = (sg.sf_ccdf_exact(p, s - h) - sg.sf_ccdf_exact(p, s + h)) / (2 * h)
     # one ulp of t moves the ccdf by slope * ulp; allow twice that
     assert abs(f - f_up) <= 1e-13 * f + 2.0 * slope * (s_up - s)
+
+
+@PROPS
+@given(deltas, unit)
+def test_ccdf_against_mpmath(d, t):
+    p = sg.NetworkParams.from_delta(d)
+    if t == 1.0:
+        assert sg.sf_ccdf_exact(p, t) == 0.0
+        return
+    with mp.workdps(40):
+        ref = 1 / ((1 - mp.mpf(t)) * mp.hyp2f1(1, 1, 1 - mp.mpf(d), t))
+    assert math.isclose(sg.sf_ccdf_exact(p, t), float(ref), rel_tol=1e-12)
 
 
 @PROPS

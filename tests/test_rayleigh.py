@@ -48,10 +48,12 @@ class TestMisr:
 
 class TestSfCcdf:
     def test_endpoints(self):
-        for d in DELTAS:
+        for d in DELTAS + (0.1, 0.9):
             p = NetworkParams.from_delta(d)
             assert sf_ccdf_exact(p, 0.0) == 1.0
             assert sf_ccdf_exact(p, 1.0) == 0.0
+            ends = sf_ccdf_exact(p, np.array([0.0, 1.0]))
+            assert ends.tolist() == [1.0, 0.0]
 
     def test_frozen_value(self, params_half):
         assert sf_ccdf_exact(params_half, 0.5) == pytest.approx(
@@ -63,6 +65,41 @@ class TestSfCcdf:
             for t in (0.01, 0.2, 0.5, 0.8, 0.99, 0.9999, 1.0 - 1e-7):
                 ref = float(1.0 / ((1 - mp.mpf(t)) * mp.hyp2f1(1, 1, 1 - d, t)))
                 assert sf_ccdf_exact(p, t) == pytest.approx(ref, rel=1e-9)
+
+    def test_against_mpmath_full_domain(self):
+        for d in (0.25, 0.4, 0.5, 2.0 / 3.0, 0.85):
+            p = NetworkParams.from_delta(d)
+            for t in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999, 1.0 - 1e-6):
+                ref = float(1 / ((1 - mp.mpf(t)) * mp.hyp2f1(1, 1, 1 - d, t)))
+                got = sf_ccdf_exact(p, t)
+                assert got == pytest.approx(ref, rel=1e-10), (d, t)
+
+    def test_against_mpmath_40_digits(self):
+        # out to t = 1 - 1e-13, where betainc itself (instead of the
+        # betaincc complement) would be 1e-10 off
+        ts = np.concatenate([np.logspace(-12, -1, 12),
+                             np.linspace(0.1, 0.9, 9),
+                             1.0 - np.logspace(-2, -13, 12)])
+        with mp.workdps(40):
+            for d in (0.02, 0.1, 0.3, 0.5, 2.0 / 3.0, 0.9, 0.99):
+                p = NetworkParams.from_delta(d)
+                got = sf_ccdf_exact(p, ts)
+                for t, g in zip(ts, got):
+                    t = mp.mpf(float(t))
+                    ref = 1 / ((1 - t) * mp.hyp2f1(1, 1, 1 - mp.mpf(d), t))
+                    assert g == pytest.approx(float(ref), rel=1e-13), (d, t)
+
+    def test_array_matches_scalar(self):
+        # bit for bit, on both sides of the t = 1/2 switch and at the ends
+        grid = np.concatenate([np.linspace(0.0, 1.0, 101), [0.5, 0.5 + 1e-16,
+                               1e-300, 1.0 - 1e-16]])
+        for d in DELTAS:
+            p = NetworkParams.from_delta(d)
+            got = sf_ccdf_exact(p, grid)
+            assert got.tolist() == [sf_ccdf_exact(p, float(t)) for t in grid]
+            theta = np.logspace(-3, 3, 25)
+            got = sir_ccdf_exact(p, theta)
+            assert got.tolist() == [sir_ccdf_exact(p, float(x)) for x in theta]
 
     def test_monotone_on_grid(self):
         grid = np.linspace(0.0, 1.0, 1000)
@@ -86,6 +123,8 @@ class TestSfCcdf:
             sf_ccdf_exact(params_half, 1.1)
         with pytest.raises(ValueError):
             sf_ccdf_exact(params_half, math.nan)
+        with pytest.raises(ValueError):
+            sf_ccdf_exact(params_half, np.array([0.2, math.nan, 0.5]))
 
 
 class TestSirCcdf:
@@ -106,6 +145,8 @@ class TestSirCcdf:
     def test_domain(self, params_half):
         with pytest.raises(ValueError):
             sir_ccdf_exact(params_half, -1.0)
+        with pytest.raises(ValueError):
+            sir_ccdf_exact(params_half, np.array([0.2, math.nan]))
 
 
 class TestSfPdf:
@@ -115,12 +156,23 @@ class TestSfPdf:
             assert sf_pdf_exact(p, 1e-5) == pytest.approx(misr(p), rel=1e-3)
 
     def test_normalization(self, params_half):
-        # the differencing stencil degrades inside the last 1e-4 of the
-        # domain; that sliver's mass is the (independently tested) ccdf
+        # the density diverges like (1-t)^(d-1) at 1; the last 1e-4 of
+        # the domain's mass is the (independently tested) ccdf
         cut = 1.0 - 1e-4
         mass = sg.quad(lambda t: sf_pdf_exact(params_half, t), 1e-9, cut)
         mass += sf_ccdf_exact(params_half, cut)
         assert mass == pytest.approx(1.0, abs=1e-6)
+
+    def test_against_mpmath_derivative(self):
+        ts = (1e-9, 1e-5, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-5, 1.0 - 1e-9)
+        with mp.workdps(40):
+            for d in (0.05, 0.1, 0.4, 0.5, 2.0 / 3.0, 0.9):
+                p = NetworkParams.from_delta(d)
+                got = sf_pdf_exact(p, np.array(ts))
+                for t, g in zip(ts, got):
+                    ref = -mp.diff(lambda x: 1 / ((1 - x) * mp.hyp2f1(
+                        1, 1, 1 - mp.mpf(d), x)), mp.mpf(t))
+                    assert g == pytest.approx(float(ref), rel=1e-12), (d, t)
 
     def test_endpoints_rejected(self, params_half):
         with pytest.raises(ValueError):
