@@ -85,6 +85,10 @@ def brute_ccdf_series(delta, t, terms=10_000):
 
 class TestHyp2f1:
     # the mpmath oracles of the closed form run on rayleigh.sf_ccdf_exact
+    def test_unit_at_zero(self):
+        for d in (0.1, 0.5, 0.9):
+            assert hyp2f1_11(d, 0.0) == 1.0
+
     def test_against_brute_force_ccdf(self):
         # 1/((1-t) 2F1) must match the direct double-series ratio
         v = hyp2f1_11(0.5, 0.5)
