@@ -44,16 +44,18 @@ def rational_coeff(params: NetworkParams, n: int) -> float:
     return math.exp(ln_gamma(n + 1.0) + ln_gamma(1.0 - d) - ln_gamma(n + 1.0 - d))
 
 
-def rational_ccdf(params: NetworkParams, s: int, t: float) -> float:
-    """Order-s rational (Pade-type) ccdf approximation.
+def rational_ccdf(params: NetworkParams, s: int, t):
+    """Order-s rational (Pade-type) ccdf approximation, for a float or
+    an array t; the coefficients are computed once per call.
 
     Numerator and denominator are the order-s truncations of sum t^n
     and sum a_n t^n; the first s derivatives at 0 match the exact ccdf.
     """
     if s < 1:
         raise ValueError(f"order s must be >= 1, got {s}")
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must be in [0, 1), got {t}")
+    t = _checked(t, "t", 0.0, 1.0)
+    if np.any(t == 1.0):
+        raise ValueError("t must be in [0, 1), got 1.0")
     num = 0.0
     den = 0.0
     tn = 1.0

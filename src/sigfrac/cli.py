@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or domain error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -199,9 +200,8 @@ def cmd_approx(args):
     name, arg = _parse_method(args.method)
     sidecars = None
     if name == "rational":
-        s = int(arg or 2)
-        pts = [t for t in grid if t < 1.0]
-        rows = [(t, approx.rational_ccdf(params, s, float(t))) for t in pts]
+        pts = grid[grid < 1.0]
+        rows = zip(pts, approx.rational_ccdf(params, int(arg or 2), pts))
     elif name == "poly":
         order = int(arg or 1)
         rows = [(t, approx.poly_ccdf(params, order, float(t))) for t in grid]
@@ -277,11 +277,11 @@ def cmd_simulate(args):
                            seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    res = montecarlo.sample_sf(config)
     grid = parse_grid(args.grid)
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise UsageError("simulation grids live on the SF axis [0, 1]")
-    rows = [(t, empirical_ccdf(res.dist, float(t))) for t in grid]
+    res = montecarlo.sample_sf(config)
+    rows = zip(grid, empirical_ccdf(res.dist, grid))
     x = res.dist.samples
     summary = {
         "schema": "summary",
@@ -395,7 +395,10 @@ def _add_common(p, grid_default=None, unit=False):
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    call of main; callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="sigfrac",
         description="Signal-fraction and SIR distributions for Poisson "
@@ -405,14 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact ccdf under Rayleigh fading")
     _add_common(p, grid_default="0:1:101", unit=True)
     p.add_argument("--var", choices=["SF", "SIR"], default="SF")
-    p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("approx", help="closed-form approximations and bounds")
     _add_common(p, grid_default="0:1:101")
     p.add_argument("--method", required=True,
                    help="rational:s | poly:1 | poly:2 | tail:1 | tail:2 | "
                         "best | gb-fit | markov | nba-m:2")
-    p.set_defaults(fn=cmd_approx)
 
     p = sub.add_parser("simulate", help="Monte Carlo signal fractions")
     _add_common(p, grid_default="0:1:101")
@@ -422,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--point-budget", type=int, default=1_000_000)
     p.add_argument("--tail-eps", type=float, default=1e-4, help=_TAIL_EPS_HELP)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("plp", help="no-fading path-loss-process statistics")
     _add_common(p, grid_default="0.01:0.99:99")
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate gn at a single t instead of a grid")
     p.add_argument("--kind", choices=["cdf", "pdf"], default="cdf",
                    help="curve kind for rba-curve")
-    p.set_defaults(fn=cmd_plp)
 
     p = sub.add_parser("conjecture",
                        help="arcsine comparison for Nakagami-1/2, alpha = 4")
@@ -440,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--point-budget", type=int, default=1_000_000)
     p.add_argument("--tail-eps", type=float, default=1e-4, help=_TAIL_EPS_HELP)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
+    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_conjecture)
 
     p = sub.add_parser("convert", help="convert between linear, dB, and MH units")
     p.add_argument("--value", type=float, required=True)
@@ -452,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_convert)
     return ap
 
 
@@ -464,10 +461,10 @@ def main(argv=None) -> int:
         if argv[i] == "--grid":
             argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
         i += 1
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call: the parser is shared, cmd_* may be rebound
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, BracketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

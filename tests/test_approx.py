@@ -49,6 +49,23 @@ class TestRational:
             assert rational_ccdf(params_half, 2, t) == pytest.approx(
                 ref, rel=1e-13)
 
+    def test_array_matches_scalar(self):
+        # one array call computes the coefficients once but must keep
+        # the scalar loop's order of operations, bit for bit
+        grid = np.linspace(0.0, 0.999, 400)
+        for d in (0.1, 0.5, 0.9):
+            p = NetworkParams.from_delta(d)
+            for s in (1, 3, 6):
+                arr = rational_ccdf(p, s, grid)
+                assert isinstance(arr, np.ndarray) and arr.shape == grid.shape
+                assert arr.tolist() == [rational_ccdf(p, s, float(t))
+                                        for t in grid]
+
+    def test_domain(self, params_half):
+        for t in (1.0, -0.1, np.array([0.2, 1.0]), np.array([math.nan])):
+            with pytest.raises(ValueError):
+                rational_ccdf(params_half, 2, t)
+
     def test_taylor_match(self, params_half):
         # first s Taylor coefficients at 0 match the exact ccdf's
         exact = exact_taylor_coeffs(4)

@@ -7,6 +7,7 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 import sigfrac as sg
+from sigfrac import cli, montecarlo
 from sigfrac.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -222,6 +223,18 @@ class TestSimulate:
         summary = json.loads((tmp_path / "sim.csv.summary.json").read_text())
         validate(summary, "summary")
 
+    @pytest.mark.parametrize("grid", ["0:2:11", "abc"])
+    def test_bad_grid_rejected_before_sampling(self, capsys, monkeypatch,
+                                               grid):
+        def never(config):
+            raise AssertionError("simulated before the grid was checked")
+
+        monkeypatch.setattr(montecarlo, "sample_sf", never)
+        rc, out, _ = run(capsys, "simulate", "--alpha", "3", "--fading",
+                         "nakagami:1", "--samples", "400000", "--grid", grid)
+        assert rc == 2
+        assert out == ""
+
     def test_json_embeds_summary(self, capsys):
         rc, out, _ = run(capsys, "simulate", "--alpha", "4", "--fading",
                          "none", "--assoc", "nba", "--samples", "5000",
@@ -307,6 +320,13 @@ class TestConjecture:
         rc, _, err = run(capsys, "conjecture", "--samples", "100")
         assert rc == 2
 
+    def test_csv_format_refused(self, capsys):
+        # the report is a JSON document only
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--samples", "20000", "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         args = ("conjecture", "--samples", "20000", "--seed", "8")
         monkeypatch.setenv("SIGFRAC_THREADS", "1")
@@ -357,3 +377,51 @@ class TestEntryPoint:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert r.stdout.startswith("arg_unit,arg,value")
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; calls must not leak
+    options, outputs or command functions into later calls."""
+
+    def test_sequence_matches_fresh_processes(self, capsys, tmp_path):
+        import subprocess
+        import sys
+        out_path = tmp_path / "first.csv"
+        seq = [
+            ("exact", "--alpha", "4", "--var", "SIR", "--unit", "dB",
+             "--grid", "-20:20:9"),
+            ("approx", "--alpha", "4", "--method", "best", "--grid",
+             "0:1:5", "--format", "json"),
+            ("exact", "--alpha", "3", "--grid", "0:1:5", "--out",
+             str(out_path)),
+            ("exact", "--alpha", "4", "--grid", "0:1:5"),
+            ("approx", "--alpha", "4", "--method", "best", "--grid", "0:1:5"),
+        ]
+        for argv in seq:
+            rc, out, _ = run(capsys, *argv)
+            written = out_path.read_text() if "--out" in argv else None
+            fresh = subprocess.run([sys.executable, "-m", "sigfrac.cli",
+                                    *argv], capture_output=True, text=True)
+            assert (rc, out) == (fresh.returncode, fresh.stdout), argv
+            if written is not None:
+                assert written == out_path.read_text() != ""
+
+    def test_rebound_command_is_called(self, capsys, monkeypatch):
+        argv = ("exact", "--alpha", "4", "--grid", "0:1:3")
+        assert run(capsys, *argv)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_exact", lambda args: seen.append(args) or 0)
+        rc, out, _ = run(capsys, *argv)
+        assert (rc, out) == (0, "")
+        assert [a.alpha for a in seen] == [4.0]
+
+    def test_usage_error_between_calls(self, capsys):
+        argv = ("approx", "--alpha", "4", "--method", "best", "--grid",
+                "0:1:5")
+        rc, first, _ = run(capsys, *argv)
+        assert rc == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["approx", "--alpha", "4"])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
+        assert run(capsys, *argv)[:2] == (0, first)
