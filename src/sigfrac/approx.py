@@ -18,8 +18,8 @@ import numpy as np
 from scipy import special as _special
 
 from .rayleigh import NetworkParams, misr, sf_moment_exact
-from .specfun import (DEFAULT_TOL, NumericError, Tolerance, _by_half, _checked,
-                      beta_fn, ln_gamma, sinc_pi)
+from .specfun import (NumericError, _by_half, _checked, beta_fn, find_root,
+                      ln_gamma, sinc_pi)
 
 _FIT_RESIDUAL_TOL = 1e-6
 
@@ -241,7 +241,7 @@ def _fit_residuals(params, p, q, m1, m2):
     return gb_moment(gbp, 1) / m1 - 1.0, gb_moment(gbp, 2) / m2 - 1.0
 
 
-def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
+def gb_fit(params: NetworkParams) -> FitResult:
     """Fit (p, q) so the generalized beta matches the exact first and
     second SF moments, with a = 1/p and b from the f(0) = MISR constraint.
 
@@ -254,8 +254,8 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
     surfaces as a FitError carrying the best iterate.
     """
     d = params.delta
-    m1 = sf_moment_exact(params, 1, tol)
-    m2 = sf_moment_exact(params, 2, tol)
+    m1 = sf_moment_exact(params, 1)
+    m2 = sf_moment_exact(params, 2)
 
     p, q = 1.0, d
     r1, r2 = _fit_residuals(params, p, q, m1, m2)
@@ -302,7 +302,7 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
     norm = math.hypot(r1, r2)
     if norm > _FIT_RESIDUAL_TOL:
         try:
-            p, q = _fit_bisect_fallback(params, m1, m2, tol, seed=(p, q))
+            p, q = _fit_bisect_fallback(params, m1, m2, seed=(p, q))
             r1, r2 = _fit_residuals(params, p, q, m1, m2)
             norm = math.hypot(r1, r2)
         except ValueError:
@@ -318,15 +318,14 @@ def gb_fit(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> FitResult:
                      residual=max(abs(r1), abs(r2)))
 
 
-def _fit_bisect_fallback(params, m1, m2, tol, seed, sweeps=40):
+def _fit_bisect_fallback(params, m1, m2, seed):
     # alternate 1-d bisections: r1 = 0 in p at fixed q, then r2 = 0 in q
-    from .specfun import find_root
     p, q = seed
-    for _ in range(sweeps):
+    for _ in range(40):
         p = find_root(lambda x: _fit_residuals(params, x, q, m1, m2)[0],
-                      1e-3, 50.0, tol)
+                      1e-3, 50.0)
         q = find_root(lambda x: _fit_residuals(params, p, x, m1, m2)[1],
-                      1e-3, 50.0, tol)
+                      1e-3, 50.0)
         r1, r2 = _fit_residuals(params, p, q, m1, m2)
         if math.hypot(r1, r2) < 1e-9:
             break

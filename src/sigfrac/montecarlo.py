@@ -9,14 +9,16 @@ remainder, the cumulants
 
     kappa_n = E[h^n] delta/(n-delta) * G^((delta-n)/delta),
 
-so kappa_1 is its mean and kappa_2 its variance.  When a realization
-finishes, the tail is replaced by a Gaussian with the same mean and
-variance (the Gaussian approximation of small jumps, Asmussen &
-Rosinski 2001), clamped at zero so the total never falls below the
-generated power.  What the Gaussian leaves unmatched starts at the
-third cumulant, so generation stops once kappa_3 <= tail_eps^2 *
-total^3, which leaves an error of order tail_eps^2 in the
-signal-fraction law.  The per-realization fluctuation the tail
+so kappa_1 is its mean and kappa_2 its variance.  Each realization is
+generated relative to its first arrival G_1, which scales every value
+and cumulant by a power of G_1 that signal fractions do not see, so
+nothing overflows however small delta is.  When a realization finishes,
+the tail is replaced by a Gaussian with the same mean and variance (the
+Gaussian approximation of small jumps, Asmussen & Rosinski 2001),
+clamped at zero so the total never falls below the generated power.
+What the Gaussian leaves unmatched starts at the third cumulant, so
+generation stops once kappa_3 <= tail_eps^2 * total^3, which leaves an
+error of order tail_eps^2 in the signal-fraction law.  The per-realization fluctuation the tail
 contributes is drawn, not bounded by tail_eps.
 
 Every association rule runs on the same batched chunk generator.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,18 +154,20 @@ class EmpiricalDistribution:
     """Sorted sample set on [0, 1] with ccdf/moment/KS queries."""
 
     samples: np.ndarray
-    count: int = field(default=0)
 
     def __post_init__(self):
         x = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", x)
-        object.__setattr__(self, "count", int(x.size))
         if x.size == 0:
             raise ValueError("empirical distribution needs at least one sample")
         if not np.all(np.isfinite(x)):
             raise ValueError("samples must be finite")
         if x[0] < 0.0 or x[-1] > 1.0 or np.any(np.diff(x) < 0.0):
             raise ValueError("samples must be sorted and lie in [0, 1]")
+
+    @property
+    def count(self) -> int:
+        return self.samples.size
 
     def ccdf(self, t):
         return empirical_ccdf(self, t)
@@ -235,7 +239,7 @@ def _pow_neg(x, expo, out=None):
     return np.power(x, expo, out=out)
 
 
-def sample_nakagami(m: float, rng: np.random.Generator, size=None):
+def sample_nakagami(m: float, rng: np.random.Generator, size):
     """Unit-mean Nakagami-m power gain: gamma with shape m, scale 1/m.
 
     m = 1 is the unit exponential (Rayleigh power); m = 1/2 is the
@@ -245,13 +249,10 @@ def sample_nakagami(m: float, rng: np.random.Generator, size=None):
         raise ValueError(f"m must be positive, got {m}")
     if m == 0.5:
         z = rng.standard_normal(size)
-        return z * z if size is not None else float(z) ** 2
+        return z * z
     if m == 1.0:
-        h = rng.standard_exponential(size)
-        return h if size is not None else float(h)
-    h = rng.standard_gamma(m, size)
-    h = h / m
-    return h if size is not None else float(h)
+        return rng.standard_exponential(size)
+    return rng.standard_gamma(m, size) / m
 
 
 def _cumulant(n: int, delta: float, hn: float):
@@ -267,6 +268,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     values has shape (n,) for scalar associations or (n, ntop) when the
     ntop strongest no-fading signal fractions per realization are
     requested; points is the number of path loss values generated.
+
+    Values are relative to the row's first arrival G_1: with r = G/G_1
+    they are r^(-1/delta) times the fading gain, and the tail cumulants
+    become c_n G_1 r^e_n.
 
     A row stops once the tail's third cumulant is at most
     tail_eps^2 * total^3, with total = power so far + tail mean, and its
@@ -300,10 +305,11 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     c1, e1 = _cumulant(1, delta, 1.0)
     c2, e2 = _cumulant(2, delta, fading.second_moment)
     c3, e3 = _cumulant(3, delta, fading.third_moment)
-    # the stop kappa_3 <= tail_eps^2 * total^3, compared as cube roots so
-    # that the cube of a large total cannot overflow
-    k3r, e3r = c3 ** (1.0 / 3.0), e3 / 3.0
-    eps_r = config.tail_eps ** (2.0 / 3.0)
+    eps2 = config.tail_eps ** 2
+    # with the total held fixed the stop holds from G * (kappa_3 /
+    # (tail_eps^2 total^3))^grow on; tail_eps^(2 grow) cannot underflow
+    grow = -1.0 / e3
+    eps_grow = config.tail_eps ** (2.0 * grow)
     budget = config.point_budget
     isba_fad = config.assoc.kind == "isba" and fad_m is not None
     rba = config.assoc.kind == "rba" and not ntop
@@ -330,9 +336,14 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             raise ValueError(
                 f"point budget {budget} too small for the {ntop} ordered points")
         e = rng.standard_exponential((na, chunk))
-        np.cumsum(e, axis=1, out=e)
-        e += glast[idx][:, None]
+        if first:
+            g1 = e[:, 0].copy()
+        else:
+            e[:, 0] += glast[idx]
+        np.cumsum(e, axis=1, out=e)   # the arrivals G
+        g = g1[idx]
         newg = e[:, -1].copy()
+        e *= (1.0 / g)[:, None]
         v = _pow_neg(e, pw, out=e)
         if fad_m is not None:
             v *= sample_nakagami(fad_m, rng, (na, chunk))
@@ -356,15 +367,17 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
         npts += chunk
         points += na * chunk
 
-        mean_tail = c1 * np.power(newg, e1)
+        r = newg / g
+        mean_tail = c1 * g * np.power(r, e1)
         tot = power[idx] + mean_tail
-        done = k3r * np.power(newg, e3r) <= eps_r * tot
+        k3_rel = c3 * g * np.power(r, e3) / (tot * tot * tot)
+        done = k3_rel <= eps2
         if npts >= budget:
             flagged[idx[~done]] = True
             done[:] = True
         if done.any():
             fin = idx[done]
-            sd = np.sqrt(c2 * np.power(newg[done], e2))
+            sd = np.sqrt(c2 * g[done] * np.power(r[done], e2))
             z = rng.standard_normal(fin.size)
             tail = np.maximum(mean_tail[done] + sd * z, 0.0)
             totf = power[fin] + tail
@@ -374,13 +387,13 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
                 if rba:
                     u = rng.random(fin.size) * totf - power[fin]
                     tl = u > 0.0
-                    sig[fin[tl]] = _pow_neg(newg[done][tl], pw) * (
+                    sig[fin[tl]] = _pow_neg(r[done][tl], pw) * (
                         u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
                 out[fin] = sig[fin] / totf
         idx = idx[~done]
         if idx.size:
-            g_req = (eps_r * tot[~done] / k3r) ** (1.0 / e3r)
-            deficit = g_req - glast[idx]
+            live = ~done
+            deficit = newg[live] * (np.power(k3_rel[live], grow) / eps_grow - 1.0)
             chunk = int(np.percentile(deficit, 75.0)) + 32
     return out, int(np.count_nonzero(flagged)), points
 
@@ -389,38 +402,23 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
                rng: np.random.Generator):
     """One realization of the ordered path loss values xi_1 < xi_2 < ...
 
-    xi_k = (E_1 + ... + E_k)^(1/delta) with iid unit exponentials E_j;
-    generation stops once the standard deviation of the un-generated
-    tail power is at most tail_eps times the total (generated power plus
-    tail mean).  Returns (values, truncated_flag).
+    xi_k = (E_1 + ... + E_k)^(1/delta) with iid unit exponentials E_j,
+    generated to the depth at which _sim_shard stops a no-fading nba row
+    with this point_budget and tail_eps.  Returns (values,
+    truncated_flag).
+
+    Such a row draws only its exponentials, chunk by chunk, and then one
+    normal, so the values are the engine's arrivals drawn again from the
+    saved generator state; rng ends just past those exponentials.
     """
-    delta = params.delta
-    c1, e1 = _cumulant(1, delta, 1.0)
-    c2, e2 = _cumulant(2, delta, 1.0)
-    blocks = []
-    g0 = 0.0
-    power = 0.0
-    npts = 0
-    chunk = 64
-    flag = False
-    while True:
-        e = rng.standard_exponential(chunk)
-        np.cumsum(e, out=e)
-        e += g0
-        g0 = e[-1]
-        blocks.append(e)
-        power += _pow_neg(e, -1.0 / delta).sum()
-        npts += chunk
-        tot = power + c1 * g0 ** e1
-        if c2 * g0 ** e2 <= (tail_eps * tot) ** 2:
-            break
-        if npts >= point_budget:
-            flag = True
-            break
-        need = (c2 / (tail_eps * tot) ** 2) ** (-1.0 / e2) - g0
-        chunk = int(min(max(need + 32.0, 64.0), _CHUNK_MAX, point_budget - npts))
-    g = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-    return g ** (1.0 / delta), flag
+    config = SimConfig(params=params, fading=FadingModel.none(),
+                       assoc=AssociationRule.nba(), samples=1,
+                       point_budget=point_budget, tail_eps=tail_eps)
+    state = rng.bit_generator.state
+    _, flagged, points = _sim_shard(config, 1, rng)
+    rng.bit_generator.state = state
+    g = np.cumsum(rng.standard_exponential(points))
+    return g ** (1.0 / params.delta), flagged > 0
 
 
 def _run_shard(args):

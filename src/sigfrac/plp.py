@@ -17,8 +17,8 @@ import math
 from scipy import special as _special
 
 from .rayleigh import NetworkParams
-from .specfun import (DEFAULT_TOL, NumericError, Tolerance, _checked,
-                      _rba_cdf, find_root, harmonic, hyp1f1, ln_gamma, sinc_pi)
+from .specfun import (NumericError, _checked, _rba_cdf, find_root, harmonic,
+                      hyp1f1, ln_gamma, sinc_pi)
 
 #: g_n(t) is the exact ccdf of SF_n/(1 - SF_1 - ... - SF_{n-1}) only for
 #: t >= 1/2; below that it is an upper bound.
@@ -39,15 +39,13 @@ def ordered_pathloss_pdf(params: NetworkParams, k: int, x: float) -> float:
     return d * x ** (k * d - 1.0) * math.exp(-x ** d - ln_gamma(k))
 
 
-def ratio_cdf(params: NetworkParams, i: int, r: float) -> float:
+def ratio_cdf(params: NetworkParams, i: int, r):
     """CDF r^(i delta) of the ratio R_i = SF_{i+1}/SF_i of consecutive
-    ordered signal fractions; the R_i are independent with mean
-    i delta/(1 + i delta)."""
+    ordered signal fractions, at r in [0, 1], a float or an array; the
+    R_i are independent with mean i delta/(1 + i delta)."""
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must be in [0, 1], got {r}")
-    return r ** (i * params.delta)
+    return _checked(r, "r", 0.0, 1.0) ** (i * params.delta)
 
 
 def mean_sf_ratio(params: NetworkParams, i: int) -> float:
@@ -124,7 +122,7 @@ def rba_mean(params: NetworkParams) -> float:
     return 1.0 - params.delta
 
 
-def flatness_rate(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> float:
+def flatness_rate(params: NetworkParams) -> float:
     """Rate s* > 0 of the no-fading SF_1 cdf near 0, where
     F(t) ~ exp(-s* (1/t - 1)) as t -> 0 (all derivatives vanish at 0).
 
@@ -152,15 +150,14 @@ def flatness_rate(params: NetworkParams, tol: Tolerance = DEFAULT_TOL) -> float:
             if f(hi) < 0.0:
                 break
         lo = hi / 2.0
-    return find_root(f, lo, hi, tol)
+    return find_root(f, lo, hi)
 
 
-def flat_cdf_asymptote(params: NetworkParams, t: float,
-                       tol: Tolerance = DEFAULT_TOL) -> float:
+def flat_cdf_asymptote(params: NetworkParams, t: float) -> float:
     """The small-t cdf asymptote exp(-s* (1/t - 1)) itself."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must be in (0, 1), got {t}")
-    s = flatness_rate(params, tol)
+    s = flatness_rate(params)
     return math.exp(-s * (1.0 / t - 1.0))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import DEFAULT_TOL, Tolerance, _checked, _nba_parts, quad
+from .specfun import _checked, _nba_parts, quad
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def sf_pdf_exact(params: NetworkParams, t):
     return d * u * (t * u + w) / (t * (1.0 - t) * (u + w) ** 2)
 
 
-def sf_moment_exact(params: NetworkParams, k: int,
-                    tol: Tolerance = DEFAULT_TOL) -> float:
+def sf_moment_exact(params: NetworkParams, k: int) -> float:
     """k-th moment of the signal fraction, k * int_0^1 t^(k-1) Fbar(t) dt."""
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
@@ -101,4 +100,4 @@ def sf_moment_exact(params: NetworkParams, k: int,
         return t ** (k - 1) * sf_ccdf_exact(params, t)
 
     # the ccdf vanishes like (1-t)^delta at the right endpoint
-    return k * quad(integrand, 0.0, 1.0, tol, right_power=1.0 + d)
+    return k * quad(integrand, 0.0, 1.0, right_power=1.0 + d)

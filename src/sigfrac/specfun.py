@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -28,25 +27,8 @@ class BracketError(ValueError):
     """A root bracket does not enclose a sign change."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy knobs shared by quadrature and root-finding.
-
-    rel_eps is the relative accuracy *accepted* by quad; max_iter caps
-    root-finder iterations.
-    """
-
-    rel_eps: float = 1e-9
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.rel_eps > 0.0:
-            raise ValueError("rel_eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_TOL = Tolerance()
+_QUAD_REL_EPS = 1e-9    # relative accuracy quad accepts
+_ROOT_MAX_ITER = 100    # cap on find_root's iterations
 
 
 def ln_gamma(x: float) -> float:
@@ -142,7 +124,7 @@ def hyp1f1(a: float, b: float, z: float) -> float:
     return float(_special.hyp1f1(a, b, z))
 
 
-def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def find_root(f, lo: float, hi: float) -> float:
     """Root of f on the bracket [lo, hi]; f(lo) and f(hi) must differ in sign."""
     flo = f(lo)
     fhi = f(hi)
@@ -155,16 +137,17 @@ def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
     try:
         root, res = _optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
-                                     maxiter=tol.max_iter, full_output=True)
+                                     maxiter=_ROOT_MAX_ITER, full_output=True)
     except RuntimeError as exc:
         raise NumericError(f"root iteration failed: {exc}") from exc
     if not res.converged:
-        raise NumericError(f"root iteration did not converge in {tol.max_iter} steps")
+        raise NumericError(
+            f"root iteration did not converge in {_ROOT_MAX_ITER} steps")
     return root
 
 
-def quad(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL,
-         left_power: float | None = None, right_power: float | None = None) -> float:
+def quad(f, a: float, b: float, left_power: float | None = None,
+         right_power: float | None = None) -> float:
     """Definite integral of f over (a, b).
 
     A declared left_power gamma states that f(x) ~ C (x-a)**(gamma-1)
@@ -176,7 +159,7 @@ def quad(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL,
     corresponding endpoint to be finite.
 
     Raises NumericError when the achieved absolute error estimate
-    exceeds max(rel_eps * |value|, 1e-12).
+    exceeds max(1e-9 * |value|, 1e-12).
     """
     lo, hi = float(a), float(b)
     lp = 1.0 if left_power is None else float(left_power)
@@ -210,8 +193,8 @@ def quad(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL,
             total, err = _integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-11,
                                          limit=200)
     # QUADPACK error estimates are conservative by an order of magnitude
-    if err > max(10.0 * tol.rel_eps * abs(total), 1e-12):
+    if err > max(10.0 * _QUAD_REL_EPS * abs(total), 1e-12):
         raise NumericError(
-            f"quadrature accuracy target {tol.rel_eps:.1e} not met: "
+            f"quadrature accuracy target {_QUAD_REL_EPS:.1e} not met: "
             f"achieved abs error {err:.2e} on value {total:.6e}")
     return total

@@ -189,6 +189,18 @@ class TestSimulate:
         assert out1 == out2
         assert err1 == err2
 
+    def test_small_delta_simulates(self, capsys, monkeypatch):
+        # delta = 0.01: G_1^(-1/delta) overflows for G_1 < 8.3e-4; one
+        # worker keeps the run in this process, where a RuntimeWarning
+        # is an error
+        monkeypatch.setenv("SIGFRAC_THREADS", "1")
+        rc, _, err = run(capsys, "simulate", "--alpha", "200", "--samples",
+                         "20000", "--seed", "1")
+        assert rc == 0
+        summary = json.loads(err)
+        validate(summary, "summary")
+        assert summary["flagged"] == 0
+
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         args = ("simulate", "--alpha", "4", "--fading", "none", "--assoc",
                 "nba", "--samples", "40000", "--seed", "11", "--grid",

@@ -33,6 +33,7 @@ NAN_CALLS = {
     "sir_ccdf_exact_array": lambda: rayleigh.sir_ccdf_exact(P, ARR),
     "sf_pdf_exact_array": lambda: rayleigh.sf_pdf_exact(P, ARR),
     "rba_cdf_array": lambda: plp.rba_cdf(P, ARR),
+    "ratio_cdf_array": lambda: plp.ratio_cdf(P, 1, ARR),
     "rba_pdf_array": lambda: plp.rba_pdf(P, ARR),
     "gb_cdf_array": lambda: approx.gb_cdf(GBP, ARR),
     "sf_pdf_exact": lambda: rayleigh.sf_pdf_exact(P, NAN),

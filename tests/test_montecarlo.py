@@ -6,7 +6,7 @@ from scipy import special as sp
 
 import sigfrac as sg
 from sigfrac.montecarlo import (AssociationRule, EmpiricalDistribution,
-                                FadingModel, SimConfig, _rng_for,
+                                FadingModel, SimConfig, _rng_for, _sim_shard,
                                 arcsine_moment, conjecture_report,
                                 empirical_ccdf, empirical_moment, ks_distance,
                                 sample_nakagami, sample_plp, sample_sf,
@@ -14,6 +14,20 @@ from sigfrac.montecarlo import (AssociationRule, EmpiricalDistribution,
 from sigfrac.rayleigh import NetworkParams, sf_ccdf_exact
 
 KS99 = 1.63  # 99% Kolmogorov quantile of sqrt(N) D_N
+PLP_N = 50_000
+
+
+@pytest.fixture(scope="module")
+def plp_first_two(params_half):
+    """xi_1 and xi_2 of PLP_N successive sample_plp realizations at
+    delta = 1/2, shared by the two law checks."""
+    rng = _rng_for(11, 0)
+    out = np.empty((PLP_N, 2))
+    for i in range(PLP_N):
+        xi, flag = sample_plp(params_half, 100_000, 1e-4, rng)
+        assert not flag
+        out[i] = xi[:2]
+    return out
 
 
 class TestConfigTypes:
@@ -82,30 +96,47 @@ class TestNakagami:
 
 
 class TestSamplePlp:
-    def _collect(self, params, n, seed, k=2):
-        rng = _rng_for(seed, 0)
-        out = np.empty((n, k))
-        for i in range(n):
-            xi, flag = sample_plp(params, 100_000, 1e-4, rng)
-            assert not flag
-            out[i] = xi[:k]
-        return out
-
-    def test_first_point_is_weibull(self, params_half):
-        n = 50_000
-        xi = self._collect(params_half, n, 11)[:, 0]
+    def test_first_point_is_weibull(self, plp_first_two):
+        xi = plp_first_two[:, 0]
         dist = EmpiricalDistribution(samples=np.sort(
             1.0 - np.exp(-np.sort(xi) ** 0.5)))
         # equivalent: KS of xi_1 against 1 - exp(-x^d)
         d = ks_distance(dist, lambda u: u)
-        assert d < KS99 / math.sqrt(n)
+        assert d < KS99 / math.sqrt(PLP_N)
 
-    def test_second_point_distribution(self, params_half):
-        n = 50_000
-        xi2 = np.sort(self._collect(params_half, n, 12)[:, 1])
+    def test_second_point_distribution(self, plp_first_two):
+        xi2 = np.sort(plp_first_two[:, 1])
         u = sp.gammainc(2.0, xi2 ** 0.5)   # regularized lower gamma cdf
         dist = EmpiricalDistribution(samples=np.sort(u))
-        assert ks_distance(dist, lambda v: v) < KS99 / math.sqrt(n)
+        assert ks_distance(dist, lambda v: v) < KS99 / math.sqrt(PLP_N)
+
+    @pytest.mark.parametrize("delta, budget, tail_eps, flagged", [
+        (0.5, 100_000, 1e-4, False),
+        (2.0 / 3.0, 100_000, 1e-4, False),
+        # after 10 points the stop needs G_10/G_1 > 7e6, a first
+        # arrival below ~1e-6
+        (2.0 / 3.0, 10, 1e-12, True)])
+    def test_reads_one_engine_row(self, delta, budget, tail_eps, flagged):
+        params = NetworkParams.from_delta(delta)
+        rng = _rng_for(14, 0)
+        state = rng.bit_generator.state
+        xi, flag = sample_plp(params, budget, tail_eps, rng)
+        after = rng.random()
+
+        rng.bit_generator.state = state
+        cfg = SimConfig(params=params, fading=FadingModel.none(),
+                        assoc=AssociationRule.nba(), samples=1,
+                        point_budget=budget, tail_eps=tail_eps)
+        _, nflag, points = _sim_shard(cfg, 1, rng)
+        assert flag is flagged and nflag == int(flagged)
+        assert xi.size == points
+
+        rng.bit_generator.state = state
+        g = np.cumsum(rng.standard_exponential(points))
+        np.testing.assert_allclose(xi ** delta, g, rtol=1e-14, atol=0.0)
+        # rng ends just past the exponentials, not past the engine's
+        # finishing normal
+        assert rng.random() == after
 
     def test_increments_are_unit_exponential(self, params_half):
         rng = _rng_for(13, 0)
@@ -159,6 +190,16 @@ class TestSampleSf:
         dist = sample_sf(cfg).dist
         assert ks_distance(dist, lambda t: np.array(
             [sg.rba_cdf(p, float(v)) for v in t])) < KS99 / math.sqrt(dist.count)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_sf_ratio_law(self, nofad_half_top5, params_half, i):
+        # SF_{i+1}/SF_i = (G_{i+1}/G_i)^(-1/delta) does not involve the
+        # truncated tail, so this checks the law of the engine's first
+        # points exactly
+        r = np.sort(nofad_half_top5[:, i] / nofad_half_top5[:, i - 1])
+        dist = EmpiricalDistribution(samples=r)
+        assert ks_distance(dist, lambda x: sg.ratio_cdf(params_half, i, x)) \
+            < KS99 / math.sqrt(r.size)
 
     def test_isba_fading_invariance(self, params_half):
         n = 10**5
@@ -284,6 +325,18 @@ class TestTailCorrection:
             x = sample_sf(cfg, workers=1).dist.samples
         assert x[-1] <= 1.0
 
+    def test_small_delta_mean_inverse_sf(self):
+        # at delta = 0.01 the first value G_1^(-100) of about 1 row in
+        # 1,200 overflows a double unless rows are generated relative to
+        # their first arrival
+        p = NetworkParams.from_delta(0.01)
+        cfg = SimConfig(params=p, fading=FadingModel.none(),
+                        assoc=AssociationRule.nba(), samples=20_000, seed=48)
+        with np.errstate(over="raise"):
+            inv = 1.0 / sample_sf(cfg, workers=1).dist.samples
+        se = float(inv.std()) / math.sqrt(inv.size)
+        assert abs(float(inv.mean()) - sg.misf(p)) < 3.0 * se
+
     @pytest.mark.parametrize("fading, assoc", [
         (FadingModel.nakagami(0.5), AssociationRule.nba()),
         (FadingModel.none(), AssociationRule.rba()),
@@ -305,6 +358,11 @@ class TestEmpirical:
         assert empirical_ccdf(dist, 0.5) == 0.5
         assert empirical_ccdf(dist, 0.75) == 0.0
         assert empirical_moment(dist, 1) == 0.5
+
+    def test_count_is_the_sample_size(self):
+        assert EmpiricalDistribution(samples=np.array([0.2, 0.5])).count == 2
+        with pytest.raises(TypeError):
+            EmpiricalDistribution(samples=np.array([0.5]), count=7)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sigfrac.specfun import (BracketError, NumericError, Tolerance, beta_fn,
-                             find_root, harmonic, hyp1f1, hyp2f1_11, ln_gamma,
-                             quad, sinc_pi)
+from sigfrac.specfun import (BracketError, NumericError, beta_fn, find_root,
+                             harmonic, hyp1f1, hyp2f1_11, ln_gamma, quad,
+                             sinc_pi)
 
 
 class TestLnGamma:
@@ -203,10 +203,3 @@ class TestQuad:
         with pytest.raises(NumericError):
             quad(lambda t: 1.0 / t, 1e-300, 1.0)
 
-
-class TestTolerance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(rel_eps=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
