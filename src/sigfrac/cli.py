@@ -290,6 +290,7 @@ def cmd_simulate(args):
         "count": int(x.size),
         "flagged": int(res.flagged),
         "points_per_realization": _round12(res.points_per_realization),
+        "chunk_rounds": int(res.chunk_rounds),
         "seed": int(args.seed),
     }
     emit_curve(args, "SF", "ccdf", rows, sidecars={"summary": summary})

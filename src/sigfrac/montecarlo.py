@@ -28,8 +28,9 @@ replaces it by a size-biased draw from the not-yet-generated tail with
 the tail's share of the total power.
 
 Realizations are grouped into fixed-size shards; each shard draws from
-its own counter-based (Philox) stream keyed by (seed, shard index), so
-results are bit-identical for any worker count or scheduling order.
+its own SFC64 substream, seeded by a SeedSequence keyed by (seed, shard
+index), so results are bit-identical for any worker count or scheduling
+order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 from .rayleigh import NetworkParams
 
 _SHARD = 16384        # realizations per RNG substream; part of the output contract
+_CHUNK_MIN = 8
 _CHUNK_MAX = 8192
 _CHUNK_ELEMS = 4_000_000
 
@@ -179,12 +181,14 @@ class EmpiricalDistribution:
 @dataclass(frozen=True)
 class SimResult:
     """Sorted samples, the count of realizations that hit the point
-    budget, and the mean number of points generated per realization
-    (seed-determined, independent of the worker count)."""
+    budget, the mean number of points generated per realization and the
+    number of chunk rounds summed over shards (all seed-determined,
+    independent of the worker count)."""
 
     dist: EmpiricalDistribution
     flagged: int
     points_per_realization: float
+    chunk_rounds: int
 
 
 def empirical_ccdf(dist: EmpiricalDistribution, t):
@@ -217,7 +221,7 @@ def ks_distance(dist: EmpiricalDistribution, cdf_fn) -> float:
 
 def _rng_for(seed: int, shard: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(shard,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _pow_neg(x, expo, out=None):
@@ -263,11 +267,13 @@ def _cumulant(n: int, delta: float, hn: float):
 
 def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
                ntop: int = 0):
-    """Simulate n realizations; returns (values, flagged_count, points).
+    """Simulate n realizations; returns (values, flagged_count, points,
+    rounds).
 
     values has shape (n,) for scalar associations or (n, ntop) when the
     ntop strongest no-fading signal fractions per realization are
-    requested; points is the number of path loss values generated.
+    requested; points is the number of path loss values generated and
+    rounds the number of chunk rounds.
 
     Values are relative to the row's first arrival G_1: with r = G/G_1
     they are r^(-1/delta) times the fading gain, and the tail cumulants
@@ -276,6 +282,12 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     A row stops once the tail's third cumulant is at most
     tail_eps^2 * total^3, with total = power so far + tail mean, and its
     total becomes power + max(mean + sd * Z, 0) with a standard normal Z.
+    A row whose power and drawn tail are both 0 (every fading gain
+    underflowed float64) has no signal fraction and raises ValueError.
+    The first chunk has max(8, ntop) points; each later one is the lower
+    quartile over the live rows of the points each would need, with the
+    total held fixed, plus 8, so most rows stop a few points past where
+    the rule first holds.
 
     Random association is a size-1 weighted reservoir over the chunks
     (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
@@ -326,12 +338,13 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
 
     npts = 0
     points = 0
-    chunk = max(32, ntop)
+    rounds = 0
+    chunk = max(_CHUNK_MIN, ntop)
     first = True
     while idx.size:
         na = idx.size
-        chunk = int(min(max(chunk, 32), _CHUNK_MAX, max(_CHUNK_ELEMS // na, 32),
-                        budget - npts))
+        chunk = int(min(max(chunk, _CHUNK_MIN), _CHUNK_MAX,
+                        max(_CHUNK_ELEMS // na, _CHUNK_MIN), budget - npts))
         if first and chunk < ntop:
             raise ValueError(
                 f"point budget {budget} too small for the {ntop} ordered points")
@@ -366,12 +379,17 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
         glast[idx] = newg
         npts += chunk
         points += na * chunk
+        rounds += 1
 
         r = newg / g
         mean_tail = c1 * g * np.power(r, e1)
         tot = power[idx] + mean_tail
-        k3_rel = c3 * g * np.power(r, e3) / (tot * tot * tot)
-        done = k3_rel <= eps2
+        # tot^3 would underflow for a tiny total; a ratio past the
+        # largest double means "far from done", and 0/0 (no power and no
+        # tail mean left) satisfies kappa_3 <= tail_eps^2 tot^3 as 0 <= 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            k3_rel = c3 * g * np.power(r, e3) / tot / tot / tot
+        done = ~(k3_rel > eps2)
         if npts >= budget:
             flagged[idx[~done]] = True
             done[:] = True
@@ -381,6 +399,12 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             z = rng.standard_normal(fin.size)
             tail = np.maximum(mean_tail[done] + sd * z, 0.0)
             totf = power[fin] + tail
+            if not totf.all():
+                raise ValueError(
+                    "a realization's received power underflows float64: every "
+                    "fading gain generated and the drawn tail are 0, so its "
+                    "signal fraction is undefined; use a larger delta or "
+                    "Nakagami m")
             if ntop:
                 out[fin] /= totf[:, None]
             else:
@@ -394,8 +418,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
         if idx.size:
             live = ~done
             deficit = newg[live] * (np.power(k3_rel[live], grow) / eps_grow - 1.0)
-            chunk = int(np.percentile(deficit, 75.0)) + 32
-    return out, int(np.count_nonzero(flagged)), points
+            q = (deficit.size - 1) // 4
+            # may be inf; the clamp at the top of the loop bounds it
+            chunk = np.partition(deficit, q)[q] + _CHUNK_MIN
+    return out, int(np.count_nonzero(flagged)), points, rounds
 
 
 def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
@@ -415,7 +441,7 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
                        assoc=AssociationRule.nba(), samples=1,
                        point_budget=point_budget, tail_eps=tail_eps)
     state = rng.bit_generator.state
-    _, flagged, points = _sim_shard(config, 1, rng)
+    _, flagged, points, _ = _sim_shard(config, 1, rng)
     rng.bit_generator.state = state
     g = np.cumsum(rng.standard_exponential(points))
     return g ** (1.0 / params.delta), flagged > 0
@@ -460,7 +486,8 @@ def _run_all(config: SimConfig, ntop: int, workers: int | None):
         raise SimulationError(
             f"{flagged} of {config.samples} realizations hit the point "
             f"budget {config.point_budget} before the tail criterion")
-    return vals, flagged, sum(r[3] for r in results) / config.samples
+    return (vals, flagged, sum(r[3] for r in results) / config.samples,
+            sum(r[4] for r in results))
 
 
 def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
@@ -476,7 +503,7 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     count.
     """
     ntop = config.assoc.k if config.assoc.kind == "kth" else 0
-    vals, flagged, points = _run_all(config, ntop, workers)
+    vals, flagged, points, rounds = _run_all(config, ntop, workers)
     if ntop:
         vals = vals[:, ntop - 1].copy()
         if vals.max() > 1.0 / ntop:
@@ -484,7 +511,7 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
                 f"SF_{ntop} sample exceeds its support bound 1/{ntop}")
     vals.sort()
     return SimResult(dist=EmpiricalDistribution(samples=vals), flagged=flagged,
-                     points_per_realization=points)
+                     points_per_realization=points, chunk_rounds=rounds)
 
 
 def sample_sf_topk(config: SimConfig, ntop: int,
@@ -496,7 +523,7 @@ def sample_sf_topk(config: SimConfig, ntop: int,
         raise ValueError("ordered signal fractions require no fading")
     if ntop < 1:
         raise ValueError(f"ntop must be >= 1, got {ntop}")
-    vals, flagged, _ = _run_all(config, ntop, workers)
+    vals, flagged, _, _ = _run_all(config, ntop, workers)
     return vals, flagged
 
 
@@ -524,6 +551,7 @@ class ConjectureReport:
     ks_distance: float
     flagged: int
     points_per_realization: float
+    chunk_rounds: int
 
     def to_dict(self) -> dict:
         return {
@@ -540,6 +568,7 @@ class ConjectureReport:
             "ks_distance": self.ks_distance,
             "flagged": self.flagged,
             "points_per_realization": self.points_per_realization,
+            "chunk_rounds": self.chunk_rounds,
         }
 
 
@@ -568,4 +597,5 @@ def conjecture_report(samples: int, seed: int, point_budget: int = 1_000_000,
                             arcsine_moments=tuple(arc),
                             rel_moment_diffs=tuple(rel),
                             ks_distance=ks, flagged=res.flagged,
-                            points_per_realization=res.points_per_realization)
+                            points_per_realization=res.points_per_realization,
+                            chunk_rounds=res.chunk_rounds)

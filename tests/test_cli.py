@@ -201,6 +201,48 @@ class TestSimulate:
         validate(summary, "summary")
         assert summary["flagged"] == 0
 
+    def test_gain_underflow_simulates(self, capsys, monkeypatch):
+        # a Nakagami-0.01 gain is below 1e-103 in about 1 draw in 10, and
+        # at delta = 0.01 such a first gain is nearly the whole total,
+        # whose cube underflows; the stop test must not form it
+        args = ("simulate", "--alpha", "200", "--fading", "nakagami:0.01",
+                "--samples", "20000", "--seed", "1")
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SIGFRAC_THREADS", threads)
+            rc, out, err = run(capsys, *args)
+            assert rc == 0
+            summary = json.loads(err)
+            validate(summary, "summary")
+            assert summary["flagged"] == 0
+            outs.append((out, err))
+        assert outs[0] == outs[1]
+
+    def test_all_gains_underflow_is_domain_error(self, capsys, monkeypatch):
+        # most Nakagami-1e-4 gains underflow to 0, so some rows have no
+        # power at all and no signal fraction
+        monkeypatch.setenv("SIGFRAC_THREADS", "1")
+        rc, out, err = run(capsys, "simulate", "--alpha", "200", "--fading",
+                           "nakagami:0.0001", "--samples", "20000",
+                           "--seed", "1")
+        assert rc == 2
+        assert out == ""
+        assert "underflows float64" in err
+
+    def test_chunk_rounds_worker_independent(self, capsys, monkeypatch):
+        # 40,000 samples make three shards
+        args = ("simulate", "--alpha", "3", "--fading", "nakagami:1",
+                "--samples", "40000", "--seed", "12", "--format", "json")
+        rounds = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SIGFRAC_THREADS", threads)
+            rc, out, _ = run(capsys, *args)
+            assert rc == 0
+            doc = json.loads(out)
+            validate(doc, "curve")
+            rounds.append(doc["summary"]["chunk_rounds"])
+        assert rounds[0] == rounds[1] >= 3
+
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         args = ("simulate", "--alpha", "4", "--fading", "none", "--assoc",
                 "nba", "--samples", "40000", "--seed", "11", "--grid",
@@ -338,6 +380,18 @@ class TestConjecture:
             main(["conjecture", "--samples", "20000", "--format", "csv"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_chunk_rounds_worker_independent(self, capsys, monkeypatch):
+        rounds = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SIGFRAC_THREADS", threads)
+            rc, out, _ = run(capsys, "conjecture", "--samples", "40000",
+                             "--seed", "13")
+            assert rc == 0
+            doc = json.loads(out)
+            validate(doc, "conjecture")
+            rounds.append(doc["chunk_rounds"])
+        assert rounds[0] == rounds[1] >= 3
 
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         args = ("conjecture", "--samples", "20000", "--seed", "8")

@@ -127,7 +127,7 @@ class TestSamplePlp:
         cfg = SimConfig(params=params, fading=FadingModel.none(),
                         assoc=AssociationRule.nba(), samples=1,
                         point_budget=budget, tail_eps=tail_eps)
-        _, nflag, points = _sim_shard(cfg, 1, rng)
+        _, nflag, points, _ = _sim_shard(cfg, 1, rng)
         assert flag is flagged and nflag == int(flagged)
         assert xi.size == points
 
@@ -237,22 +237,22 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
     # sorted samples of a 5-realization run at seed 34, alpha = 4,
-    # re-recorded when the truncated tail became a variance-matched
-    # Gaussian draw (earlier stop, one normal per finishing row), which
-    # changed the stream on purpose; a change in the tail draw moves
-    # them at ~1e-3 and one in the point stream at O(1), the tolerance
-    # only absorbs last-digit differences of the math library
+    # re-recorded when the shard streams became SFC64 and the chunks
+    # were sized to the stop rule, which changed the stream on purpose;
+    # a change in the tail draw moves them at ~1e-3 and one in the point
+    # stream at O(1), the tolerance only absorbs last-digit differences
+    # of the math library
     RECORDED = {
         "nba": (FadingModel.nakagami(1.0), AssociationRule.nba(),
-                [0.046405821712144475, 0.11431981183232295, 0.6282476626816847,
-                 0.6341746605909024, 0.9661139621845779]),
+                [0.28085773625785504, 0.2902561439449708, 0.46064921597600805,
+                 0.8220096255750213, 0.8848179343143813]),
         "isba": (FadingModel.nakagami(1.0), AssociationRule.isba(),
-                 [0.16630459660687544, 0.6282476626816847, 0.6341746605909024,
-                  0.646018253294993, 0.9661139621845779]),
+                 [0.2956502897371826, 0.41342852518005246, 0.46064921597600805,
+                  0.8220096255750213, 0.8848179343143813]),
         "kth2": (FadingModel.none(), AssociationRule.kth_strongest(2),
-                 [0.019152283184938113, 0.024415433225999175,
-                  0.15738894379497678, 0.17865555536983396,
-                  0.19708525670946644]),
+                 [0.12735586249073827, 0.16721176286924178,
+                  0.1689328377292081, 0.18140589445264307,
+                  0.215911102800324]),
     }
 
     @pytest.mark.parametrize("rule", sorted(RECORDED))
@@ -303,9 +303,38 @@ class TestTruncation:
             sample_sf(cfg)
 
 
+def per_point_stop_depth(delta, fading, n, tail_eps, rng, block=64):
+    """Mean over n rows of the first K at which kappa_3(G_K) <= tail_eps^2
+    (P_K + kappa_1(G_K))^3, with the rule evaluated after every point on
+    absolute arrivals G_K and received power P_K."""
+    c1 = delta / (1.0 - delta)
+    c3 = fading.third_moment * delta / (3.0 - delta)
+    depth = np.zeros(n)
+    g_last = np.zeros(n)
+    p_last = np.zeros(n)
+    live = np.arange(n)
+    k = 0
+    while live.size:
+        g = g_last[live, None] + np.cumsum(
+            rng.standard_exponential((live.size, block)), axis=1)
+        v = g ** (-1.0 / delta)
+        if fading.kind == "nakagami":
+            v *= sample_nakagami(fading.m, rng, v.shape)
+        p = p_last[live, None] + np.cumsum(v, axis=1)
+        tot = p + c1 * g ** ((delta - 1.0) / delta)
+        ok = c3 * g ** ((delta - 3.0) / delta) <= tail_eps ** 2 * tot ** 3
+        hit = ok.any(axis=1)
+        depth[live[hit]] = k + ok[hit].argmax(axis=1) + 1
+        g_last[live] = g[:, -1]
+        p_last[live] = p[:, -1]
+        live = live[~hit]
+        k += block
+    return float(depth.mean())
+
+
 class TestTailCorrection:
     def test_points_per_realization_capped(self):
-        # the third-cumulant stop needs ~155 points per realization here;
+        # the third-cumulant stop needs ~105 points per realization here;
         # stopping on the tail's standard deviation needed ~4k
         cfg = SimConfig(params=NetworkParams.from_delta(2.0 / 3.0),
                         fading=FadingModel.nakagami(1.0),
@@ -314,6 +343,22 @@ class TestTailCorrection:
         b = sample_sf(cfg, workers=2)
         assert 32.0 <= a.points_per_realization <= 400.0
         assert a.points_per_realization == b.points_per_realization
+
+    @pytest.mark.parametrize("delta, fading", [
+        (2.0 / 3.0, FadingModel.nakagami(1.0)),
+        (0.5, FadingModel.none())])
+    def test_truncation_is_tight(self, delta, fading):
+        # a row may only stop at a chunk boundary; chunks sized to the
+        # stop rule keep the mean depth near the per-point one (1.2x and
+        # 1.3x here, where the first chunk of 32 and upper-quartile
+        # chunks gave 1.7x and 2.1x)
+        n = 16384
+        cfg = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
+                        assoc=AssociationRule.nba(), samples=n, seed=49)
+        ppr = sample_sf(cfg, workers=1).points_per_realization
+        ref = per_point_stop_depth(delta, fading, n, cfg.tail_eps,
+                                   np.random.default_rng(49))
+        assert ppr <= 1.4 * ref
 
     def test_large_total_does_not_overflow(self):
         # at delta = 0.03 about 1 in 1000 rows has a first value above
@@ -342,10 +387,10 @@ class TestTailCorrection:
         (FadingModel.none(), AssociationRule.rba()),
         (FadingModel.none(), AssociationRule.kth_strongest(2))])
     def test_clamped_tail_keeps_support(self, fading, assoc):
-        # at delta = 0.1 every row stops after the first 32 points, where
-        # the drawn tail falls below zero and is clamped in ~6% of rows
-        # with Nakagami-1/2 fading and ~0.4% without; every SF must stay
-        # in [0, 1] and SF_2 <= 1/2
+        # at delta = 0.1 nearly every row stops after the first 8 points,
+        # where the drawn tail falls below zero and is clamped in ~22% of
+        # rows with Nakagami-1/2 fading and ~9% without; every SF must
+        # stay in [0, 1] and SF_2 <= 1/2
         cfg = SimConfig(params=NetworkParams.from_delta(0.1), fading=fading,
                         assoc=assoc, samples=20_000, seed=46)
         x = sample_sf(cfg).dist.samples
