@@ -3,7 +3,9 @@ Pade-type rational truncations, first/second-order polynomials at t = 0,
 the second-order expansion at t = 1, the closed-form BEST approximation,
 the four-parameter generalized beta family with moment matching, the
 small-t asymptotics for Nakagami-m fading, and a Markov-type lower
-bound for the no-fading case.
+bound for the no-fading case.  Every curve takes a float or an array
+argument, checked through specfun._checked; powers are np.power, so an
+array gives the elementwise scalar results bit for bit.
 
 None of the approximations clamp to [0, 1]: bound-orientation checks
 need the raw sign structure.
@@ -66,12 +68,11 @@ def rational_ccdf(params: NetworkParams, s: int, t):
     return num / den
 
 
-def poly_ccdf(params: NetworkParams, order: int, t: float) -> float:
+def poly_ccdf(params: NetworkParams, order: int, t):
     """Polynomial small-t approximation 1 - mu t [+ (mu^2-d)/(2-d) t^2]."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
+    t = _checked(t, "t", 0.0, 1.0)
     mu = misr(params)
     val = 1.0 - mu * t
     if order == 2:
@@ -94,33 +95,30 @@ def convexity_sign(params: NetworkParams) -> int:
     return 1 if x > 0.0 else -1
 
 
-def tail_ccdf(params: NetworkParams, order: int, t: float) -> float:
+def tail_ccdf(params: NetworkParams, order: int, t):
     """Series expansion of the ccdf at t = 1: sinc(d)(1-t)^d [(1+d(1-t))]."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must be in (0, 1], got {t}")
+    t = _checked(t, "t", 0.0, 1.0, open_="lo")
     d = params.delta
-    val = sinc_pi(d) * (1.0 - t) ** d
+    val = sinc_pi(d) * np.power(1.0 - t, d)
     if order == 2:
         val *= 1.0 + d * (1.0 - t)
     return val
 
 
-def best_sf_ccdf(params: NetworkParams, t: float) -> float:
+def best_sf_ccdf(params: NetworkParams, t):
     """BEST approximation of the SF ccdf: ((1-t)/(1+mu t))^delta."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
+    t = _checked(t, "t", 0.0, 1.0)
     mu = misr(params)
-    return ((1.0 - t) / (1.0 + mu * t)) ** params.delta
+    return np.power((1.0 - t) / (1.0 + mu * t), params.delta)
 
 
-def best_sir_ccdf(params: NetworkParams, theta: float) -> float:
+def best_sir_ccdf(params: NetworkParams, theta):
     """BEST approximation of the SIR ccdf: (1 + (1+mu) theta)^(-delta)."""
-    if not theta >= 0.0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    theta = _checked(theta, "theta", 0.0, math.inf)
     mu = misr(params)
-    return (1.0 + (1.0 + mu) * theta) ** (-params.delta)
+    return np.power(1.0 + (1.0 + mu) * theta, -params.delta)
 
 
 def best_inverse(params: NetworkParams, reliability: float) -> float:
@@ -180,14 +178,13 @@ def gb_params_for_nakagami(params: NetworkParams, m: float) -> GBParams:
     return gb_params_from_pq(params, m, params.delta)
 
 
-def gb_pdf(gbp: GBParams, t: float) -> float:
+def gb_pdf(gbp: GBParams, t):
     """Generalized beta density a(1-t^a)^(q-1) / (b B(p,q) (1+(b^-a-1)t^a)^(p+q))."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must be in (0, 1), got {t}")
+    t = _checked(t, "t", 0.0, 1.0, open_="both")
     a, b, p, q = gbp.a, gbp.b, gbp.p, gbp.q
-    ta = t ** a
-    return a * (1.0 - ta) ** (q - 1.0) / (
-        b * beta_fn(p, q) * (1.0 + (b ** -a - 1.0) * ta) ** (p + q))
+    ta = np.power(t, a)
+    return a * np.power(1.0 - ta, q - 1.0) / (
+        b * beta_fn(p, q) * np.power(1.0 + (b ** -a - 1.0) * ta, p + q))
 
 
 def gb_cdf(gbp: GBParams, t):
@@ -332,7 +329,7 @@ def _fit_bisect_fallback(params, m1, m2, seed):
     return p, q
 
 
-def nba_m_cdf_asymptote(params: NetworkParams, m: int, t: float) -> float:
+def nba_m_cdf_asymptote(params: NetworkParams, m: int, t):
     """Small-t ccdf asymptote 1 - c_m E[ISR^m] t^m for Nakagami-m fading.
 
     c_m = m^(m-1)/Gamma(m); E[ISR] = MISR and
@@ -342,8 +339,7 @@ def nba_m_cdf_asymptote(params: NetworkParams, m: int, t: float) -> float:
     """
     if m not in (1, 2):
         raise ValueError(f"only m in {{1, 2}} is supported, got {m}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
+    t = _checked(t, "t", 0.0, 1.0)
     mu = misr(params)
     if m == 1:
         coef = mu
@@ -351,17 +347,16 @@ def nba_m_cdf_asymptote(params: NetworkParams, m: int, t: float) -> float:
         e_h2 = 1.5
         e_isr2 = 2.0 * mu * mu + params.delta * e_h2 / (2.0 - params.delta)
         coef = 2.0 * e_isr2
-    return 1.0 - coef * t ** m
+    return 1.0 - coef * np.power(t, m)
 
 
-def markov_lower_bound(params: NetworkParams, t: float) -> float:
+def markov_lower_bound(params: NetworkParams, t):
     """No-fading ccdf lower bound 1 - d/(2-d) t^2/(1-d-t)^2 for t < 1-d.
 
     Derived from the variance of 1/SF; can go negative and is not
     clamped.
     """
     d = params.delta
-    if not 0.0 <= t < 1.0 - d:
-        raise ValueError(f"t must be in [0, 1-delta) = [0, {1.0 - d}), got {t}")
-    return 1.0 - d / (2.0 - d) * t * t / (1.0 - d - t) ** 2
+    t = _checked(t, "t", 0.0, 1.0 - d, open_="hi")
+    return 1.0 - d / (2.0 - d) * t * t / np.power(1.0 - d - t, 2)
 

@@ -42,12 +42,32 @@ class UsageError(ValueError):
     pass
 
 
+_APPROX_METHODS = ("rational:s | poly:1 | poly:2 | tail:1 | tail:2 | best | "
+                   "gb-fit | markov | nba-m:2")
+_PLP_STATS = "gn:n | sfirat:i | loggap:i | sf1-bound | rba-curve | sstar"
+
+
 def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+    """The one output rounding: 12 significant digits."""
+    return f"{x:.12g}"
 
 
-def _round12(x) -> float:
-    return float(_fmt(x))
+def _rounded(doc):
+    """Round every float in doc, a JSON-able dict or list, to 12
+    significant digits in place, tuples becoming lists, and return doc;
+    a JSON value then reads back as float() of the CSV text."""
+    for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(v, float):
+            doc[k] = float(_fmt(v))
+        elif isinstance(v, (dict, list, tuple)):
+            doc[k] = _rounded(list(v) if isinstance(v, tuple) else v)
+    return doc
+
+
+def _dumps(doc) -> str:
+    """The JSON serializer every document goes through: floats rounded
+    in place by _rounded, NaN and inf refused."""
+    return json.dumps(_rounded(doc), indent=2, allow_nan=False) + "\n"
 
 
 def _finite(flag: str, x: float) -> float:
@@ -93,60 +113,66 @@ def parse_grid(spec: str) -> np.ndarray:
     return vals
 
 
+def _sf_grid(spec: str) -> np.ndarray:
+    """A grid on the signal-fraction axis, which must lie within [0, 1]."""
+    grid = parse_grid(spec)
+    if grid[0] < 0.0 or grid[-1] > 1.0:
+        raise UsageError("SF grids must lie within [0, 1]")
+    return grid
+
+
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
-def write_rows(fh, unit: str, rows, flags=None):
-    if flags is None or all(f == "" for f in flags):
-        fh.write("arg_unit,arg,value\n")
-        for arg, val in rows:
-            fh.write(f"{unit},{_fmt(arg)},{_fmt(val)}\n")
-    else:
-        fh.write("arg_unit,arg,value,flag\n")
-        for (arg, val), f in zip(rows, flags):
-            fh.write(f"{unit},{_fmt(arg)},{_fmt(val)},{f}\n")
+def write_rows(fh, unit: str, pts, values, flags=None):
+    fh.write("arg_unit,arg,value" + ("" if flags is None else ",flag") + "\n")
+    tails = [""] * len(pts) if flags is None else [f",{f}" for f in flags]
+    for arg, val, tail in zip(pts.tolist(), values.tolist(), tails):
+        fh.write(f"{unit},{_fmt(arg)},{_fmt(val)}{tail}\n")
 
 
-def curve_doc(variable, kind, unit, rows, flags=None, **extra):
-    points = []
-    for i, (arg, val) in enumerate(rows):
-        pt = {"arg": _round12(arg), "value": _round12(val)}
-        if flags is not None and flags[i]:
-            pt["flag"] = flags[i]
-        points.append(pt)
+def curve_doc(variable, kind, unit, pts, values, flags=None, **extra):
+    points = [{"arg": arg, "value": val}
+              for arg, val in zip(pts.tolist(), values.tolist())]
+    if flags is not None:
+        for pt, f in zip(points, flags):
+            if f:
+                pt["flag"] = f
     doc = {"schema": "curve", "variable": variable, "kind": kind,
            "arg_unit": unit, "points": points}
     doc.update(extra)
     return doc
 
 
-def emit_curve(args, variable, kind, rows, flags=None, sidecars=None):
-    """Write a curve as CSV or JSON.
+def emit_curve(args, variable, kind, pts, values, flags=None, sidecars=None):
+    """Write the curve values at the grid points pts, two arrays, as CSV
+    or JSON; flags, when given, holds one string per point.
 
     sidecars is a dict name -> json-able payload; in JSON format they
     are embedded, in CSV format they go to '<out>.<name>.json' (or to
-    stderr when writing CSV to stdout).
+    stderr when writing CSV to stdout).  A curve with no point left in
+    its domain is a usage error, and nothing is written.
     """
+    if len(pts) == 0:
+        raise UsageError("no --grid point lies in the curve's domain")
     unit = getattr(args, "unit", "linear") or "linear"
     fh, close = _open_out(args.out)
     try:
         if args.format == "json":
-            doc = curve_doc(variable, kind, unit, rows, flags,
-                            **(sidecars or {}))
-            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+            fh.write(_dumps(curve_doc(variable, kind, unit, pts, values,
+                                      flags, **(sidecars or {}))))
         else:
-            write_rows(fh, unit, rows, flags)
+            write_rows(fh, unit, pts, values, flags)
             for name, payload in (sidecars or {}).items():
-                data = json.dumps(payload, indent=2, allow_nan=False) + "\n"
                 if close:
                     with open(f"{args.out}.{name}.json", "w",
                               encoding="utf-8", newline="\n") as side:
-                        side.write(data)
+                        side.write(_dumps(payload))
                 else:
-                    sys.stderr.write(data)
+                    sys.stderr.write(_dumps(payload))
     finally:
         if close:
             fh.close()
@@ -155,7 +181,7 @@ def emit_curve(args, variable, kind, rows, flags=None, sidecars=None):
 def emit_json(args, doc):
     fh, close = _open_out(args.out)
     try:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        fh.write(_dumps(doc))
     finally:
         if close:
             fh.close()
@@ -167,23 +193,21 @@ def _sir_grid_to_linear(grid, unit):
         raise UsageError("MH-unit grid arguments must lie in [0, 1)")
     if unit == AxisUnit.LINEAR and grid[0] < 0.0:
         raise UsageError("linear SIR grid must be non-negative")
-    to_lin = transforms.TO_LINEAR[unit]
-    return np.array([to_lin(g) for g in grid])
+    return transforms.TO_LINEAR[unit](grid)
 
 
 def cmd_exact(args):
     params = parse_params(args.alpha, args.delta)
-    grid = parse_grid(args.grid)
     if args.var == "SF":
         if args.unit not in (None, "linear"):
             raise UsageError("SF curves use the linear unit (t in [0, 1])")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
-            raise UsageError("SF grid must lie within [0, 1]")
-        rows = zip(grid, rayleigh.sf_ccdf_exact(params, grid))
+        grid = _sf_grid(args.grid)
+        values = rayleigh.sf_ccdf_exact(params, grid)
     else:
+        grid = parse_grid(args.grid)
         theta = _sir_grid_to_linear(grid, args.unit or "linear")
-        rows = zip(grid, rayleigh.sir_ccdf_exact(params, theta))
-    emit_curve(args, args.var, "ccdf", rows)
+        values = rayleigh.sir_ccdf_exact(params, theta)
+    emit_curve(args, args.var, "ccdf", grid, values)
     return 0
 
 
@@ -194,48 +218,39 @@ def _parse_method(spec: str):
 
 def cmd_approx(args):
     params = parse_params(args.alpha, args.delta)
-    grid = parse_grid(args.grid)
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise UsageError("approximation grids live on the SF axis [0, 1]")
+    grid = _sf_grid(args.grid)
     name, arg = _parse_method(args.method)
-    sidecars = None
+    pts, sidecars = grid, None
     if name == "rational":
         pts = grid[grid < 1.0]
-        rows = zip(pts, approx.rational_ccdf(params, int(arg or 2), pts))
+        values = approx.rational_ccdf(params, int(arg or 2), pts)
     elif name == "poly":
-        order = int(arg or 1)
-        rows = [(t, approx.poly_ccdf(params, order, float(t))) for t in grid]
+        values = approx.poly_ccdf(params, int(arg or 1), grid)
     elif name == "tail":
-        order = int(arg or 2)
-        pts = [t for t in grid if t > 0.0]
-        rows = [(t, approx.tail_ccdf(params, order, float(t))) for t in pts]
+        pts = grid[grid > 0.0]
+        values = approx.tail_ccdf(params, int(arg or 2), pts)
     elif name == "best":
-        rows = [(t, approx.best_sf_ccdf(params, float(t))) for t in grid]
+        values = approx.best_sf_ccdf(params, grid)
     elif name == "markov":
-        pts = [t for t in grid if t < 1.0 - params.delta]
-        rows = [(t, approx.markov_lower_bound(params, float(t))) for t in pts]
+        pts = grid[grid < 1.0 - params.delta]
+        values = approx.markov_lower_bound(params, pts)
     elif name == "nba-m":
-        m = int(arg or 2)
-        rows = [(t, approx.nba_m_cdf_asymptote(params, m, float(t))) for t in grid]
+        values = approx.nba_m_cdf_asymptote(params, int(arg or 2), grid)
     elif name == "gb-fit":
         fit = approx.gb_fit(params)
         gbp = fit.params
-        rows = zip(grid, 1.0 - approx.gb_cdf(gbp, grid))
+        values = 1.0 - approx.gb_cdf(gbp, grid)
         sidecars = {"fit": {
-            "schema": "fit",
-            "alpha": _round12(params.alpha),
-            "delta": _round12(params.delta),
-            "a": _round12(gbp.a), "b": _round12(gbp.b),
-            "p": _round12(gbp.p), "q": _round12(gbp.q),
-            "target_moments": [_round12(v) for v in fit.target_moments],
-            "achieved_moments": [_round12(v) for v in fit.achieved_moments],
-            "residual": _round12(fit.residual),
+            "schema": "fit", "alpha": params.alpha, "delta": params.delta,
+            "a": gbp.a, "b": gbp.b, "p": gbp.p, "q": gbp.q,
+            "target_moments": fit.target_moments,
+            "achieved_moments": fit.achieved_moments,
+            "residual": fit.residual,
         }}
     else:
         raise UsageError(
-            f"unknown method {args.method!r}; available: rational:s, poly:1, "
-            "poly:2, tail:1, tail:2, best, gb-fit, markov, nba-m:2")
-    emit_curve(args, "SF", "ccdf", rows, sidecars=sidecars)
+            f"unknown method {args.method!r}; available: {_APPROX_METHODS}")
+    emit_curve(args, "SF", "ccdf", pts, values, sidecars=sidecars)
     return 0
 
 
@@ -277,23 +292,21 @@ def cmd_simulate(args):
                            seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    grid = parse_grid(args.grid)
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise UsageError("simulation grids live on the SF axis [0, 1]")
+    grid = _sf_grid(args.grid)
     res = montecarlo.sample_sf(config)
-    rows = zip(grid, empirical_ccdf(res.dist, grid))
     x = res.dist.samples
     summary = {
         "schema": "summary",
-        "mean": _round12(x.mean()),
-        "variance": _round12(x.var()),
+        "mean": float(x.mean()),
+        "variance": float(x.var()),
         "count": int(x.size),
         "flagged": int(res.flagged),
-        "points_per_realization": _round12(res.points_per_realization),
+        "points_per_realization": float(res.points_per_realization),
         "chunk_rounds": int(res.chunk_rounds),
         "seed": int(args.seed),
     }
-    emit_curve(args, "SF", "ccdf", rows, sidecars={"summary": summary})
+    emit_curve(args, "SF", "ccdf", grid, empirical_ccdf(res.dist, grid),
+               sidecars={"summary": summary})
     return 0
 
 
@@ -303,47 +316,40 @@ def cmd_plp(args):
     if name == "gn":
         n = int(arg or 1)
         if args.t is not None:
-            val = plp.g_n(params, n, _finite("--t", args.t))
-            doc = {"stat": f"gn:{n}", "delta": _round12(params.delta),
-                   "t": _round12(args.t), "value": _round12(val)}
-            if not plp.g_n_is_exact(args.t):
+            t = _finite("--t", args.t)
+            doc = {"stat": f"gn:{n}", "delta": params.delta, "t": t,
+                   "value": plp.g_n(params, n, t)}
+            if not plp.g_n_is_exact(t):
                 doc["flag"] = "ub-only"
             emit_json(args, doc)
             return 0
         grid = parse_grid(args.grid)
-        pts = [t for t in grid if 0.0 < t < 1.0]
-        rows = [(t, plp.g_n(params, n, float(t))) for t in pts]
-        flags = ["" if plp.g_n_is_exact(t) else "ub-only" for t, _ in rows]
-        emit_curve(args, "SF", "ccdf" if all(f == "" for f in flags) else "bound",
-                   rows, flags=flags)
-        return 0
-    if name == "sfirat":
-        i = int(arg or 1)
-        emit_json(args, {"stat": f"sfirat:{i}", "delta": _round12(params.delta),
-                         "value": _round12(plp.mean_sf_ratio(params, i))})
-        return 0
-    if name == "loggap":
-        i = int(arg or 1)
-        emit_json(args, {"stat": f"loggap:{i}", "delta": _round12(params.delta),
-                         "value": _round12(plp.log_sf_gap(params, i))})
-        return 0
-    if name == "sf1-bound":
-        emit_json(args, {"stat": "sf1-bound", "delta": _round12(params.delta),
-                         "value": _round12(plp.mean_sf1_upper_bound(params))})
-        return 0
-    if name == "sstar":
-        emit_json(args, {"stat": "sstar", "delta": _round12(params.delta),
-                         "value": _round12(plp.flatness_rate(params))})
+        pts = grid[(grid > 0.0) & (grid < 1.0)]
+        exact = plp.g_n_is_exact(pts)
+        flags = None if exact.all() else np.where(exact, "", "ub-only").tolist()
+        emit_curve(args, "SF", "ccdf" if flags is None else "bound", pts,
+                   plp.g_n(params, n, pts), flags=flags)
         return 0
     if name == "rba-curve":
         grid = parse_grid(args.grid)
         pts = grid[(grid > 0.0) & (grid < 1.0)]
         curve = plp.rba_pdf if args.kind == "pdf" else plp.rba_cdf
-        emit_curve(args, "SF", args.kind, zip(pts, curve(params, pts)))
+        emit_curve(args, "SF", args.kind, pts, curve(params, pts))
         return 0
-    raise UsageError(
-        f"unknown stat {args.stat!r}; available: gn:n, sfirat:i, loggap:i, "
-        "sf1-bound, rba-curve, sstar")
+    if name in ("sfirat", "loggap"):
+        i = int(arg or 1)
+        stat = f"{name}:{i}"
+        value = (plp.mean_sf_ratio if name == "sfirat" else plp.log_sf_gap)(
+            params, i)
+    elif name == "sf1-bound":
+        stat, value = name, plp.mean_sf1_upper_bound(params)
+    elif name == "sstar":
+        stat, value = name, plp.flatness_rate(params)
+    else:
+        raise UsageError(
+            f"unknown stat {args.stat!r}; available: {_PLP_STATS}")
+    emit_json(args, {"stat": stat, "delta": params.delta, "value": value})
+    return 0
 
 
 def cmd_conjecture(args):
@@ -352,15 +358,8 @@ def cmd_conjecture(args):
     rep = montecarlo.conjecture_report(args.samples, args.seed,
                                        point_budget=args.point_budget,
                                        tail_eps=args.tail_eps)
-    doc = {"schema": "conjecture"}
-    doc.update(rep.to_dict())
-    for row in doc["moments"]:
-        for key in ("empirical", "arcsine", "rel_diff"):
-            row[key] = _round12(row[key])
-    doc["ks_distance"] = _round12(doc["ks_distance"])
-    doc["points_per_realization"] = _round12(doc["points_per_realization"])
-    doc["moment_threshold"] = _CONJ_MOMENT_TOL
-    doc["ks_threshold"] = _round12(_CONJ_KS_TOL)
+    doc = {"schema": "conjecture", **rep.to_dict(),
+           "moment_threshold": _CONJ_MOMENT_TOL, "ks_threshold": _CONJ_KS_TOL}
     if args.samples >= _CONJ_GATE_SAMPLES:
         doc["thresholds_evaluated"] = True
         doc["moments_pass"] = bool(
@@ -376,8 +375,8 @@ def cmd_conjecture(args):
 def cmd_convert(args):
     lin = transforms.TO_LINEAR[AxisUnit(args.src)](_finite("--value", args.value))
     out = transforms.FROM_LINEAR[AxisUnit(args.dst)](lin)
-    emit_json(args, {"value": _round12(args.value), "from": args.src,
-                     "to": args.dst, "result": _round12(out)})
+    emit_json(args, {"value": args.value, "from": args.src, "to": args.dst,
+                     "result": out})
     return 0
 
 
@@ -412,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="closed-form approximations and bounds")
     _add_common(p, grid_default="0:1:101")
-    p.add_argument("--method", required=True,
-                   help="rational:s | poly:1 | poly:2 | tail:1 | tail:2 | "
-                        "best | gb-fit | markov | nba-m:2")
+    p.add_argument("--method", required=True, help=_APPROX_METHODS)
 
     p = sub.add_parser("simulate", help="Monte Carlo signal fractions")
     _add_common(p, grid_default="0:1:101")
@@ -427,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plp", help="no-fading path-loss-process statistics")
     _add_common(p, grid_default="0.01:0.99:99")
-    p.add_argument("--stat", required=True,
-                   help="gn:n | sfirat:i | loggap:i | sf1-bound | rba-curve | sstar")
+    p.add_argument("--stat", required=True, help=_PLP_STATS)
     p.add_argument("--t", type=float, default=None,
                    help="evaluate gn at a single t instead of a grid")
     p.add_argument("--kind", choices=["cdf", "pdf"], default="cdf",

@@ -7,13 +7,15 @@ received powers form a Poisson-Dirichlet (delta, 0) sequence; the
 results here are the ordered-point densities, the ratio laws between
 ordered signal fractions, the g_n ccdf family, the mean-SF1 upper
 bound, the random-association beta law, and the flatness rate of the
-SF1 cdf at 0.
+SF1 cdf at 0.  Every curve takes a float or an array argument, checked
+through specfun._checked.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special as _special
 
 from .rayleigh import NetworkParams
@@ -25,18 +27,18 @@ from .specfun import (NumericError, _checked, _rba_cdf, find_root, harmonic,
 GN_EXACT_MIN = 0.5
 
 
-def g_n_is_exact(t: float) -> bool:
+def g_n_is_exact(t):
+    """True where g_n(t) is exact, for a float or an array t."""
     return t >= GN_EXACT_MIN
 
 
-def ordered_pathloss_pdf(params: NetworkParams, k: int, x: float) -> float:
+def ordered_pathloss_pdf(params: NetworkParams, k: int, x):
     """Density of the k-th smallest path loss: d x^(kd-1) e^(-x^d) / Gamma(k)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not x > 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    x = _checked(x, "x", 0.0, math.inf, open_="lo")
     d = params.delta
-    return d * x ** (k * d - 1.0) * math.exp(-x ** d - ln_gamma(k))
+    return d * np.power(x, k * d - 1.0) * np.exp(-np.power(x, d) - ln_gamma(k))
 
 
 def ratio_cdf(params: NetworkParams, i: int, r):
@@ -45,7 +47,7 @@ def ratio_cdf(params: NetworkParams, i: int, r):
     R_i are independent with mean i delta/(1 + i delta)."""
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    return _checked(r, "r", 0.0, 1.0) ** (i * params.delta)
+    return np.power(_checked(r, "r", 0.0, 1.0), i * params.delta)
 
 
 def mean_sf_ratio(params: NetworkParams, i: int) -> float:
@@ -65,7 +67,7 @@ def log_sf_gap(params: NetworkParams, i: int) -> float:
     return harmonic(i) / params.delta
 
 
-def g_n(params: NetworkParams, n: int, t: float) -> float:
+def g_n(params: NetworkParams, n: int, t):
     """g_n(t) = (1/t - 1)^(n d) / (Gamma(1+n d) Gamma(1-d)^n).
 
     Equals P(SF_n + t (SF_1 + ... + SF_{n-1}) > t) exactly for
@@ -74,10 +76,9 @@ def g_n(params: NetworkParams, n: int, t: float) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must be in (0, 1), got {t}")
+    t = _checked(t, "t", 0.0, 1.0, open_="both")
     d = params.delta
-    return (1.0 / t - 1.0) ** (n * d) * math.exp(
+    return np.power(1.0 / t - 1.0, n * d) * math.exp(
         -ln_gamma(1.0 + n * d) - n * ln_gamma(1.0 - d))
 
 
@@ -103,9 +104,10 @@ def rba_pdf(params: NetworkParams, t):
     """Density of the SF under random association with selection
     probabilities SF_k: sin(pi d) / (pi t^d (1-t)^(1-d)), a Beta(1-d, d);
     t in (0, 1) is a float or an array."""
-    t = _checked(t, "t", 0.0, 1.0, open_=True)
+    t = _checked(t, "t", 0.0, 1.0, open_="both")
     d = params.delta
-    return math.sin(math.pi * d) / (math.pi * t ** d * (1.0 - t) ** (1.0 - d))
+    return math.sin(math.pi * d) / (
+        math.pi * np.power(t, d) * np.power(1.0 - t, 1.0 - d))
 
 
 def rba_cdf(params: NetworkParams, t):
@@ -153,12 +155,11 @@ def flatness_rate(params: NetworkParams) -> float:
     return find_root(f, lo, hi)
 
 
-def flat_cdf_asymptote(params: NetworkParams, t: float) -> float:
+def flat_cdf_asymptote(params: NetworkParams, t):
     """The small-t cdf asymptote exp(-s* (1/t - 1)) itself."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must be in (0, 1), got {t}")
+    t = _checked(t, "t", 0.0, 1.0, open_="both")
     s = flatness_rate(params)
-    return math.exp(-s * (1.0 / t - 1.0))
+    return np.exp(-s * (1.0 / t - 1.0))
 
 
 def misf(params: NetworkParams) -> float:

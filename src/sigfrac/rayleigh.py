@@ -69,9 +69,9 @@ def sf_ccdf_exact(params: NetworkParams, t):
 
 
 def sir_ccdf_exact(params: NetworkParams, theta):
-    """Exact ccdf of the SIR at theta >= 0, a float or an array,
+    """Exact ccdf of the SIR at finite theta >= 0, a float or an array,
     evaluated as Fbar_SF(T(theta))."""
-    theta = _checked(theta, "theta", 0.0, math.inf)
+    theta = _checked(theta, "theta", 0.0, math.inf, open_="hi")
     return sf_ccdf_exact(params, theta / (1.0 + theta))
 
 
@@ -85,7 +85,7 @@ def sf_pdf_exact(params: NetworkParams, t):
     rejected.
     """
     d = params.delta
-    t = _checked(t, "t", 0.0, 1.0, open_=True)
+    t = _checked(t, "t", 0.0, 1.0, open_="both")
     u, w = _nba_parts(d, t)
     return d * u * (t * u + w) / (t * (1.0 - t) * (u + w) ** 2)
 

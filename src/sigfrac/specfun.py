@@ -3,8 +3,8 @@
 Gamma/beta, the closed form of 2F1(1, 1; 1-delta; t) through the
 incomplete beta ratio, the Kummer confluent function, sinc, harmonic
 numbers, bracketing root-finding and adaptive quadrature with declared
-algebraic endpoint singularities.  Everything is pure; the incomplete
-beta kernels also take arrays.
+algebraic endpoint singularities.  Everything is pure; hyp2f1_11 and
+the incomplete beta kernels take a float or an array.
 """
 
 from __future__ import annotations
@@ -53,23 +53,30 @@ def sinc_pi(x: float) -> float:
 
 
 def harmonic(i: int) -> float:
-    """i-th harmonic number 1 + 1/2 + ... + 1/i, i >= 1."""
+    """i-th harmonic number 1 + 1/2 + ... + 1/i, i >= 1, as
+    digamma(i + 1) + Euler's gamma (DLMF 5.4.14), in constant time."""
     if i < 1:
         raise ValueError(f"harmonic requires i >= 1, got {i}")
-    return sum(1.0 / k for k in range(1, i + 1))
+    return float(_special.digamma(i + 1.0)) + np.euler_gamma
 
 
-def _checked(x, name: str, lo: float, hi: float, open_: bool = False):
+def _checked(x, name: str, lo: float, hi: float, open_: str = ""):
     """x as a float, or as a float array when it is array-like, after
-    checking lo <= x <= hi (lo < x < hi when open_); NaN fails."""
+    checking that it lies between lo and hi; open_ names the open ends,
+    "lo", "hi" or "both", and the others are closed.  NaN fails."""
     scalar = isinstance(x, (int, float))
     v = x if scalar else np.asarray(x, dtype=float)
-    ok = (lo < v) & (v < hi) if open_ else (lo <= v) & (v <= hi)
+    if not open_:   # most calls, among them every quadrature node
+        ok = (lo <= v) & (v <= hi)
+    else:
+        ok = (lo < v if open_ != "hi" else lo <= v) & (
+            v < hi if open_ != "lo" else v <= hi)
     if not (ok if scalar else ok.all()):
         bad = v if scalar else v[~ok][0]
-        left, right = "()" if open_ else "[]"
         raise ValueError(
-            f"{name} must be in {left}{lo:g}, {hi:g}{right}, got {bad}")
+            f"{name} must be in {'(' if open_ in ('lo', 'both') else '['}"
+            f"{lo:g}, {hi:g}{')' if open_ in ('hi', 'both') else ']'}, "
+            f"got {bad}")
     return v
 
 
@@ -106,13 +113,12 @@ def _nba_parts(d: float, t):
             np.power(t, d) * _rba_cdf(d, t) / sinc_pi(d))
 
 
-def hyp2f1_11(delta: float, t: float) -> float:
-    """2F1(1, 1; 1 - delta; t) for delta in (0, 1), t in [0, 1), in closed
-    form as (u + w)/(u (1-t)); see _nba_parts."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must be in [0, 1), got {t}")
+def hyp2f1_11(delta: float, t):
+    """2F1(1, 1; 1 - delta; t) for delta in (0, 1) and t in [0, 1), a
+    float or an array, in closed form as (u + w)/(u (1-t)); see
+    _nba_parts."""
+    _checked(delta, "delta", 0.0, 1.0, open_="both")
+    t = _checked(t, "t", 0.0, 1.0, open_="hi")
     u, w = _nba_parts(delta, t)
     return (u + w) / (u * (1.0 - t))
 

@@ -4,13 +4,18 @@ and the change-of-variable formulas for ccdfs and pdfs.
 SIR = S/I lives on [0, inf); the signal fraction SF = S/(S+I) = T(SIR)
 lives on [0, 1), where T(x) = x/(1+x).  Curves are computed with
 linear-unit arguments; dB and MH are presentation units, converted
-through TO_LINEAR and FROM_LINEAR.
+through TO_LINEAR and FROM_LINEAR.  The maps and unit conversions take
+a float or an array, checked through specfun._checked.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+
+import numpy as np
+
+from .specfun import _checked
 
 
 class AxisUnit(str, Enum):
@@ -19,43 +24,38 @@ class AxisUnit(str, Enum):
     MH = "MH"
 
 
-def t_map(x: float) -> float:
+def t_map(x):
     """T(x) = x/(1+x), the homeomorphism from [0, inf) onto [0, 1)."""
-    if not x >= 0.0:
-        raise ValueError(f"t_map requires x >= 0, got {x}")
+    x = _checked(x, "x", 0.0, math.inf, open_="hi")
     return x / (1.0 + x)
 
 
-def t_inv(t: float) -> float:
+def t_inv(t):
     """Inverse of t_map: t/(1-t) for t in [0, 1)."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t_inv requires t in [0, 1), got {t}")
+    t = _checked(t, "t", 0.0, 1.0, open_="hi")
     return t / (1.0 - t)
 
 
-def db_to_linear(x_db: float) -> float:
-    # Python float power raises OverflowError where a numpy scalar
-    # would return inf
-    try:
-        return 10.0 ** (float(x_db) / 10.0)
-    except OverflowError:
-        raise ValueError(
-            f"{x_db} dB overflows a double in linear units") from None
+def db_to_linear(x_db):
+    """10^(x/10); a value past the largest double is a ValueError."""
+    x_db = _checked(x_db, "x_db", -math.inf, math.inf)
+    with np.errstate(over="ignore"):
+        lin = np.power(10.0, x_db / 10.0)
+    over = ~np.isfinite(lin)
+    if over.any():
+        bad = x_db if np.ndim(lin) == 0 else x_db[over][0]
+        raise ValueError(f"{bad} dB overflows a double in linear units")
+    return lin
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"dB undefined for non-positive value {x}")
-    return 10.0 * math.log10(x)
+def linear_to_db(x):
+    """10 log10(x) for x > 0."""
+    return 10.0 * np.log10(_checked(x, "x", 0.0, math.inf, open_="lo"))
 
 
-def mh_to_linear(x_mh: float) -> float:
-    """x MH = x/(1-x) in linear units; identical to t_inv."""
-    return t_inv(x_mh)
-
-
-def linear_to_mh(x: float) -> float:
-    return t_map(x)
+# x MH is x/(1-x) in linear units
+mh_to_linear = t_inv
+linear_to_mh = t_map
 
 
 def sir_ccdf_to_sf_ccdf(ccdf_fn):

@@ -359,6 +359,43 @@ class TestPlpCommand:
         assert "--t must be finite" in err
 
 
+class TestCurveOutput:
+    CURVES = [("approx", "--method", m) for m in (
+        "rational:3", "poly:1", "poly:2", "tail:1", "tail:2", "best",
+        "gb-fit", "markov", "nba-m:1", "nba-m:2")] + [
+        ("plp", "--stat", "gn:1"), ("plp", "--stat", "gn:2"),
+        ("plp", "--stat", "rba-curve", "--kind", "cdf"),
+        ("plp", "--stat", "rba-curve", "--kind", "pdf")]
+
+    @pytest.mark.parametrize("argv", CURVES, ids=" ".join)
+    def test_csv_and_json_agree(self, capsys, argv):
+        # one 12-digit rule: a JSON float is float() of the CSV text
+        rc, csv_out, _ = run(capsys, *argv, "--alpha", "3")
+        assert rc == 0
+        rc, json_out, _ = run(capsys, *argv, "--alpha", "3", "--format",
+                              "json")
+        assert rc == 0
+        _, rows = csv_rows(csv_out)
+        points = json.loads(json_out)["points"]
+        assert len(rows) == len(points) > 1
+        for row, pt in zip(rows, points):
+            assert (pt["arg"], pt["value"]) == (float(row[1]), float(row[2]))
+            assert pt.get("flag", "") == (row[3] if len(row) > 3 else "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("approx", "--method", "markov", "--grid", "0.6:1:5"),
+        ("approx", "--method", "rational:2", "--grid", "1"),
+        ("plp", "--stat", "gn:1", "--grid", "0,1"),
+        ("plp", "--stat", "rba-curve", "--grid", "0,1"),
+    ], ids=" ".join)
+    def test_empty_domain_is_usage_error(self, capsys, argv, fmt):
+        rc, out, err = run(capsys, *argv, "--alpha", "4", "--format", fmt)
+        assert rc == 2
+        assert out == ""
+        assert "no --grid point lies in the curve's domain" in err
+
+
 class TestConjecture:
     def test_gating_below_threshold(self, capsys):
         rc, out, _ = run(capsys, "conjecture", "--samples", "20000",

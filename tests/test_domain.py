@@ -12,7 +12,7 @@ NAN = math.nan
 ARR = np.array([0.25, NAN, 0.75])
 
 # every range check must reject NaN instead of passing it on, also
-# inside an array
+# inside an array, and every one is specfun._checked
 NAN_CALLS = {
     "poly_ccdf": lambda: approx.poly_ccdf(P, 1, NAN),
     "rational_ccdf": lambda: approx.rational_ccdf(P, 2, NAN),
@@ -40,6 +40,24 @@ NAN_CALLS = {
     "t_map": lambda: transforms.t_map(NAN),
     "t_inv": lambda: transforms.t_inv(NAN),
     "hyp2f1_11": lambda: specfun.hyp2f1_11(0.5, NAN),
+    "g_n": lambda: plp.g_n(P, 1, NAN),
+    "db_to_linear": lambda: transforms.db_to_linear(NAN),
+    "linear_to_db": lambda: transforms.linear_to_db(NAN),
+    "poly_ccdf_array": lambda: approx.poly_ccdf(P, 2, ARR),
+    "tail_ccdf_array": lambda: approx.tail_ccdf(P, 2, ARR),
+    "best_sf_ccdf_array": lambda: approx.best_sf_ccdf(P, ARR),
+    "best_sir_ccdf_array": lambda: approx.best_sir_ccdf(P, ARR),
+    "markov_lower_bound_array": lambda: approx.markov_lower_bound(P, ARR / 2),
+    "nba_m_cdf_asymptote_array": lambda: approx.nba_m_cdf_asymptote(P, 2, ARR),
+    "gb_pdf_array": lambda: approx.gb_pdf(GBP, ARR),
+    "g_n_array": lambda: plp.g_n(P, 1, ARR),
+    "ordered_pathloss_pdf_array": lambda: plp.ordered_pathloss_pdf(P, 1, ARR),
+    "flat_cdf_asymptote_array": lambda: plp.flat_cdf_asymptote(P, ARR),
+    "hyp2f1_11_array": lambda: specfun.hyp2f1_11(0.5, ARR),
+    "t_map_array": lambda: transforms.t_map(ARR),
+    "t_inv_array": lambda: transforms.t_inv(ARR),
+    "db_to_linear_array": lambda: transforms.db_to_linear(ARR),
+    "linear_to_db_array": lambda: transforms.linear_to_db(ARR),
 }
 
 # parameter checks written as x <= 0 would let NaN through
@@ -57,7 +75,7 @@ NAN_PARAMS = {
 
 @pytest.mark.parametrize("name", sorted(NAN_CALLS))
 def test_nan_is_a_domain_error(name):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must be in [\[(].*, got nan$"):
         NAN_CALLS[name]()
 
 

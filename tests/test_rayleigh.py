@@ -147,6 +147,9 @@ class TestSirCcdf:
             sir_ccdf_exact(params_half, -1.0)
         with pytest.raises(ValueError):
             sir_ccdf_exact(params_half, np.array([0.2, math.nan]))
+        # inf maps to t = nan; the check names theta, not the inner t
+        with pytest.raises(ValueError, match="theta must be in"):
+            sir_ccdf_exact(params_half, math.inf)
 
 
 class TestSfPdf:

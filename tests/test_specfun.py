@@ -68,6 +68,13 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(0)
 
+    def test_large_index(self):
+        # constant time; the next asymptotic term, 1/(12 i^2), is below
+        # an ulp here
+        i = 10**15
+        assert harmonic(i) == pytest.approx(
+            math.log(i) + np.euler_gamma + 0.5 / i, rel=2e-16)
+
 
 def brute_ccdf_series(delta, t, terms=10_000):
     """Fbar_SF(t) as a ratio of truncated series: sum t^n / sum a_n t^n."""
