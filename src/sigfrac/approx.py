@@ -17,13 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .rayleigh import NetworkParams, misr, sf_moment_exact
-from .specfun import (NumericError, _by_half, _checked, beta_fn, find_root,
-                      ln_gamma, sinc_pi)
+from .specfun import (NumericError, _by_half, _checked, beta_fn, ln_gamma,
+                      sinc_pi)
 
 _FIT_RESIDUAL_TOL = 1e-6
+_FIT_WALL = 1e3         # residual the fit sees where (p, q) has no moments
+_RATIONAL_MAX_ORDER = 1000  # rational_ccdf sums s + 1 terms in Python
 
 #: delta at which MISR^2 = delta; above it the exact ccdf is locally
 #: convex at 0 and the order-1 polynomial is a lower bound
@@ -31,7 +34,7 @@ CONVEXITY_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class FitError(RuntimeError):
-    """Moment-matching fit failed; carries the best iterate found."""
+    """Moment-matching fit failed; best is the solver's final (p, q, norm)."""
 
     def __init__(self, msg, best=None):
         super().__init__(msg)
@@ -52,9 +55,11 @@ def rational_ccdf(params: NetworkParams, s: int, t):
 
     Numerator and denominator are the order-s truncations of sum t^n
     and sum a_n t^n; the first s derivatives at 0 match the exact ccdf.
+    The order is limited to 1..1000, a loop of a few ms at the limit.
     """
-    if s < 1:
-        raise ValueError(f"order s must be >= 1, got {s}")
+    if not 1 <= s <= _RATIONAL_MAX_ORDER:
+        raise ValueError(
+            f"order s must be in [1, {_RATIONAL_MAX_ORDER}], got {s}")
     t = _checked(t, "t", 0.0, 1.0)
     if np.any(t == 1.0):
         raise ValueError("t must be in [0, 1), got 1.0")
@@ -242,91 +247,39 @@ def gb_fit(params: NetworkParams) -> FitResult:
     """Fit (p, q) so the generalized beta matches the exact first and
     second SF moments, with a = 1/p and b from the f(0) = MISR constraint.
 
-    Damped Newton with a forward-difference Jacobian, seeded at
-    (p, q) = (1, delta) which is the closed-form tail-matched solution;
-    relative moment residual at the returned point is <= 1e-6.  The
-    moment solution is lost at a fold near delta = 0.385: the fit solves
-    at 0.385 and 0.39 but not at 0.38 or 0.33, although the best (p, q)
-    there still has b < 1 (b passes 1 only below delta ~ 0.32).  That
-    surfaces as a FitError carrying the best iterate.
+    MINPACK's hybrid Powell method (scipy.optimize.root, "hybr"; More,
+    Garbow & Hillstrom 1980), seeded at the closed-form tail-matched
+    solution (p, q) = (1, delta), zeroes the two relative moment
+    residuals; the fit succeeds when both are at most 1e-6.  Past the
+    b <= 1 wall, or at p, q <= 0, the residuals are a large constant,
+    so the solver never accepts a step there.  The moment solution is
+    lost at a fold near delta = 0.385: the fit solves at 0.385 and 0.39
+    but raises FitError, carrying the solver's final iterate, at 0.38
+    and 0.33, where that iterate still has b < 1.
     """
-    d = params.delta
     m1 = sf_moment_exact(params, 1)
     m2 = sf_moment_exact(params, 2)
 
-    p, q = 1.0, d
-    r1, r2 = _fit_residuals(params, p, q, m1, m2)
-    best = (p, q, math.hypot(r1, r2))
-    for _ in range(60):
-        norm = math.hypot(r1, r2)
-        if norm < best[2]:
-            best = (p, q, norm)
-        if norm < 1e-12:
-            break
-        hp = 1e-6 * max(1.0, abs(p))
-        hq = 1e-6 * max(1.0, abs(q))
+    def residuals(x):
         try:
-            r1p, r2p = _fit_residuals(params, p + hp, q, m1, m2)
-            r1q, r2q = _fit_residuals(params, p, q + hq, m1, m2)
-        except ValueError:
-            # differencing stepped over the b <= 1 wall; probe backwards
-            hp, hq = -hp, -hq
-            r1p, r2p = _fit_residuals(params, p + hp, q, m1, m2)
-            r1q, r2q = _fit_residuals(params, p, q + hq, m1, m2)
-        j11, j12 = (r1p - r1) / hp, (r1q - r1) / hq
-        j21, j22 = (r2p - r2) / hp, (r2q - r2) / hq
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            break
-        dp = (r1 * j22 - r2 * j12) / det
-        dq = (r2 * j11 - r1 * j21) / det
-        step = 1.0
-        while step > 1e-6:
-            pn = max(p - step * dp, 1e-3)
-            qn = max(q - step * dq, 1e-3)
-            try:
-                n1, n2 = _fit_residuals(params, pn, qn, m1, m2)
-            except (ValueError, OverflowError):
-                step *= 0.5
-                continue
-            if math.hypot(n1, n2) < norm:
-                p, q, r1, r2 = pn, qn, n1, n2
-                break
-            step *= 0.5
-        else:
-            break
+            return _fit_residuals(params, x[0], x[1], m1, m2)
+        except (ValueError, OverflowError):
+            return _FIT_WALL, _FIT_WALL
 
-    norm = math.hypot(r1, r2)
-    if norm > _FIT_RESIDUAL_TOL:
-        try:
-            p, q = _fit_bisect_fallback(params, m1, m2, seed=(p, q))
-            r1, r2 = _fit_residuals(params, p, q, m1, m2)
-            norm = math.hypot(r1, r2)
-        except ValueError:
-            pass
-    if norm > _FIT_RESIDUAL_TOL:
+    sol = _optimize.root(residuals, [1.0, params.delta], method="hybr")
+    p, q = map(float, sol.x)
+    r1, r2 = map(float, sol.fun)
+    residual = max(abs(r1), abs(r2))
+    if residual > _FIT_RESIDUAL_TOL:
+        norm = math.hypot(r1, r2)
         raise FitError(
             f"moment fit stalled at residual {norm:.2e} "
-            f"(best p={best[0]:.6f}, q={best[1]:.6f})", best=best)
+            f"(best p={p:.6f}, q={q:.6f})", best=(p, q, norm))
     gbp = gb_params_from_pq(params, p, q)
     return FitResult(params=gbp,
                      target_moments=(m1, m2),
                      achieved_moments=(gb_moment(gbp, 1), gb_moment(gbp, 2)),
-                     residual=max(abs(r1), abs(r2)))
-
-
-def _fit_bisect_fallback(params, m1, m2, seed):
-    # alternate 1-d bisections: r1 = 0 in p at fixed q, then r2 = 0 in q
-    p, q = seed
-    for _ in range(40):
-        p = find_root(lambda x: _fit_residuals(params, x, q, m1, m2)[0],
-                      1e-3, 50.0)
-        q = find_root(lambda x: _fit_residuals(params, p, x, m1, m2)[1],
-                      1e-3, 50.0)
-        r1, r2 = _fit_residuals(params, p, q, m1, m2)
-        if math.hypot(r1, r2) < 1e-9:
-            break
-    return p, q
+                     residual=residual)
 
 
 def nba_m_cdf_asymptote(params: NetworkParams, m: int, t):

@@ -42,8 +42,9 @@ class UsageError(ValueError):
     pass
 
 
-_APPROX_METHODS = ("rational:s | poly:1 | poly:2 | tail:1 | tail:2 | best | "
-                   "gb-fit | markov | nba-m:2")
+_APPROX_METHODS = (f"rational:s (s = 1..{approx._RATIONAL_MAX_ORDER}) | "
+                   "poly:1 | poly:2 | tail:1 | tail:2 | best | gb-fit | "
+                   "markov | nba-m:2")
 _PLP_STATS = "gn:n | sfirat:i | loggap:i | sf1-bound | rba-curve | sstar"
 
 

@@ -312,7 +312,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     params = config.params
     delta = params.delta
     pw = -1.0 / delta
-    fading = config.fading
+    # by the mapping theorem the strongest-station law does not depend
+    # on the fading, so isba runs on the no-fading stream
+    fading = (FadingModel.none() if config.assoc.kind == "isba"
+              else config.fading)
     fad_m = fading.m if fading.kind == "nakagami" else None
     c1, e1 = _cumulant(1, delta, 1.0)
     c2, e2 = _cumulant(2, delta, fading.second_moment)
@@ -323,7 +326,6 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     grow = -1.0 / e3
     eps_grow = config.tail_eps ** (2.0 * grow)
     budget = config.point_budget
-    isba_fad = config.assoc.kind == "isba" and fad_m is not None
     rba = config.assoc.kind == "rba" and not ntop
 
     idx = np.arange(n)
@@ -368,8 +370,6 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             else:
                 sig[idx] = v[:, 0]
             first = False
-        if isba_fad:
-            sig[idx] = np.maximum(sig[idx], v.max(axis=1))
         if rba:
             u = rng.random(na) * power[idx]
             sw = np.flatnonzero(u < w)
@@ -494,7 +494,8 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     """Sample `config.samples` independent signal fractions.
 
     nba serves the nearest base station (fading applied to every
-    received power); isba serves the instantaneously strongest one;
+    received power); isba serves the instantaneously strongest one,
+    whose law does not depend on the fading, so it draws no gains;
     rba picks station k with probability SF_k, by a weighted reservoir
     over the generated chunks and a size-biased pick from the truncated
     tail with the tail's share of the power; kth_strongest(k) returns

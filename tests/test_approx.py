@@ -318,15 +318,17 @@ class TestFit:
 
     def test_other_deltas_converge(self):
         # 0.385 is just above the fold where the moment solution is lost
-        for d in (0.385, 0.39, 0.45, 0.75):
+        # 10/11 is alpha = 2.2, the smallest alpha the benchmark draws
+        for d in (0.385, 0.39, 0.45, 0.75, 10.0 / 11.0, 0.99):
             fit = gb_fit(NetworkParams.from_delta(d))
             assert fit.residual <= 1e-6
 
     def test_small_delta_leaves_family(self):
         # below a fold near delta = 0.385 the family has no moment
-        # solution, although the best iterate still has b < 1; the
-        # failure must carry that iterate
-        for d in (0.38, 0.33, 0.3):
+        # solution, although the final iterate still has b < 1; the
+        # failure must carry that iterate.  At 0.36 and 0.372 the solver
+        # probes past the b <= 1 wall on its way there
+        for d in (0.38, 0.372, 0.36, 0.33, 0.3):
             p = NetworkParams.from_delta(d)
             with pytest.raises(sg.FitError) as exc:
                 gb_fit(p)

@@ -143,10 +143,11 @@ class TestApprox:
         assert "rational" in err and "best" in err
 
     def test_numeric_failure_exit_code(self, capsys):
-        # the moment fit leaves the b <= 1 family at small delta
-        rc, _, err = run(capsys, "approx", "--method", "gb-fit",
-                         "--delta", "0.3", "--grid", "0:1:5")
+        # the moment fit has no solution below a fold near delta = 0.385
+        rc, out, err = run(capsys, "approx", "--method", "gb-fit",
+                           "--delta", "0.3", "--grid", "0:1:5")
         assert rc == 3
+        assert out == ""
         assert "numeric failure" in err
 
     def test_rational_matches_library(self, capsys, params_half):
@@ -155,6 +156,19 @@ class TestApprox:
         _, rows = csv_rows(out)
         assert float(rows[2][2]) == pytest.approx(
             sg.rational_ccdf(params_half, 2, 0.4), rel=1e-11)
+
+    def test_rational_order_limit(self, capsys):
+        # the order drives a Python loop of s + 1 terms, so it is capped
+        top = sg.approx._RATIONAL_MAX_ORDER
+        rc, out, _ = run(capsys, "approx", "--method", f"rational:{top}",
+                         "--alpha", "4", "--grid", "0:0.99:3")
+        assert rc == 0 and out
+        rc, out, err = run(capsys, "approx", "--method",
+                           f"rational:{top + 1}", "--alpha", "4",
+                           "--grid", "0:0.99:3")
+        assert rc == 2
+        assert out == ""
+        assert f"got {top + 1}" in err
 
 
 class TestSimulate:
