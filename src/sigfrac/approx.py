@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize as _optimize
 from scipy import special as _special
 
-from .rayleigh import NetworkParams, misr, sf_moment_exact
+from .rayleigh import NetworkParams, _sf_moments, misr
 from .specfun import (NumericError, _by_half, _checked, beta_fn, ln_gamma,
                       sinc_pi)
 
@@ -164,6 +164,7 @@ class FitResult:
     target_moments: tuple
     achieved_moments: tuple
     residual: float
+    nfev: int   # residual evaluations of the solver
 
 
 def gb_params_from_pq(params: NetworkParams, p: float, q: float) -> GBParams:
@@ -255,10 +256,12 @@ def gb_fit(params: NetworkParams) -> FitResult:
     so the solver never accepts a step there.  The moment solution is
     lost at a fold near delta = 0.385: the fit solves at 0.385 and 0.39
     but raises FitError, carrying the solver's final iterate, at 0.38
-    and 0.33, where that iterate still has b < 1.
+    and 0.33, where that iterate still has b < 1.  The error message
+    names that iterate's b, the solver's evaluation count and its
+    message, so a fold (b < 1, the solver reports no progress) reads
+    apart from a solve that ran out of evaluations.
     """
-    m1 = sf_moment_exact(params, 1)
-    m2 = sf_moment_exact(params, 2)
+    m1, m2 = _sf_moments(params, (1, 2))
 
     def residuals(x):
         try:
@@ -271,15 +274,19 @@ def gb_fit(params: NetworkParams) -> FitResult:
     r1, r2 = map(float, sol.fun)
     residual = max(abs(r1), abs(r2))
     if residual > _FIT_RESIDUAL_TOL:
+        # the solver only accepts steps that lower the residual norm, so
+        # its final iterate lies inside the family and has a b
         norm = math.hypot(r1, r2)
+        b = gb_params_from_pq(params, p, q).b
         raise FitError(
             f"moment fit stalled at residual {norm:.2e} "
-            f"(best p={p:.6f}, q={q:.6f})", best=(p, q, norm))
+            f"(best p={p:.6f}, q={q:.6f}, b={b:.6f}; {sol.nfev} evaluations; "
+            f"solver: {' '.join(sol.message.split())})", best=(p, q, norm))
     gbp = gb_params_from_pq(params, p, q)
     return FitResult(params=gbp,
                      target_moments=(m1, m2),
                      achieved_moments=(gb_moment(gbp, 1), gb_moment(gbp, 2)),
-                     residual=residual)
+                     residual=residual, nfev=int(sol.nfev))
 
 
 def nba_m_cdf_asymptote(params: NetworkParams, m: int, t):

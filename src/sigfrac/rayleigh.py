@@ -15,7 +15,9 @@ evaluated as u / (u + w) with u = (1-t)^delta and w = A u, so t = 1
 needs no special case.  At t -> 0 this is 1 - MISR t, and at t -> 1 it
 is sinc(delta) (1-t)^delta.  The SIR ccdf is the same curve read
 through T(theta) = theta/(1+theta).  The ccdf, the SIR ccdf and the
-density take a float or an array.
+density take a float or an array.  The moments are k int_0^1 t^(k-1)
+Fbar(t) dt under a fixed tanh-sinh rule: one array ccdf call, no
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import _checked, _nba_parts, quad
+import numpy as np
+
+from .specfun import NumericError, _checked, _nba_parts
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,56 @@ def sf_pdf_exact(params: NetworkParams, t):
     return d * u * (t * u + w) / (t * (1.0 - t) * (u + w) ** 2)
 
 
+def _tanh_sinh(n: int):
+    """Nodes t, weights and half-step weights of the tanh-sinh rule on
+    (0, 1) (Takahasi & Mori 1974) with step h = 1/n on |x| <= 4:
+    t = 1/(1 + exp(-pi sinh x)), w = h (pi/4) cosh x / cosh^2((pi/2) sinh x).
+    The half-step rule takes every second node at twice the weight.
+    Nodes that round to t = 1, where the ccdf is exactly 0, are dropped."""
+    j = np.arange(-4 * n, 4 * n + 1)
+    s = np.pi * np.sinh(j / n)
+    t = 1.0 / (1.0 + np.exp(-s))
+    w = np.pi / (4.0 * n) * np.cosh(j / n) / np.cosh(0.5 * s) ** 2
+    below = t < 1.0
+    return t[below], w[below], np.where(j % 2 == 0, 2.0 * w, 0.0)[below]
+
+
+_TS_T, _TS_W, _TS_W_HALF = _tanh_sinh(28)
+_MOMENT_REL_EPS = 1e-8  # largest fine-minus-half-step gap, relative
+
+
+def _sf_moments(params: NetworkParams, ks) -> list:
+    """The moments of the orders in ks from one ccdf evaluation; see
+    sf_moment_exact."""
+    if min(ks) < 1:
+        raise ValueError(f"moment order must be >= 1, got {min(ks)}")
+    fbar = sf_ccdf_exact(params, _TS_T)
+    out = []
+    for k in ks:
+        f = k * np.power(_TS_T, k - 1) * fbar
+        fine, half = float(f @ _TS_W), float(f @ _TS_W_HALF)
+        if abs(fine - half) > max(_MOMENT_REL_EPS * abs(fine), 1e-12):
+            raise NumericError(
+                f"moment {k} at delta={params.delta}: accuracy target "
+                f"{_MOMENT_REL_EPS:.0e} not met, tanh-sinh step 1/28 gives "
+                f"{fine:.15e} and step 1/14 {half:.15e}")
+        out.append(fine)
+    return out
+
+
 def sf_moment_exact(params: NetworkParams, k: int) -> float:
-    """k-th moment of the signal fraction, k * int_0^1 t^(k-1) Fbar(t) dt."""
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
-    d = params.delta
+    """k-th moment of the signal fraction, k * int_0^1 t^(k-1) Fbar(t) dt.
 
-    def integrand(t):
-        return t ** (k - 1) * sf_ccdf_exact(params, t)
-
-    # the ccdf vanishes like (1-t)^delta at the right endpoint
-    return k * quad(integrand, 0.0, 1.0, right_power=1.0 + d)
+    The integral is one fixed tanh-sinh (double-exponential) rule
+    (Takahasi & Mori 1974), step 1/28 on |x| <= 4: 225 nodes, of which
+    the 201 below t = 1 take one array call of sf_ccdf_exact.  It
+    converges exponentially for the algebraic terms (1-t)^delta,
+    (1-t)^(2 delta), ... of the ccdf at t = 1.  The half-step sub-rule
+    reuses the same values as the accuracy check: a gap above
+    max(1e-8 |value|, 1e-12), the target of the adaptive specfun.quad,
+    raises NumericError.  The check passes for every delta tried in
+    (1e-8, 1 - 1e-15) at orders up to 1000, and fails at order 10^4.
+    Against 30-digit mpmath the moments are within 5e-16 relative for
+    delta <= 0.9; at 0.9999 the float sinc(delta) in the ccdf costs 7e-13.
+    """
+    return _sf_moments(params, (k,))[0]

@@ -313,6 +313,7 @@ class TestFit:
 
     def test_achieved_moments(self, params_half):
         fit = gb_fit(params_half)
+        assert fit.nfev > 0
         for tgt, got in zip(fit.target_moments, fit.achieved_moments):
             assert got == pytest.approx(tgt, rel=1e-8)
 
@@ -333,7 +334,12 @@ class TestFit:
             with pytest.raises(sg.FitError) as exc:
                 gb_fit(p)
             best_p, best_q, _ = exc.value.best
-            assert gb_params_from_pq(p, best_p, best_q).b < 1.0
+            b = gb_params_from_pq(p, best_p, best_q).b
+            assert b < 1.0
+            # the message tells a fold (b < 1) from a solve that ran out
+            msg = str(exc.value)
+            assert f"b={b:.6f}" in msg
+            assert "evaluations" in msg and "solver: " in msg
 
 
 class TestEq5TailConstant:

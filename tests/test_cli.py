@@ -137,6 +137,17 @@ class TestApprox:
         validate(doc, "curve")
         assert "fit" in doc
 
+    def test_gb_fit_near_alpha_two(self, capsys):
+        # delta = 0.9999, where a tanh-sinh moment rule of 129 nodes
+        # fails its own accuracy check
+        rc, out, _ = run(capsys, "approx", "--method", "gb-fit", "--alpha",
+                         "2.0002", "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        validate(doc, "curve")
+        validate(doc["fit"], "fit")
+        assert doc["fit"]["residual"] <= 1e-6
+
     def test_unknown_method(self, capsys):
         rc, _, err = run(capsys, "approx", "--method", "spline", "--alpha", "4")
         assert rc == 2

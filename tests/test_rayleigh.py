@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sigfrac as sg
+from sigfrac import rayleigh
 from sigfrac.rayleigh import (NetworkParams, misr, sf_ccdf_exact,
                               sf_moment_exact, sf_pdf_exact, sir_ccdf_exact)
 
@@ -196,6 +197,50 @@ class TestMoments:
             0.55742389486067, rel=1e-9)
         assert sf_moment_exact(params_half, 2) == pytest.approx(
             0.41226906374009, rel=1e-9)
+
+    def test_against_mpmath(self):
+        # the ccdf itself carries the float rounding of sinc(delta), about
+        # 1e-16/(1 - delta) relative: that is the whole 7e-13 at 0.9999
+        with mp.workdps(30):
+            for d in (1e-3, 0.05, 0.3, 0.5, 2.0 / 3.0, 0.9, 0.99, 0.9999):
+                p = NetworkParams.from_delta(d)
+                c = 1 - mp.mpf(d)
+                for k in (1, 2, 3):
+                    ref = k * mp.quad(
+                        lambda t: t ** (k - 1) / ((1 - t) * mp.hyp2f1(1, 1, c, t)),
+                        [0, 1e-4, 0.01, 0.5, 1])
+                    assert sf_moment_exact(p, k) == pytest.approx(
+                        float(ref), rel=1e-11), (d, k)
+
+    def test_against_adaptive_quadrature(self):
+        # QUADPACK with the (1-t)^delta endpoint weight, on scalar calls
+        for d in DELTAS:
+            p = NetworkParams.from_delta(d)
+            for k in (1, 2, 3):
+                ref = k * sg.quad(lambda t: t ** (k - 1) * sf_ccdf_exact(p, t),
+                                  0.0, 1.0, right_power=1.0 + d)
+                assert sf_moment_exact(p, k) == pytest.approx(ref, rel=1e-11)
+
+    def test_accuracy_check_passes_across_delta(self):
+        # the half-step check must not fire anywhere on this range; a
+        # rule with twice the step fails it from about delta = 0.9994 up
+        deltas = np.concatenate([np.logspace(-6, -1, 11),
+                                 np.linspace(0.15, 0.95, 17),
+                                 1.0 - np.logspace(-1.5, -5, 15)])
+        for d in deltas:
+            p = NetworkParams.from_delta(float(d))
+            for k in (1, 2, 3):
+                assert 0.0 < sf_moment_exact(p, k) < 1.0
+
+    def test_accuracy_check_raises(self, params_half, monkeypatch):
+        # a half-step rule that disagrees must surface, never be returned
+        monkeypatch.setattr(rayleigh, "_TS_W_HALF", 0.5 * rayleigh._TS_W_HALF)
+        with pytest.raises(sg.NumericError, match="accuracy target"):
+            sf_moment_exact(params_half, 1)
+
+    def test_order_domain(self, params_half):
+        with pytest.raises(ValueError, match="moment order"):
+            sf_moment_exact(params_half, 0)
 
     def test_moment_monotone_in_order(self):
         for d in DELTAS:
