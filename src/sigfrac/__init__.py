@@ -12,9 +12,8 @@ from .approx import (FitError, FitResult, GBParams, best_inverse,
                      gb_params_from_pq, gb_pdf, markov_lower_bound,
                      nba_m_cdf_asymptote, poly_ccdf, rational_ccdf,
                      rational_coeff, tail_ccdf)
-from .montecarlo import (AssociationRule, ConjectureReport,
-                         EmpiricalDistribution, FadingModel, SimConfig,
-                         SimResult, SimulationError, arcsine_cdf,
+from .montecarlo import (AssociationRule, EmpiricalDistribution, FadingModel,
+                         SimConfig, SimResult, SimulationError, arcsine_cdf,
                          arcsine_moment, conjecture_report, empirical_ccdf,
                          empirical_moment, ks_distance, sample_nakagami,
                          sample_plp, sample_sf, sample_sf_topk)
@@ -25,8 +24,8 @@ from .rayleigh import (NetworkParams, misr, sf_ccdf_exact, sf_moment_exact,
                        sf_pdf_exact, sir_ccdf_exact)
 from .specfun import (BracketError, NumericError, beta_fn, find_root, harmonic,
                       hyp1f1, hyp2f1_11, ln_gamma, quad, sinc_pi)
-from .transforms import (AxisUnit, db_to_linear, linear_to_db, linear_to_mh,
-                         mh_to_linear, sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
+from .transforms import (AxisUnit, db_to_linear, linear_to_db,
+                         sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
                          sir_ccdf_to_sf_ccdf, sir_pdf_to_sf_pdf, t_inv, t_map)
 
 __version__ = "1.0.0"

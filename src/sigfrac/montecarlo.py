@@ -153,7 +153,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted sample set on [0, 1] with ccdf/moment/KS queries."""
+    """Sorted sample set on [0, 1], queried through empirical_ccdf,
+    empirical_moment and ks_distance."""
 
     samples: np.ndarray
 
@@ -166,16 +167,6 @@ class EmpiricalDistribution:
             raise ValueError("samples must be finite")
         if x[0] < 0.0 or x[-1] > 1.0 or np.any(np.diff(x) < 0.0):
             raise ValueError("samples must be sorted and lie in [0, 1]")
-
-    @property
-    def count(self) -> int:
-        return self.samples.size
-
-    def ccdf(self, t):
-        return empirical_ccdf(self, t)
-
-    def moment(self, k: int) -> float:
-        return empirical_moment(self, k)
 
 
 @dataclass(frozen=True)
@@ -193,7 +184,7 @@ class SimResult:
 
 def empirical_ccdf(dist: EmpiricalDistribution, t):
     """Fraction of samples strictly above t; vectorized over t."""
-    n = dist.count
+    n = dist.samples.size
     pos = np.searchsorted(dist.samples, t, side="right")
     out = (n - pos) / n
     return float(out) if np.isscalar(t) else out
@@ -265,15 +256,15 @@ def _cumulant(n: int, delta: float, hn: float):
     return hn * delta / (n - delta), (delta - n) / delta
 
 
-def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
-               ntop: int = 0):
+def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     """Simulate n realizations; returns (values, flagged_count, points,
     rounds).
 
-    values has shape (n,) for scalar associations or (n, ntop) when the
-    ntop strongest no-fading signal fractions per realization are
-    requested; points is the number of path loss values generated and
-    rounds the number of chunk rounds.
+    values has shape (n, k): for kth_strongest(k), the k strongest
+    no-fading signal fractions of each realization; for nba, isba and
+    rba (k = 1), the served station's signal fraction.  points is the
+    number of path loss values generated and rounds the number of chunk
+    rounds.
 
     Values are relative to the row's first arrival G_1: with r = G/G_1
     they are r^(-1/delta) times the fading gain, and the tail cumulants
@@ -281,13 +272,15 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
 
     A row stops once the tail's third cumulant is at most
     tail_eps^2 * total^3, with total = power so far + tail mean, and its
-    total becomes power + max(mean + sd * Z, 0) with a standard normal Z.
+    total becomes power + max(mean + sd * Z, 0) with a standard normal Z;
+    once every row has finished, the block is divided by the totals.
     A row whose power and drawn tail are both 0 (every fading gain
     underflowed float64) has no signal fraction and raises ValueError.
-    The first chunk has max(8, ntop) points; each later one is the lower
-    quartile over the live rows of the points each would need, with the
-    total held fixed, plus 8, so most rows stop a few points past where
-    the rule first holds.
+    The first chunk has max(8, k) points and its first k values fill the
+    row (for rba, the reservoir and the tail pick then rewrite it); each
+    later one is the lower quartile over the live rows of the points
+    each would need, with the total held fixed, plus 8, so most rows
+    stop a few points past where the rule first holds.
 
     Random association is a size-1 weighted reservoir over the chunks
     (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
@@ -309,8 +302,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     uniform per active row (rba).  At finish: one standard normal per
     finishing row, then one uniform per finishing row (rba).
     """
-    params = config.params
-    delta = params.delta
+    delta = config.params.delta
     pw = -1.0 / delta
     # by the mapping theorem the strongest-station law does not depend
     # on the fading, so isba runs on the no-fading stream
@@ -326,35 +318,29 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     grow = -1.0 / e3
     eps_grow = config.tail_eps ** (2.0 * grow)
     budget = config.point_budget
-    rba = config.assoc.kind == "rba" and not ntop
+    rba = config.assoc.kind == "rba"
+    k = config.assoc.k or 1
 
     idx = np.arange(n)
     glast = np.zeros(n)
     power = np.zeros(n)
-    flagged = np.zeros(n, dtype=bool)
-    if ntop:
-        out = np.empty((n, ntop))
-    else:
-        sig = np.zeros(n)
-        out = np.empty(n)
-
+    out = np.empty((n, k))
+    flagged = 0
     npts = 0
     points = 0
     rounds = 0
-    chunk = max(_CHUNK_MIN, ntop)
-    first = True
+    chunk = max(_CHUNK_MIN, k)
     while idx.size:
         na = idx.size
         chunk = int(min(max(chunk, _CHUNK_MIN), _CHUNK_MAX,
                         max(_CHUNK_ELEMS // na, _CHUNK_MIN), budget - npts))
-        if first and chunk < ntop:
+        if rounds == 0 and chunk < k:
             raise ValueError(
-                f"point budget {budget} too small for the {ntop} ordered points")
+                f"point budget {budget} too small for the {k} ordered points")
         e = rng.standard_exponential((na, chunk))
-        if first:
+        e[:, 0] += glast[idx]
+        if rounds == 0:
             g1 = e[:, 0].copy()
-        else:
-            e[:, 0] += glast[idx]
         np.cumsum(e, axis=1, out=e)   # the arrivals G
         g = g1[idx]
         newg = e[:, -1].copy()
@@ -364,18 +350,14 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             v *= sample_nakagami(fad_m, rng, (na, chunk))
         w = v.sum(axis=1)
         power[idx] += w
-        if first:
-            if ntop:
-                out[idx] = v[:, :ntop]
-            else:
-                sig[idx] = v[:, 0]
-            first = False
+        if rounds == 0:
+            out[:] = v[:, :k]
         if rba:
             u = rng.random(na) * power[idx]
             sw = np.flatnonzero(u < w)
             cs = np.cumsum(v[sw], axis=1)
-            k = np.minimum(np.count_nonzero(cs < u[sw, None], axis=1), chunk - 1)
-            sig[idx[sw]] = v[sw, k]
+            j = np.minimum(np.count_nonzero(cs < u[sw, None], axis=1), chunk - 1)
+            out[idx[sw], 0] = v[sw, j]
         glast[idx] = newg
         npts += chunk
         points += na * chunk
@@ -391,7 +373,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             k3_rel = c3 * g * np.power(r, e3) / tot / tot / tot
         done = ~(k3_rel > eps2)
         if npts >= budget:
-            flagged[idx[~done]] = True
+            flagged += np.count_nonzero(~done)
             done[:] = True
         if done.any():
             fin = idx[done]
@@ -405,15 +387,12 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
                     "fading gain generated and the drawn tail are 0, so its "
                     "signal fraction is undefined; use a larger delta or "
                     "Nakagami m")
-            if ntop:
-                out[fin] /= totf[:, None]
-            else:
-                if rba:
-                    u = rng.random(fin.size) * totf - power[fin]
-                    tl = u > 0.0
-                    sig[fin[tl]] = _pow_neg(r[done][tl], pw) * (
-                        u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
-                out[fin] = sig[fin] / totf
+            if rba:
+                u = rng.random(fin.size) * totf - power[fin]
+                tl = u > 0.0
+                out[fin[tl], 0] = _pow_neg(r[done][tl], pw) * (
+                    u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
+            power[fin] = totf
         idx = idx[~done]
         if idx.size:
             live = ~done
@@ -421,7 +400,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             q = (deficit.size - 1) // 4
             # may be inf; the clamp at the top of the loop bounds it
             chunk = np.partition(deficit, q)[q] + _CHUNK_MIN
-    return out, int(np.count_nonzero(flagged)), points, rounds
+    out /= power[:, None]
+    return out, int(flagged), points, rounds
 
 
 def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
@@ -448,9 +428,8 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
 
 
 def _run_shard(args):
-    config, shard_idx, count, ntop = args
-    return (shard_idx,
-            *_sim_shard(config, count, _rng_for(config.seed, shard_idx), ntop))
+    config, shard_idx, count = args
+    return _sim_shard(config, count, _rng_for(config.seed, shard_idx))
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -464,13 +443,13 @@ def worker_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _run_all(config: SimConfig, ntop: int, workers: int | None):
+def _run_all(config: SimConfig, workers: int | None):
     shards = []
     left = config.samples
     i = 0
     while left > 0:
         take = min(_SHARD, left)
-        shards.append((config, i, take, ntop))
+        shards.append((config, i, take))
         left -= take
         i += 1
     w = min(worker_count(workers), len(shards))
@@ -479,15 +458,15 @@ def _run_all(config: SimConfig, ntop: int, workers: int | None):
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:
             results = list(pool.map(_run_shard, shards, chunksize=1))
-    results.sort(key=lambda r: r[0])
-    vals = np.concatenate([r[1] for r in results])
-    flagged = sum(r[2] for r in results)
+    # map keeps shard order, whichever worker ran a shard
+    vals, flagged, points, rounds = zip(*results)
+    flagged = sum(flagged)
     if flagged > 0.001 * config.samples:
         raise SimulationError(
             f"{flagged} of {config.samples} realizations hit the point "
             f"budget {config.point_budget} before the tail criterion")
-    return (vals, flagged, sum(r[3] for r in results) / config.samples,
-            sum(r[4] for r in results))
+    return (np.concatenate(vals), flagged, sum(points) / config.samples,
+            sum(rounds))
 
 
 def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
@@ -503,28 +482,25 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     configs (including seed) give bit-identical output for any worker
     count.
     """
-    ntop = config.assoc.k if config.assoc.kind == "kth" else 0
-    vals, flagged, points, rounds = _run_all(config, ntop, workers)
-    if ntop:
-        vals = vals[:, ntop - 1].copy()
-        if vals.max() > 1.0 / ntop:
-            raise AssertionError(
-                f"SF_{ntop} sample exceeds its support bound 1/{ntop}")
-    vals.sort()
-    return SimResult(dist=EmpiricalDistribution(samples=vals), flagged=flagged,
+    vals, flagged, points, rounds = _run_all(config, workers)
+    k = vals.shape[1]
+    x = np.sort(vals[:, -1])
+    if k > 1 and x[-1] > 1.0 / k:
+        raise AssertionError(f"SF_{k} sample exceeds its support bound 1/{k}")
+    return SimResult(dist=EmpiricalDistribution(samples=x), flagged=flagged,
                      points_per_realization=points, chunk_rounds=rounds)
 
 
-def sample_sf_topk(config: SimConfig, ntop: int,
-                   workers: int | None = None):
-    """The ntop largest no-fading signal fractions per realization, as an
-    (samples, ntop) array in realization order, plus the flagged count.
-    Rows are joint draws: column k is SF_{k+1} of the same network."""
-    if config.fading.kind != "none":
-        raise ValueError("ordered signal fractions require no fading")
-    if ntop < 1:
-        raise ValueError(f"ntop must be >= 1, got {ntop}")
-    vals, flagged, _, _ = _run_all(config, ntop, workers)
+def sample_sf_topk(config: SimConfig, workers: int | None = None):
+    """The k largest no-fading signal fractions per realization for a
+    kth_strongest(k) config, as a (samples, k) array in realization
+    order, plus the flagged count.  Rows are joint draws: column j is
+    SF_{j+1} of the same network.  Any other association is a
+    ValueError."""
+    if config.assoc.kind != "kth":
+        raise ValueError("top-k signal fractions need a kth_strongest(k) "
+                         f"association, got {config.assoc.kind!r}")
+    vals, flagged, _, _ = _run_all(config, workers)
     return vals, flagged
 
 
@@ -539,45 +515,15 @@ def arcsine_cdf(t):
     return 2.0 / math.pi * np.arcsin(np.sqrt(t))
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    """Comparison of the Nakagami-1/2, alpha = 4 SF distribution with
-    the arcsine law: first ten moments and the KS sup-distance."""
-
-    samples: int
-    seed: int
-    empirical_moments: tuple
-    arcsine_moments: tuple
-    rel_moment_diffs: tuple
-    ks_distance: float
-    flagged: int
-    points_per_realization: float
-    chunk_rounds: int
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "alpha": 4.0,
-            "fading_m": 0.5,
-            "moments": [
-                {"k": k + 1, "empirical": e, "arcsine": a, "rel_diff": r}
-                for k, (e, a, r) in enumerate(
-                    zip(self.empirical_moments, self.arcsine_moments,
-                        self.rel_moment_diffs))
-            ],
-            "ks_distance": self.ks_distance,
-            "flagged": self.flagged,
-            "points_per_realization": self.points_per_realization,
-            "chunk_rounds": self.chunk_rounds,
-        }
-
-
 def conjecture_report(samples: int, seed: int, point_budget: int = 1_000_000,
                       tail_eps: float = 1e-4,
-                      workers: int | None = None) -> ConjectureReport:
+                      workers: int | None = None) -> dict:
     """Simulate NBA with Nakagami-1/2 fading at alpha = 4 and compare
-    against the arcsine distribution (cdf 2 arcsin(sqrt t) / pi)."""
+    against the arcsine distribution (cdf 2 arcsin(sqrt t) / pi).
+
+    Returns the body of the CLI's conjecture document: the run's size
+    and seed, the first ten empirical and arcsine moments with their
+    relative differences, the KS sup-distance and the engine counters."""
     config = SimConfig(params=NetworkParams.from_alpha(4.0),
                        fading=FadingModel.nakagami(0.5),
                        assoc=AssociationRule.nba(),
@@ -585,18 +531,22 @@ def conjecture_report(samples: int, seed: int, point_budget: int = 1_000_000,
                        tail_eps=tail_eps, seed=seed)
     res = sample_sf(config, workers)
     x = res.dist.samples
-    emp = []
+    moments = []
     acc = np.ones_like(x)
-    for _ in range(10):
+    for k in range(1, 11):
         acc = acc * x
-        emp.append(float(acc.mean()))
-    arc = [arcsine_moment(k) for k in range(1, 11)]
-    rel = [abs(e - a) / a for e, a in zip(emp, arc)]
-    ks = ks_distance(res.dist, arcsine_cdf)
-    return ConjectureReport(samples=samples, seed=seed,
-                            empirical_moments=tuple(emp),
-                            arcsine_moments=tuple(arc),
-                            rel_moment_diffs=tuple(rel),
-                            ks_distance=ks, flagged=res.flagged,
-                            points_per_realization=res.points_per_realization,
-                            chunk_rounds=res.chunk_rounds)
+        e = float(acc.mean())
+        a = arcsine_moment(k)
+        moments.append({"k": k, "empirical": e, "arcsine": a,
+                        "rel_diff": abs(e - a) / a})
+    return {
+        "samples": samples,
+        "seed": seed,
+        "alpha": 4.0,
+        "fading_m": 0.5,
+        "moments": moments,
+        "ks_distance": ks_distance(res.dist, arcsine_cdf),
+        "flagged": res.flagged,
+        "points_per_realization": res.points_per_realization,
+        "chunk_rounds": res.chunk_rounds,
+    }

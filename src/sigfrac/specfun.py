@@ -46,10 +46,13 @@ def beta_fn(p: float, q: float) -> float:
 
 
 def sinc_pi(x: float) -> float:
-    """sin(pi x)/(pi x) with the removable singularity at 0 handled exactly."""
+    """sin(pi x)/(pi x) with the removable singularity at 0 handled exactly.
+    For x > 1/2 the sine is taken of pi (1 - x), and 1 - x is exact for
+    x up to 2, so the relative accuracy holds up to the zero at x = 1."""
     if x == 0.0:
         return 1.0
-    return math.sin(math.pi * x) / (math.pi * x)
+    s = math.sin(math.pi * (1.0 - x)) if x > 0.5 else math.sin(math.pi * x)
+    return s / (math.pi * x)
 
 
 def harmonic(i: int) -> float:

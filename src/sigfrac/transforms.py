@@ -53,11 +53,6 @@ def linear_to_db(x):
     return 10.0 * np.log10(_checked(x, "x", 0.0, math.inf, open_="lo"))
 
 
-# x MH is x/(1-x) in linear units
-mh_to_linear = t_inv
-linear_to_mh = t_map
-
-
 def sir_ccdf_to_sf_ccdf(ccdf_fn):
     """Compose an SIR ccdf into the SF ccdf: Fbar_SF(t) = Fbar_SIR(t/(1-t))."""
     return lambda t: ccdf_fn(t_inv(t))
@@ -79,14 +74,14 @@ def sf_pdf_to_sir_pdf(pdf_fn):
 
 
 # keyed by member: look a unit name up as AxisUnit(name), which also
-# rejects an unknown name
+# rejects an unknown name; x MH is x/(1-x) in linear units
 FROM_LINEAR = {
     AxisUnit.LINEAR: lambda x: x,
     AxisUnit.DB: linear_to_db,
-    AxisUnit.MH: linear_to_mh,
+    AxisUnit.MH: t_map,
 }
 TO_LINEAR = {
     AxisUnit.LINEAR: lambda x: x,
     AxisUnit.DB: db_to_linear,
-    AxisUnit.MH: mh_to_linear,
+    AxisUnit.MH: t_inv,
 }

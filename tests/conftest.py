@@ -29,9 +29,9 @@ def nofad_half_top5():
     fractions per realization.  Shared by several ordered-SF checks."""
     cfg = sg.SimConfig(params=sg.NetworkParams.from_alpha(4.0),
                        fading=sg.FadingModel.none(),
-                       assoc=sg.AssociationRule.nba(),
+                       assoc=sg.AssociationRule.kth_strongest(5),
                        samples=10**6, seed=20250810)
-    vals, flagged = sg.sample_sf_topk(cfg, 5)
+    vals, flagged = sg.sample_sf_topk(cfg)
     assert flagged == 0
     return vals
 

@@ -195,13 +195,14 @@ def test_criterion_05_conjecture_smoke():
     t0 = time.time()
     rep = conjecture_report(10**6, seed=424242)
     elapsed = time.time() - t0
-    worst = max(rep.rel_moment_diffs)
-    ok = worst < 5e-3 and rep.ks_distance < 1.0 / 300.0 and elapsed < 60.0
+    worst = max(m["rel_diff"] for m in rep["moments"])
+    ks = rep["ks_distance"]
+    ok = worst < 5e-3 and ks < 1.0 / 300.0 and elapsed < 60.0
     report("criterion 5 (arcsine smoke, 1e6 samples)", ok,
            f"max rel moment diff {worst:.2e} < 5e-3, "
-           f"KS {rep.ks_distance:.2e} < 3.3e-3, {elapsed:.0f} s")
+           f"KS {ks:.2e} < 3.3e-3, {elapsed:.0f} s")
     assert worst < 5e-3
-    assert rep.ks_distance < 1.0 / 300.0
+    assert ks < 1.0 / 300.0
     assert elapsed < 60.0
 
 
@@ -212,13 +213,14 @@ def test_criterion_05_conjecture_full_scale():
     t0 = time.time()
     rep = conjecture_report(2 * 10**7, seed=424242)
     elapsed = time.time() - t0
-    worst = max(rep.rel_moment_diffs)
-    ok = worst < 3e-4 and rep.ks_distance < 1.0 / 3000.0 and elapsed < 1800.0
+    worst = max(m["rel_diff"] for m in rep["moments"])
+    ks = rep["ks_distance"]
+    ok = worst < 3e-4 and ks < 1.0 / 3000.0 and elapsed < 1800.0
     report("criterion 5 (arcsine at full scale, 2e7 samples)", ok,
            f"max rel moment diff {worst:.2e} < 3e-4, "
-           f"KS {rep.ks_distance:.2e} < 3.33e-4, {elapsed:.0f} s")
+           f"KS {ks:.2e} < 3.33e-4, {elapsed:.0f} s")
     assert worst < 3e-4
-    assert rep.ks_distance < 1.0 / 3000.0
+    assert ks < 1.0 / 3000.0
     assert elapsed < 1800.0
 
 

@@ -54,8 +54,6 @@ CURVES = {
     "t_map": (lambda p, x: transforms.t_map(x),
               lambda d: np.concatenate([[0.0], POSITIVE])),
     "t_inv": (lambda p, t: transforms.t_inv(t), lambda d: HALF_OPEN),
-    "mh_to_linear": (lambda p, t: transforms.mh_to_linear(t),
-                     lambda d: HALF_OPEN),
     "db_to_linear": (lambda p, x: transforms.db_to_linear(x),
                      lambda d: np.linspace(-300.0, 300.0, 601)),
     "linear_to_db": (lambda p, x: transforms.linear_to_db(x),
@@ -75,8 +73,9 @@ def test_array_matches_scalar(name, d):
 
 
 def test_unit_aliases():
-    assert transforms.mh_to_linear is transforms.t_inv
-    assert transforms.linear_to_mh is transforms.t_map
+    # MH is the Moebius map itself, so its table entries are t_inv and t_map
+    assert transforms.TO_LINEAR[transforms.AxisUnit.MH] is transforms.t_inv
+    assert transforms.FROM_LINEAR[transforms.AxisUnit.MH] is transforms.t_map
 
 
 @pytest.mark.filterwarnings("error")

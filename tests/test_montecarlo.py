@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,8 +172,8 @@ class TestSampleSf:
         dist = sample_sf(cfg).dist
         for t in (0.1, 0.5, 0.9):
             ref = sf_ccdf_exact(params_half, t)
-            se = math.sqrt(ref * (1.0 - ref) / dist.count)
-            assert abs(dist.ccdf(t) - ref) < 3.0 * se
+            se = math.sqrt(ref * (1.0 - ref) / dist.samples.size)
+            assert abs(empirical_ccdf(dist, t) - ref) < 3.0 * se
 
     def test_no_fading_matches_g1(self, nofad_half_top5, params_half):
         sf1 = np.sort(nofad_half_top5[:, 0])
@@ -189,7 +190,8 @@ class TestSampleSf:
                         assoc=AssociationRule.rba(), samples=20_000, seed=25)
         dist = sample_sf(cfg).dist
         assert ks_distance(dist, lambda t: np.array(
-            [sg.rba_cdf(p, float(v)) for v in t])) < KS99 / math.sqrt(dist.count)
+            [sg.rba_cdf(p, float(v)) for v in t])) \
+            < KS99 / math.sqrt(dist.samples.size)
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_sf_ratio_law(self, nofad_half_top5, params_half, i):
@@ -209,9 +211,17 @@ class TestSampleSf:
                           assoc=AssociationRule.isba(), samples=n, seed=27)
         df, dn = sample_sf(cfg_f).dist, sample_sf(cfg_n).dist
         for t in np.linspace(0.05, 0.9, 18):
-            a, b = df.ccdf(t), dn.ccdf(t)
+            a, b = empirical_ccdf(df, t), empirical_ccdf(dn, t)
             se = math.sqrt(max(b * (1.0 - b), 1e-9) * 2.0 / n)
             assert abs(a - b) < 3.0 * se
+
+    @pytest.mark.parametrize("assoc", [AssociationRule.nba(),
+                                       AssociationRule.rba()])
+    def test_topk_needs_kth_config(self, params_half, assoc):
+        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
+                        assoc=assoc, samples=10, seed=29)
+        with pytest.raises(ValueError, match="kth_strongest"):
+            sample_sf_topk(cfg)
 
     def test_isba_equals_nba_without_fading(self, params_half):
         # isba runs on the no-fading stream whatever the fading
@@ -256,7 +266,28 @@ class TestDeterminism:
                  [0.12735586249073827, 0.16721176286924178,
                   0.1689328377292081, 0.18140589445264307,
                   0.215911102800324]),
+        "nba_none": (FadingModel.none(), AssociationRule.nba(),
+                     [0.2892667144185272, 0.30794358578302855,
+                      0.4308236394207934, 0.4973325431243874,
+                      0.7660428054747686]),
+        "nba_half": (FadingModel.nakagami(0.5), AssociationRule.nba(),
+                     [0.2977266768735991, 0.4504621428857149,
+                      0.4676702308044347, 0.8027079233494682,
+                      0.8877135151742529]),
+        "rba": (FadingModel.none(), AssociationRule.rba(),
+                [0.0002912278590732765, 0.012919692516193272,
+                 0.03709586392504014, 0.2713122729056673,
+                 0.3100581723149915]),
     }
+    # the three strongest signal fractions of the same 5 realizations,
+    # in realization order
+    RECORDED_TOP3 = [
+        [0.7660428054747686, 0.12735586249073827, 0.013739957597782407],
+        [0.2892667144185272, 0.16721176286924178, 0.11043588881167327],
+        [0.4308236394207934, 0.18140589445264307, 0.16704853889794016],
+        [0.30794358578302855, 0.215911102800324, 0.12392304907992267],
+        [0.4973325431243874, 0.1689328377292081, 0.0796664684073697],
+    ]
 
     @pytest.mark.parametrize("rule", sorted(RECORDED))
     def test_recorded_stream(self, params_half, rule):
@@ -266,11 +297,21 @@ class TestDeterminism:
         np.testing.assert_allclose(sample_sf(cfg, workers=1).dist.samples,
                                    expected, rtol=1e-13, atol=0.0)
 
+    def test_recorded_topk_block(self, params_half):
+        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
+                        assoc=AssociationRule.kth_strongest(3), samples=5,
+                        seed=34)
+        vals, flagged = sample_sf_topk(cfg, workers=1)
+        assert flagged == 0
+        np.testing.assert_allclose(vals, self.RECORDED_TOP3, rtol=1e-13,
+                                   atol=0.0)
+
     def test_topk_invariance(self, params_half):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
-                        assoc=AssociationRule.nba(), samples=40_000, seed=33)
-        a, _ = sample_sf_topk(cfg, 3, workers=1)
-        b, _ = sample_sf_topk(cfg, 3, workers=3)
+                        assoc=AssociationRule.kth_strongest(3), samples=40_000,
+                        seed=33)
+        a, _ = sample_sf_topk(cfg, workers=1)
+        b, _ = sample_sf_topk(cfg, workers=3)
         np.testing.assert_array_equal(a, b)
 
 
@@ -280,7 +321,7 @@ class TestTruncation:
                     assoc=AssociationRule.nba(), samples=10**5, seed=41)
         r1 = sample_sf(SimConfig(point_budget=500_000, **base)).dist
         r2 = sample_sf(SimConfig(point_budget=1_000_000, **base)).dist
-        se = float(r1.samples.std()) / math.sqrt(r1.count)
+        se = float(r1.samples.std()) / math.sqrt(r1.samples.size)
         assert abs(empirical_moment(r1, 1) - empirical_moment(r2, 1)) < se
 
     def test_tail_eps_refinement_below_noise(self, params_half):
@@ -288,7 +329,7 @@ class TestTruncation:
                     assoc=AssociationRule.nba(), samples=10**5, seed=42)
         r1 = sample_sf(SimConfig(tail_eps=1e-4, **base)).dist
         r2 = sample_sf(SimConfig(tail_eps=1e-5, **base)).dist
-        se = float(r1.samples.std()) / math.sqrt(r1.count)
+        se = float(r1.samples.std()) / math.sqrt(r1.samples.size)
         assert abs(empirical_moment(r1, 1) - empirical_moment(r2, 1)) < se
 
     def test_tight_budget_flags_and_aborts(self, params_half):
@@ -408,7 +449,10 @@ class TestEmpirical:
         assert empirical_moment(dist, 1) == 0.5
 
     def test_count_is_the_sample_size(self):
-        assert EmpiricalDistribution(samples=np.array([0.2, 0.5])).count == 2
+        # the samples are the only field: no count to disagree with them
+        dist = EmpiricalDistribution(samples=np.array([0.2, 0.5]))
+        assert [f.name for f in dataclasses.fields(dist)] == ["samples"]
+        assert not hasattr(dist, "count")
         with pytest.raises(TypeError):
             EmpiricalDistribution(samples=np.array([0.5]), count=7)
 
@@ -450,17 +494,18 @@ class TestConjectureReport:
 
     def test_report_structure(self):
         rep = conjecture_report(20_000, seed=61)
-        assert len(rep.empirical_moments) == 10
-        assert rep.arcsine_moments[0] == 0.5
-        assert rep.flagged == 0
-        assert 32.0 <= rep.points_per_realization <= 400.0
-        assert 0.0 < rep.ks_distance < 0.05
-        d = rep.to_dict()
-        assert len(d["moments"]) == 10
-        assert d["moments"][1]["arcsine"] == 0.375
+        assert list(rep) == ["samples", "seed", "alpha", "fading_m",
+                             "moments", "ks_distance", "flagged",
+                             "points_per_realization", "chunk_rounds"]
+        assert [m["k"] for m in rep["moments"]] == list(range(1, 11))
+        assert rep["moments"][0]["arcsine"] == 0.5
+        assert rep["moments"][1]["arcsine"] == 0.375
+        assert rep["flagged"] == 0
+        assert 32.0 <= rep["points_per_realization"] <= 400.0
+        assert 0.0 < rep["ks_distance"] < 0.05
 
     def test_moments_consistent_at_moderate_n(self):
         rep = conjecture_report(200_000, seed=62)
         # ~4.4 sigma envelope at this sample size for every moment order
-        assert max(rep.rel_moment_diffs) < 2e-2
-        assert rep.ks_distance < KS99 / math.sqrt(200_000) * 1.5
+        assert max(m["rel_diff"] for m in rep["moments"]) < 2e-2
+        assert rep["ks_distance"] < KS99 / math.sqrt(200_000) * 1.5

@@ -255,5 +255,5 @@ class TestMoments:
                            samples=10**5, seed=31)
         dist = sg.sample_sf(cfg).dist
         m = sf_moment_exact(params_half, 1)
-        se = float(dist.samples.std()) / math.sqrt(dist.count)
+        se = float(dist.samples.std()) / math.sqrt(dist.samples.size)
         assert abs(sg.empirical_moment(dist, 1) - m) < 3.0 * se

@@ -52,6 +52,12 @@ class TestSinc:
             prod = math.exp(ln_gamma(1.0 + d) + ln_gamma(1.0 - d)) * sinc_pi(d)
             assert prod == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [0.9, 0.99, 0.9999, 1.0 - 1e-8])
+    def test_near_one_against_mpmath(self, x):
+        # sin(pi x) alone loses about 1e-16/(1 - x) relative here
+        ref = mp.sin(mp.pi * mp.mpf(x)) / (mp.pi * mp.mpf(x))
+        assert sinc_pi(x) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
 
 class TestHarmonic:
     def test_values(self):

@@ -5,10 +5,13 @@ import pytest
 
 import sigfrac as sg
 from sigfrac.transforms import (FROM_LINEAR, TO_LINEAR, AxisUnit,
-                                db_to_linear, linear_to_db, linear_to_mh,
-                                mh_to_linear, sf_ccdf_to_sir_ccdf,
-                                sf_pdf_to_sir_pdf, sir_ccdf_to_sf_ccdf,
-                                sir_pdf_to_sf_pdf, t_inv, t_map)
+                                db_to_linear, linear_to_db,
+                                sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
+                                sir_ccdf_to_sf_ccdf, sir_pdf_to_sf_pdf, t_inv,
+                                t_map)
+
+mh_to_linear = TO_LINEAR[AxisUnit.MH]
+linear_to_mh = FROM_LINEAR[AxisUnit.MH]
 
 
 class TestTMap:
