@@ -8,10 +8,9 @@ only through delta = 2/alpha.
 
 from .approx import (FitError, FitResult, GBParams, best_inverse,
                      best_sf_ccdf, best_sir_ccdf, convexity_sign, gb_cdf,
-                     gb_fit, gb_moment, gb_params_for_nakagami,
-                     gb_params_from_pq, gb_pdf, markov_lower_bound,
-                     nba_m_cdf_asymptote, poly_ccdf, rational_ccdf,
-                     rational_coeff, tail_ccdf)
+                     gb_fit, gb_moment, gb_params_from_pq, gb_pdf,
+                     markov_lower_bound, nba_m_cdf_asymptote, poly_ccdf,
+                     rational_ccdf, rational_coeff, tail_ccdf)
 from .montecarlo import (AssociationRule, EmpiricalDistribution, FadingModel,
                          SimConfig, SimResult, SimulationError, arcsine_cdf,
                          arcsine_moment, conjecture_report, empirical_ccdf,
@@ -22,8 +21,8 @@ from .plp import (flatness_rate, g_n, g_n_is_exact, log_sf_gap,
                   ordered_pathloss_pdf, ratio_cdf, rba_cdf, rba_mean, rba_pdf)
 from .rayleigh import (NetworkParams, misr, sf_ccdf_exact, sf_moment_exact,
                        sf_pdf_exact, sir_ccdf_exact)
-from .specfun import (BracketError, NumericError, beta_fn, find_root, harmonic,
-                      hyp1f1, hyp2f1_11, ln_gamma, quad, sinc_pi)
+from .specfun import (NumericError, beta_fn, harmonic, hyp2f1_11, quad,
+                      sinc_pi)
 from .transforms import (AxisUnit, db_to_linear, linear_to_db,
                          sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
                          sir_ccdf_to_sf_ccdf, sir_pdf_to_sf_pdf, t_inv, t_map)

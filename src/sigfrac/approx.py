@@ -21,8 +21,7 @@ from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .rayleigh import NetworkParams, _sf_moments, misr
-from .specfun import (NumericError, _by_half, _checked, beta_fn, ln_gamma,
-                      sinc_pi)
+from .specfun import NumericError, _by_half, _checked, beta_fn, sinc_pi
 
 _FIT_RESIDUAL_TOL = 1e-6
 _FIT_WALL = 1e3         # residual the fit sees where (p, q) has no moments
@@ -46,7 +45,8 @@ def rational_coeff(params: NetworkParams, n: int) -> float:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     d = params.delta
-    return math.exp(ln_gamma(n + 1.0) + ln_gamma(1.0 - d) - ln_gamma(n + 1.0 - d))
+    return math.exp(math.lgamma(n + 1.0) + math.lgamma(1.0 - d)
+                    - math.lgamma(n + 1.0 - d))
 
 
 def rational_ccdf(params: NetworkParams, s: int, t):
@@ -173,15 +173,6 @@ def gb_params_from_pq(params: NetworkParams, p: float, q: float) -> GBParams:
     mu = misr(params)
     b = 1.0 / (mu * p * beta_fn(p, q))
     return GBParams(a=1.0 / p, b=b, p=p, q=q)
-
-
-def gb_params_for_nakagami(params: NetworkParams, m: float) -> GBParams:
-    """Experimental tail-matched family for Nakagami-m: p = m, q = delta,
-    b from the density-at-zero constraint.  For m = 1 this is the
-    closed-form tail-matched density (p = 1, q = delta, b = 1 - delta)."""
-    if not m > 0.0:
-        raise ValueError(f"m must be positive, got {m}")
-    return gb_params_from_pq(params, m, params.delta)
 
 
 def gb_pdf(gbp: GBParams, t):

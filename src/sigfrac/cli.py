@@ -24,7 +24,7 @@ from . import approx, montecarlo, plp, rayleigh, transforms
 from .montecarlo import (AssociationRule, FadingModel, SimConfig,
                          SimulationError, empirical_ccdf)
 from .rayleigh import NetworkParams
-from .specfun import BracketError, NumericError
+from .specfun import NumericError
 from .transforms import AxisUnit
 
 _CONJ_MOMENT_TOL = 3e-4          # 0.03 percent
@@ -78,21 +78,17 @@ def _finite(flag: str, x: float) -> float:
 
 
 def parse_params(alpha, delta) -> NetworkParams:
+    """NetworkParams from --alpha or --delta; the constructors check the
+    ranges, this only that one flag is given and that two agree."""
     if alpha is None and delta is None:
         raise UsageError("one of --alpha or --delta is required")
-    if alpha is not None and delta is not None:
-        p = NetworkParams.from_alpha(alpha)
-        if abs(p.delta - delta) > 1e-12:
-            raise UsageError(
-                f"--alpha {alpha} and --delta {delta} disagree (2/alpha = {p.delta})")
-        return p
-    if alpha is not None:
-        if alpha <= 2.0:
-            raise UsageError(f"alpha must exceed 2 (so that 0 < delta < 1), got {alpha}")
-        return NetworkParams.from_alpha(alpha)
-    if not 0.0 < delta < 1.0:
-        raise UsageError(f"delta must satisfy 0 < delta < 1, got {delta}")
-    return NetworkParams.from_delta(delta)
+    if alpha is None:
+        return NetworkParams.from_delta(delta)
+    p = NetworkParams.from_alpha(alpha)
+    if delta is not None and abs(p.delta - delta) > 1e-12:
+        raise UsageError(
+            f"--alpha {alpha} and --delta {delta} disagree (2/alpha = {p.delta})")
+    return p
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -188,15 +184,6 @@ def emit_json(args, doc):
             fh.close()
 
 
-def _sir_grid_to_linear(grid, unit):
-    unit = AxisUnit(unit)
-    if unit == AxisUnit.MH and grid[-1] >= 1.0:
-        raise UsageError("MH-unit grid arguments must lie in [0, 1)")
-    if unit == AxisUnit.LINEAR and grid[0] < 0.0:
-        raise UsageError("linear SIR grid must be non-negative")
-    return transforms.TO_LINEAR[unit](grid)
-
-
 def cmd_exact(args):
     params = parse_params(args.alpha, args.delta)
     if args.var == "SF":
@@ -206,21 +193,24 @@ def cmd_exact(args):
         values = rayleigh.sf_ccdf_exact(params, grid)
     else:
         grid = parse_grid(args.grid)
-        theta = _sir_grid_to_linear(grid, args.unit or "linear")
+        theta = transforms.TO_LINEAR[AxisUnit(args.unit or "linear")](grid)
         values = rayleigh.sir_ccdf_exact(params, theta)
     emit_curve(args, args.var, "ccdf", grid, values)
     return 0
 
 
-def _parse_method(spec: str):
+def _parse_spec(spec: str, bare=()):
+    """spec 'name[:arg]' as (name, arg); a name in bare takes no arg."""
     name, _, arg = spec.partition(":")
+    if arg and name in bare:
+        raise UsageError(f"{name!r} takes no parameter, got {spec!r}")
     return name, arg
 
 
 def cmd_approx(args):
     params = parse_params(args.alpha, args.delta)
     grid = _sf_grid(args.grid)
-    name, arg = _parse_method(args.method)
+    name, arg = _parse_spec(args.method, ("best", "markov", "gb-fit"))
     pts, sidecars = grid, None
     if name == "rational":
         pts = grid[grid < 1.0]
@@ -255,44 +245,17 @@ def cmd_approx(args):
     return 0
 
 
-def _parse_fading(spec: str) -> FadingModel:
-    name, _, arg = spec.partition(":")
-    if name == "none":
-        return FadingModel.none()
-    if name == "nakagami":
-        if not arg:
-            raise UsageError("nakagami fading needs a parameter, e.g. nakagami:1")
-        return FadingModel.nakagami(float(arg))
-    raise UsageError(f"unknown fading {spec!r}; use none or nakagami:m")
-
-
-def _parse_assoc(spec: str) -> AssociationRule:
-    name, _, arg = spec.partition(":")
-    if name == "nba":
-        return AssociationRule.nba()
-    if name == "isba":
-        return AssociationRule.isba()
-    if name == "rba":
-        return AssociationRule.rba()
-    if name == "kth":
-        if not arg:
-            raise UsageError("kth association needs an index, e.g. kth:2")
-        return AssociationRule.kth_strongest(int(arg))
-    raise UsageError(f"unknown association {spec!r}; use nba, isba, rba, or kth:n")
-
-
 def cmd_simulate(args):
-    params = parse_params(args.alpha, args.delta)
-    try:
-        config = SimConfig(params=params,
-                           fading=_parse_fading(args.fading),
-                           assoc=_parse_assoc(args.assoc),
-                           samples=args.samples,
-                           point_budget=args.point_budget,
-                           tail_eps=args.tail_eps,
-                           seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # FadingModel and AssociationRule check the kind and its parameter
+    fading, m = _parse_spec(args.fading)
+    assoc, k = _parse_spec(args.assoc)
+    config = SimConfig(params=parse_params(args.alpha, args.delta),
+                       fading=FadingModel(fading, float(m) if m else None),
+                       assoc=AssociationRule(assoc, int(k) if k else None),
+                       samples=args.samples,
+                       point_budget=args.point_budget,
+                       tail_eps=args.tail_eps,
+                       seed=args.seed)
     grid = _sf_grid(args.grid)
     res = montecarlo.sample_sf(config)
     x = res.dist.samples
@@ -313,29 +276,18 @@ def cmd_simulate(args):
 
 def cmd_plp(args):
     params = parse_params(args.alpha, args.delta)
-    name, arg = _parse_method(args.stat)
-    if name == "gn":
-        n = int(arg or 1)
-        if args.t is not None:
-            t = _finite("--t", args.t)
-            doc = {"stat": f"gn:{n}", "delta": params.delta, "t": t,
-                   "value": plp.g_n(params, n, t)}
-            if not plp.g_n_is_exact(t):
-                doc["flag"] = "ub-only"
-            emit_json(args, doc)
-            return 0
+    name, arg = _parse_spec(args.stat, ("sf1-bound", "sstar", "rba-curve"))
+    if name in ("gn", "rba-curve"):
         grid = parse_grid(args.grid)
         pts = grid[(grid > 0.0) & (grid < 1.0)]
+        if name == "rba-curve":
+            curve = plp.rba_pdf if args.kind == "pdf" else plp.rba_cdf
+            emit_curve(args, "SF", args.kind, pts, curve(params, pts))
+            return 0
         exact = plp.g_n_is_exact(pts)
         flags = None if exact.all() else np.where(exact, "", "ub-only").tolist()
         emit_curve(args, "SF", "ccdf" if flags is None else "bound", pts,
-                   plp.g_n(params, n, pts), flags=flags)
-        return 0
-    if name == "rba-curve":
-        grid = parse_grid(args.grid)
-        pts = grid[(grid > 0.0) & (grid < 1.0)]
-        curve = plp.rba_pdf if args.kind == "pdf" else plp.rba_cdf
-        emit_curve(args, "SF", args.kind, pts, curve(params, pts))
+                   plp.g_n(params, int(arg or 1), pts), flags=flags)
         return 0
     if name in ("sfirat", "loggap"):
         i = int(arg or 1)
@@ -426,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plp", help="no-fading path-loss-process statistics")
     _add_common(p, grid_default="0.01:0.99:99")
     p.add_argument("--stat", required=True, help=_PLP_STATS)
-    p.add_argument("--t", type=float, default=None,
-                   help="evaluate gn at a single t instead of a grid")
     p.add_argument("--kind", choices=["cdf", "pdf"], default="cdf",
                    help="curve kind for rba-curve")
 
@@ -463,7 +413,7 @@ def main(argv=None) -> int:
     try:
         # looked up per call: the parser is shared, cmd_* may be rebound
         return globals()[f"cmd_{args.command}"](args)
-    except (UsageError, BracketError, ValueError) as exc:
+    except ValueError as exc:   # UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, SimulationError, approx.FitError) as exc:

@@ -145,6 +145,8 @@ class SimConfig:
             raise ValueError(f"point_budget must be >= 10, got {self.point_budget}")
         if not 0.0 < self.tail_eps < 1.0:
             raise ValueError(f"tail_eps must be in (0, 1), got {self.tail_eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.assoc.kind in ("rba", "kth") and self.fading.kind != "none":
             raise ValueError(
                 f"{self.assoc.kind} association is defined on the no-fading "

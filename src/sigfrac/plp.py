@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .rayleigh import NetworkParams
-from .specfun import (NumericError, _checked, _rba_cdf, find_root, harmonic,
-                      hyp1f1, ln_gamma, sinc_pi)
+from .specfun import NumericError, _checked, _rba_cdf, harmonic, sinc_pi
 
 #: g_n(t) is the exact ccdf of SF_n/(1 - SF_1 - ... - SF_{n-1}) only for
 #: t >= 1/2; below that it is an upper bound.
@@ -38,7 +38,8 @@ def ordered_pathloss_pdf(params: NetworkParams, k: int, x):
         raise ValueError(f"k must be >= 1, got {k}")
     x = _checked(x, "x", 0.0, math.inf, open_="lo")
     d = params.delta
-    return d * np.power(x, k * d - 1.0) * np.exp(-np.power(x, d) - ln_gamma(k))
+    return d * np.power(x, k * d - 1.0) * np.exp(
+        -np.power(x, d) - math.lgamma(k))
 
 
 def ratio_cdf(params: NetworkParams, i: int, r):
@@ -59,7 +60,8 @@ def mean_sf_ratio(params: NetworkParams, i: int) -> float:
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
     inv = 1.0 / params.delta
-    return math.exp(ln_gamma(i) + ln_gamma(1.0 + inv) - ln_gamma(i + inv))
+    return math.exp(math.lgamma(i) + math.lgamma(1.0 + inv)
+                    - math.lgamma(i + inv))
 
 
 def log_sf_gap(params: NetworkParams, i: int) -> float:
@@ -79,7 +81,7 @@ def g_n(params: NetworkParams, n: int, t):
     t = _checked(t, "t", 0.0, 1.0, open_="both")
     d = params.delta
     return np.power(1.0 / t - 1.0, n * d) * math.exp(
-        -ln_gamma(1.0 + n * d) - n * ln_gamma(1.0 - d))
+        -math.lgamma(1.0 + n * d) - n * math.lgamma(1.0 - d))
 
 
 def g1_unit_crossing(params: NetworkParams) -> float:
@@ -137,7 +139,7 @@ def flatness_rate(params: NetworkParams) -> float:
     d = params.delta
 
     def f(s):
-        return hyp1f1(-d, 1.0 - d, s)
+        return _special.hyp1f1(-d, 1.0 - d, s)
 
     lo = 1e-3
     if f(lo) <= 0.0:
@@ -152,7 +154,11 @@ def flatness_rate(params: NetworkParams) -> float:
             if f(hi) < 0.0:
                 break
         lo = hi / 2.0
-    return find_root(f, lo, hi)
+    try:
+        return _optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
+                                maxiter=100)
+    except RuntimeError as exc:   # brentq did not converge
+        raise NumericError(f"root iteration failed: {exc}") from exc
 
 
 def flat_cdf_asymptote(params: NetworkParams, t):

@@ -1,10 +1,10 @@
 """Special-function kernel.
 
-Gamma/beta, the closed form of 2F1(1, 1; 1-delta; t) through the
-incomplete beta ratio, the Kummer confluent function, sinc, harmonic
-numbers, bracketing root-finding and adaptive quadrature with declared
-algebraic endpoint singularities.  Everything is pure; hyp2f1_11 and
-the incomplete beta kernels take a float or an array.
+The beta function, the closed form of 2F1(1, 1; 1-delta; t) through
+the incomplete beta ratio, sinc, harmonic numbers and adaptive
+quadrature with declared algebraic endpoint singularities.  Everything
+is pure; hyp2f1_11 and the incomplete beta kernels take a float or an
+array.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 from scipy import integrate as _integrate
-from scipy import optimize as _optimize
 from scipy import special as _special
 
 
@@ -23,19 +22,7 @@ class NumericError(RuntimeError):
     accuracy target."""
 
 
-class BracketError(ValueError):
-    """A root bracket does not enclose a sign change."""
-
-
 _QUAD_REL_EPS = 1e-9    # relative accuracy quad accepts
-_ROOT_MAX_ITER = 100    # cap on find_root's iterations
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def beta_fn(p: float, q: float) -> float:
@@ -124,35 +111,6 @@ def hyp2f1_11(delta: float, t):
     t = _checked(t, "t", 0.0, 1.0, open_="hi")
     u, w = _nba_parts(delta, t)
     return (u + w) / (u * (1.0 - t))
-
-
-def hyp1f1(a: float, b: float, z: float) -> float:
-    """Kummer confluent hypergeometric 1F1(a; b; z)."""
-    if b <= 0.0 and b == math.floor(b):
-        raise ValueError(f"b must not be a non-positive integer, got {b}")
-    return float(_special.hyp1f1(a, b, z))
-
-
-def find_root(f, lo: float, hi: float) -> float:
-    """Root of f on the bracket [lo, hi]; f(lo) and f(hi) must differ in sign."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
-    try:
-        root, res = _optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
-                                     maxiter=_ROOT_MAX_ITER, full_output=True)
-    except RuntimeError as exc:
-        raise NumericError(f"root iteration failed: {exc}") from exc
-    if not res.converged:
-        raise NumericError(
-            f"root iteration did not converge in {_ROOT_MAX_ITER} steps")
-    return root
 
 
 def quad(f, a: float, b: float, left_power: float | None = None,

@@ -8,10 +8,10 @@ import pytest
 import sigfrac as sg
 from sigfrac.approx import (CONVEXITY_THRESHOLD, GBParams, best_inverse,
                             best_sf_ccdf, best_sir_ccdf, convexity_sign,
-                            gb_cdf, gb_fit, gb_moment, gb_params_for_nakagami,
-                            gb_params_from_pq, gb_pdf, markov_lower_bound,
-                            nba_m_cdf_asymptote, poly_ccdf, rational_ccdf,
-                            rational_coeff, tail_ccdf)
+                            gb_cdf, gb_fit, gb_moment, gb_params_from_pq,
+                            gb_pdf, markov_lower_bound, nba_m_cdf_asymptote,
+                            poly_ccdf, rational_ccdf, rational_coeff,
+                            tail_ccdf)
 from sigfrac.rayleigh import NetworkParams, misr, sf_ccdf_exact
 
 
@@ -283,15 +283,6 @@ class TestGeneralizedBeta:
         grid = np.array([-1.0, 0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
         assert gb_cdf(gbp, grid).tolist() == [gb_cdf(gbp, t) for t in grid]
         assert gb_cdf(gbp, grid)[[0, 1, 5, 6]].tolist() == [0.0, 0.0, 1.0, 1.0]
-
-    def test_nakagami_constructor(self, params_half):
-        gbp = gb_params_for_nakagami(params_half, 2.0)
-        assert gbp.p == 2.0
-        assert gbp.q == 0.5
-        assert gbp.b == pytest.approx(
-            1.0 / (misr(params_half) * 2.0 * sg.beta_fn(2.0, 0.5)), rel=1e-13)
-        mass = TestGeneralizedBeta._moment_by_quadrature(gbp, 0)
-        assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 # unique exact solutions of the two-moment system, 40-digit arithmetic

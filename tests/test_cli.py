@@ -76,15 +76,18 @@ class TestExact:
         assert "disagree" in err
 
     def test_invalid_delta(self, capsys):
-        rc, _, err = run(capsys, "exact", "--delta", "1.5")
+        rc, out, err = run(capsys, "exact", "--delta", "1.5")
         assert rc == 2
-        assert "0 < delta < 1" in err
+        assert out == ""
+        assert "delta must be in (0, 1), got 1.5" in err
 
     def test_mh_refuses_unit_arg(self, capsys):
-        rc, _, err = run(capsys, "exact", "--alpha", "4", "--var", "SIR",
-                         "--unit", "MH", "--grid", "0:1:11")
+        # 1 MH is an infinite SIR: t_inv, the MH-to-linear map, refuses it
+        rc, out, err = run(capsys, "exact", "--alpha", "4", "--var", "SIR",
+                           "--unit", "MH", "--grid", "0:1:11")
         assert rc == 2
-        assert "MH" in err
+        assert out == ""
+        assert "t must be in [0, 1), got 1.0" in err
 
     def test_nan_grid_is_domain_error(self, capsys):
         rc, out, err = run(capsys, "exact", "--alpha", "4", "--grid", "0,nan")
@@ -286,6 +289,17 @@ class TestSimulate:
         assert out == ""
         assert f"nakagami parameter m must be finite and > 0, got {m}" in err
 
+    def test_negative_seed_rejected(self, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("simulated with a negative seed")
+
+        monkeypatch.setattr(montecarlo, "sample_sf", never)
+        rc, out, err = run(capsys, "simulate", "--alpha", "4", "--samples",
+                           "100", "--seed", "-1")
+        assert rc == 2
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err
+
     def test_rba_with_fading_rejected(self, capsys):
         rc, _, err = run(capsys, "simulate", "--alpha", "4", "--fading",
                          "nakagami:1", "--assoc", "rba", "--samples", "100")
@@ -326,16 +340,24 @@ class TestSimulate:
 class TestPlpCommand:
     def test_gn_scalar(self, capsys):
         rc, out, _ = run(capsys, "plp", "--stat", "gn:1", "--delta", "0.5",
-                         "--t", "0.5")
-        doc = json.loads(out)
-        assert doc["value"] == pytest.approx(2.0 / math.pi, abs=1e-4)
-        assert "flag" not in doc
+                         "--grid", "0.5")
+        assert rc == 0
+        header, rows = csv_rows(out)
+        assert header == ["arg_unit", "arg", "value"]
+        assert len(rows) == 1
+        assert float(rows[0][2]) == pytest.approx(2.0 / math.pi, abs=1e-4)
 
     def test_gn_flags_below_half(self, capsys):
         rc, out, _ = run(capsys, "plp", "--stat", "gn:1", "--delta", "0.5",
-                         "--t", "0.3")
+                         "--grid", "0.3", "--format", "json")
+        assert rc == 0
         doc = json.loads(out)
-        assert doc["flag"] == "ub-only"
+        validate(doc, "curve")
+        assert doc["kind"] == "bound"
+        [pt] = doc["points"]
+        assert pt["flag"] == "ub-only"
+        assert pt["value"] == pytest.approx(
+            sg.g_n(sg.NetworkParams.from_delta(0.5), 1, 0.3), rel=1e-11)
 
     def test_gn_grid_flag_column(self, capsys):
         rc, out, _ = run(capsys, "plp", "--stat", "gn:1", "--delta", "0.5",
@@ -378,10 +400,34 @@ class TestPlpCommand:
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_t_rejected(self, capsys, t):
         rc, out, err = run(capsys, "plp", "--alpha", "4", "--stat", "gn:2",
-                           "--t", t, "--format", "json")
+                           "--grid", t, "--format", "json")
         assert rc == 2
         assert out == ""
-        assert "--t must be finite" in err
+        assert "--grid must be finite" in err
+
+    def test_t_flag_is_gone(self, capsys):
+        # a single t is a one-point --grid
+        with pytest.raises(SystemExit) as exc:
+            main(["plp", "--alpha", "4", "--stat", "gn:2", "--t", "0.6"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("approx", "--method", "best:7"),
+    ("approx", "--method", "gb-fit:9"),
+    ("approx", "--method", "markov:1"),
+    ("plp", "--stat", "sf1-bound:1"),
+    ("plp", "--stat", "sstar:4"),
+    ("plp", "--stat", "rba-curve:2"),
+    ("simulate", "--fading", "none:3", "--samples", "100"),
+    ("simulate", "--assoc", "nba:5", "--samples", "100"),
+], ids=" ".join)
+def test_stray_parameter_rejected(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--alpha", "4")
+    assert rc == 2
+    assert out == ""
+    assert "takes no" in err
 
 
 class TestCurveOutput:

@@ -64,11 +64,9 @@ NAN_CALLS = {
 NAN_PARAMS = {
     "GBParams": lambda: approx.GBParams(a=NAN, b=0.5, p=NAN, q=0.5),
     "GBParams_a": lambda: approx.GBParams(a=NAN, b=0.5, p=2.0, q=0.5),
-    "gb_params_for_nakagami": lambda: approx.gb_params_for_nakagami(P, NAN),
     "FadingModel.nakagami": lambda: montecarlo.FadingModel.nakagami(NAN),
     "sample_nakagami": lambda: montecarlo.sample_nakagami(
         NAN, montecarlo._rng_for(0, 0), 4),
-    "ln_gamma": lambda: specfun.ln_gamma(NAN),
     "beta_fn": lambda: specfun.beta_fn(NAN, 1.0),
 }
 

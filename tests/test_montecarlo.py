@@ -64,6 +64,12 @@ class TestConfigTypes:
             SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
                       assoc=AssociationRule.kth_strongest(2), samples=10)
 
+    def test_negative_seed_rejected(self, params_half):
+        # SeedSequence would refuse it only inside the first shard
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SimConfig(params=params_half, fading=FadingModel.none(),
+                      assoc=AssociationRule.nba(), samples=10, seed=-1)
+
 
 class TestNakagami:
     def test_rayleigh_moments(self):

@@ -197,7 +197,19 @@ class TestFlatness:
             p = NetworkParams.from_delta(d)
             s = flatness_rate(p)
             assert s > 0.0
-            assert abs(sg.hyp1f1(-d, 1.0 - d, s)) < 1e-9
+            assert abs(float(mp.hyp1f1(-d, 1.0 - d, s))) < 1e-9
+
+    @pytest.mark.parametrize("d", [0.01, 0.05, 0.3, 0.9, 0.999])
+    def test_against_mpmath_root(self, d):
+        # the positive zero of 1F1(-d; 1-d; s), bracketed by a sign scan
+        # on a log grid and refined by mpmath at 30 digits
+        f = lambda s: mp.hyp1f1(-d, 1 - mp.mpf(d), s)
+        with mp.workdps(30):
+            grid = np.logspace(-4, 2, 61)
+            k = next(i for i in range(60) if f(grid[i]) > 0 >= f(grid[i + 1]))
+            ref = mp.findroot(f, (grid[k], grid[k + 1]), solver="anderson")
+        assert flatness_rate(NetworkParams.from_delta(d)) == pytest.approx(
+            float(ref), rel=1e-12)
 
     def test_frozen_values(self):
         refs = {0.4: 1.16751374090153, 0.5: 0.854032656598197,
@@ -211,7 +223,7 @@ class TestFlatness:
         # the positive axis only
         for d in (0.3, 0.5, 0.8):
             for s in np.linspace(0.01, 80.0, 40):
-                assert sg.hyp1f1(-d, 1.0 - d, -s) > 0.0
+                assert mp.hyp1f1(-d, 1.0 - d, -s) > 0.0
 
     def test_mc_flatness(self, nofad_half_top5, params_half):
         # the cdf at t = 0.05 is ~ e^(-s*(1/t-1)) ~ 1e-8: far below 1e-3
