@@ -85,7 +85,8 @@ def parse_params(alpha, delta) -> NetworkParams:
     if alpha is None:
         return NetworkParams.from_delta(delta)
     p = NetworkParams.from_alpha(alpha)
-    if delta is not None and abs(p.delta - delta) > 1e-12:
+    # written so that a NaN --delta disagrees too
+    if delta is not None and not abs(p.delta - delta) <= 1e-12:
         raise UsageError(
             f"--alpha {alpha} and --delta {delta} disagree (2/alpha = {p.delta})")
     return p

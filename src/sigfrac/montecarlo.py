@@ -37,8 +37,11 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import util as mp_util
 
 import numpy as np
 
@@ -436,13 +439,71 @@ def _run_shard(args):
 
 def worker_count(requested: int | None = None) -> int:
     """Worker processes to use: explicit argument, else SIGFRAC_THREADS,
-    else the machine's CPU count.  Never affects results, only speed."""
+    else the machine's CPU count.  Never affects results, only speed.
+
+    The workers start on the first call that has more than one shard to
+    run and live until the process exits; a call that asks for another
+    count replaces them."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("SIGFRAC_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"SIGFRAC_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+# The one worker pool of this process and its size.  The lock covers
+# every use of the pool, so a concurrent call can neither replace nor
+# shut it down under a running map.
+_pool: ProcessPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.RLock()
+
+
+def _forget_pool():
+    # a forked child holds a copy of its parent's pool, whose workers
+    # and manager thread are not its own, and maybe a held lock
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _close_pool():
+    """Join the pool's workers and manager thread, and forget the pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown(wait=True)
+            _pool = None
+
+
+def _map_shards(shards, w: int):
+    """Run the shards on the process's pool of w workers, in order."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if w != _pool_size:
+            # the old workers and manager thread end before any new fork
+            _close_pool()
+        if _pool is None:
+            _pool = ProcessPoolExecutor(max_workers=w)
+            _pool_size = w
+            # a multiprocessing child process joins its children before
+            # concurrent.futures' exit hook would stop them, so it needs
+            # this earlier hook to exit at all; it must also run before
+            # the queues' own hooks (priority 10) stop their feeder threads
+            mp_util.Finalize(None, _close_pool, exitpriority=15)
+        try:
+            return list(_pool.map(_run_shard, shards, chunksize=1))
+        except BrokenProcessPool:
+            # a worker died: report it, and let the next call start afresh
+            _close_pool()
+            raise
 
 
 def _run_all(config: SimConfig, workers: int | None):
@@ -458,8 +519,7 @@ def _run_all(config: SimConfig, workers: int | None):
     if w <= 1:
         results = [_run_shard(s) for s in shards]
     else:
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            results = list(pool.map(_run_shard, shards, chunksize=1))
+        results = _map_shards(shards, w)
     # map keeps shard order, whichever worker ran a shard
     vals, flagged, points, rounds = zip(*results)
     flagged = sum(flagged)
@@ -483,6 +543,12 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     the k-th largest element of the no-fading SF sequence.  Identical
     configs (including seed) give bit-identical output for any worker
     count.
+
+    With more than one shard and worker_count(workers) > 1 the shards
+    run on worker processes that start on the first such call and live
+    until the process exits; later calls reuse them while the count
+    stays the same.  If a worker dies, the call raises
+    BrokenProcessPool and the next call starts fresh workers.
     """
     vals, flagged, points, rounds = _run_all(config, workers)
     k = vals.shape[1]

@@ -75,6 +75,13 @@ class TestExact:
         assert rc == 2
         assert "disagree" in err
 
+    def test_nan_delta_disagrees(self, capsys):
+        rc, out, err = run(capsys, "exact", "--alpha", "4", "--delta", "nan",
+                           "--grid", "0:1:3")
+        assert rc == 2
+        assert out == ""
+        assert "disagree" in err
+
     def test_invalid_delta(self, capsys):
         rc, out, err = run(capsys, "exact", "--delta", "1.5")
         assert rc == 2
@@ -288,6 +295,14 @@ class TestSimulate:
         assert rc == 2
         assert out == ""
         assert f"nakagami parameter m must be finite and > 0, got {m}" in err
+
+    def test_non_integer_threads_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("SIGFRAC_THREADS", "abc")
+        rc, out, err = run(capsys, "simulate", "--alpha", "4", "--samples",
+                           "100")
+        assert rc == 2
+        assert out == ""
+        assert "SIGFRAC_THREADS must be an integer, got 'abc'" in err
 
     def test_negative_seed_rejected(self, capsys, monkeypatch):
         def never(config):
@@ -551,6 +566,24 @@ class TestEntryPoint:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert r.stdout.startswith("arg_unit,arg,value")
+
+    def test_workers_end_with_the_process(self):
+        # the workers inherit stdout, so one that outlived the CLI would
+        # keep the pipe open until the timeout
+        import os
+        import subprocess
+        import sys
+        argv = [sys.executable, "-m", "sigfrac.cli", "simulate", "--alpha",
+                "3", "--fading", "nakagami:1", "--samples", "100000",
+                "--seed", "1"]
+        outs = []
+        for threads in ("2", "1"):
+            r = subprocess.run(argv, capture_output=True, text=True,
+                               timeout=120,
+                               env={**os.environ, "SIGFRAC_THREADS": threads})
+            assert r.returncode == 0, r.stderr
+            outs.append(r.stdout)
+        assert outs[0] == outs[1] != ""
 
 
 class TestRepeatedCalls:

@@ -1,5 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -319,6 +325,111 @@ class TestDeterminism:
         a, _ = sample_sf_topk(cfg, workers=1)
         b, _ = sample_sf_topk(cfg, workers=3)
         np.testing.assert_array_equal(a, b)
+
+
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestWorkerPool:
+    """One pool per process: started by the first multi-shard call,
+    reused while the worker count stays, replaced when it changes, and
+    dropped after a worker dies."""
+
+    @staticmethod
+    def config(params, samples):
+        return SimConfig(params=params, fading=FadingModel.none(),
+                         assoc=AssociationRule.nba(), samples=samples, seed=41)
+
+    def test_calls_share_workers(self, params_half):
+        cfg = self.config(params_half, 20_000)     # two shards
+        sample_sf(cfg, workers=2)
+        pids = _worker_pids()
+        assert len(pids) == 2
+        sample_sf(cfg, workers=2)
+        assert _worker_pids() == pids
+        # two shards never need more than two workers
+        sample_sf(cfg, workers=5)
+        assert _worker_pids() == pids
+
+    def test_count_change_replaces_workers(self, params_half):
+        sample_sf(self.config(params_half, 20_000), workers=2)
+        old = _worker_pids()
+        sample_sf(self.config(params_half, 40_000), workers=3)
+        new = _worker_pids()
+        assert len(new) == 3
+        assert all(_gone(pid) for pid in old)
+
+    def test_concurrent_calls(self, params_half):
+        # threads that keep changing the worker count must neither close
+        # the pool under another's map nor start a second one
+        cfg = self.config(params_half, 40_000)
+        expected = sample_sf(cfg, workers=1).dist.samples
+        errors = []
+
+        def run(i):
+            try:
+                for j in range(3):
+                    got = sample_sf(cfg, workers=2 + (i + j) % 2).dist.samples
+                    np.testing.assert_array_equal(got, expected)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(_worker_pids()) in (2, 3)
+
+    def test_dead_worker_breaks_one_call(self, params_half):
+        cfg = self.config(params_half, 20_000)
+        sample_sf(cfg, workers=2)
+        os.kill(min(_worker_pids()), signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            sample_sf(cfg, workers=2)
+        np.testing.assert_array_equal(sample_sf(cfg, workers=2).dist.samples,
+                                      sample_sf(cfg, workers=1).dist.samples)
+
+    def test_child_process_runs_own_pool(self, params_half):
+        # a forked child inherits the parent's pool object but not its
+        # workers, and a multiprocessing child joins its own children
+        # on exit
+        cfg = self.config(params_half, 20_000)
+        expected = sample_sf(cfg, workers=2).dist.samples.tobytes()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def run():
+            os.setpgid(0, 0)    # its workers join the group killed below
+            send.send_bytes(sample_sf(cfg, workers=2).dist.samples.tobytes())
+
+        child = ctx.Process(target=run)
+        child.start()
+        try:
+            assert recv.poll(60)
+            assert recv.recv_bytes() == expected
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.exitcode is None:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.join()
 
 
 class TestTruncation:
