@@ -21,10 +21,7 @@ from .plp import (flatness_rate, g_n, g_n_is_exact, log_sf_gap,
                   ordered_pathloss_pdf, ratio_cdf, rba_cdf, rba_mean, rba_pdf)
 from .rayleigh import (NetworkParams, misr, sf_ccdf_exact, sf_moment_exact,
                        sf_pdf_exact, sir_ccdf_exact)
-from .specfun import (NumericError, beta_fn, harmonic, hyp2f1_11, quad,
-                      sinc_pi)
-from .transforms import (AxisUnit, db_to_linear, linear_to_db,
-                         sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
-                         sir_ccdf_to_sf_ccdf, sir_pdf_to_sf_pdf, t_inv, t_map)
+from .specfun import NumericError, beta_fn, harmonic, hyp2f1_11, sinc_pi
+from .transforms import AxisUnit, db_to_linear, linear_to_db, t_inv, t_map
 
 __version__ = "1.0.0"

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .rayleigh import NetworkParams, _sf_moments, misr
@@ -252,6 +251,8 @@ def gb_fit(params: NetworkParams) -> FitResult:
     message, so a fold (b < 1, the solver reports no progress) reads
     apart from a solve that ran out of evaluations.
     """
+    from scipy import optimize   # only the fit needs it; loaded on first call
+
     m1, m2 = _sf_moments(params, (1, 2))
 
     def residuals(x):
@@ -260,7 +261,7 @@ def gb_fit(params: NetworkParams) -> FitResult:
         except (ValueError, OverflowError):
             return _FIT_WALL, _FIT_WALL
 
-    sol = _optimize.root(residuals, [1.0, params.delta], method="hybr")
+    sol = optimize.root(residuals, [1.0, params.delta], method="hybr")
     p, q = map(float, sol.x)
     r1, r2 = map(float, sol.fun)
     residual = max(abs(r1), abs(r2))

@@ -221,20 +221,10 @@ def _rng_for(seed: int, shard: int) -> np.random.Generator:
 
 
 def _pow_neg(x, expo, out=None):
-    # x ** expo for expo < 0, with cheap paths for the half-integer
-    # exponents that dominate the common alpha values; the half-integer
-    # paths need the original x, so they ignore an aliased `out`
+    # x ** expo for expo < 0; at -2 (alpha = 4) a multiply and a
+    # reciprocal beat np.power, which takes every other exponent
     if expo == -2.0:
         r = np.multiply(x, x, out=out)
-        return np.reciprocal(r, out=r)
-    if expo == -1.5:
-        r = np.sqrt(x)
-        r *= x
-        return np.reciprocal(r, out=r)
-    if expo == -2.5:
-        r = np.sqrt(x)
-        r *= x
-        r *= x
         return np.reciprocal(r, out=r)
     return np.power(x, expo, out=out)
 
@@ -245,8 +235,8 @@ def sample_nakagami(m: float, rng: np.random.Generator, size):
     m = 1 is the unit exponential (Rayleigh power); m = 1/2 is the
     square of a standard normal.
     """
-    if not m > 0.0:
-        raise ValueError(f"m must be positive, got {m}")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m must be finite and > 0, got {m}")
     if m == 0.5:
         z = rng.standard_normal(size)
         return z * z

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .rayleigh import NetworkParams
@@ -136,6 +135,8 @@ def flatness_rate(params: NetworkParams) -> float:
     e^-s 1F1(1; 1-delta; s) > 0 for every s, so the zero can only sit
     on the positive axis.  The bracket is located by a doubling scan.
     """
+    from scipy import optimize   # only s* needs it; loaded on first call
+
     d = params.delta
 
     def f(s):
@@ -155,8 +156,8 @@ def flatness_rate(params: NetworkParams) -> float:
                 break
         lo = hi / 2.0
     try:
-        return _optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
-                                maxiter=100)
+        return optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
+                               maxiter=100)
     except RuntimeError as exc:   # brentq did not converge
         raise NumericError(f"root iteration failed: {exc}") from exc
 

@@ -140,10 +140,10 @@ def sf_moment_exact(params: NetworkParams, k: int) -> float:
     converges exponentially for the algebraic terms (1-t)^delta,
     (1-t)^(2 delta), ... of the ccdf at t = 1.  The half-step sub-rule
     reuses the same values as the accuracy check: a gap above
-    max(1e-8 |value|, 1e-12), the target of the adaptive specfun.quad,
-    raises NumericError.  The check passes for every delta tried in
-    (1e-8, 1 - 1e-15) at orders up to 1000, and fails at order 10^4.
-    Against 30-digit mpmath the moments are within 5e-16 relative for
-    delta <= 0.9; at 0.9999 the float sinc(delta) in the ccdf costs 7e-13.
+    max(1e-8 |value|, 1e-12) raises NumericError.  The check passes for
+    every delta tried in (1e-8, 1 - 1e-15) at orders up to 1000, and
+    fails at order 10^4.  Against 30-digit mpmath the moments are within
+    5e-16 relative for delta <= 0.9; at 0.9999 the float sinc(delta) in
+    the ccdf costs 7e-13.
     """
     return _sf_moments(params, (k,))[0]

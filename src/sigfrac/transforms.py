@@ -1,11 +1,16 @@
-"""The Moebius map between SIR and signal fraction, unit conversions,
-and the change-of-variable formulas for ccdfs and pdfs.
+"""The Moebius map between SIR and signal fraction, and unit conversions.
 
 SIR = S/I lives on [0, inf); the signal fraction SF = S/(S+I) = T(SIR)
-lives on [0, 1), where T(x) = x/(1+x).  Curves are computed with
-linear-unit arguments; dB and MH are presentation units, converted
-through TO_LINEAR and FROM_LINEAR.  The maps and unit conversions take
-a float or an array, checked through specfun._checked.
+lives on [0, 1), where T(x) = x/(1+x).  A law on one axis is read on
+the other through the change of variables
+
+    Fbar_SF(t) = Fbar_SIR(t/(1-t)),   f_SF(t) = f_SIR(t/(1-t)) / (1-t)^2,
+
+and conversely Fbar_SIR(x) = Fbar_SF(T(x)), f_SIR(x) = f_SF(T(x)) / (1+x)^2.
+Curves are computed with linear-unit arguments; dB and MH are
+presentation units, converted through TO_LINEAR and FROM_LINEAR.  The
+maps and unit conversions take a float or an array, checked through
+specfun._checked.
 """
 
 from __future__ import annotations
@@ -51,26 +56,6 @@ def db_to_linear(x_db):
 def linear_to_db(x):
     """10 log10(x) for x > 0."""
     return 10.0 * np.log10(_checked(x, "x", 0.0, math.inf, open_="lo"))
-
-
-def sir_ccdf_to_sf_ccdf(ccdf_fn):
-    """Compose an SIR ccdf into the SF ccdf: Fbar_SF(t) = Fbar_SIR(t/(1-t))."""
-    return lambda t: ccdf_fn(t_inv(t))
-
-
-def sf_ccdf_to_sir_ccdf(ccdf_fn):
-    """Inverse composition: Fbar_SIR(theta) = Fbar_SF(T(theta))."""
-    return lambda theta: ccdf_fn(t_map(theta))
-
-
-def sir_pdf_to_sf_pdf(pdf_fn):
-    """f_SF(t) = f_SIR(t/(1-t)) / (1-t)^2; lazy composition, no resampling."""
-    return lambda t: pdf_fn(t / (1.0 - t)) / (1.0 - t) ** 2
-
-
-def sf_pdf_to_sir_pdf(pdf_fn):
-    """f_SIR(theta) = f_SF(theta/(1+theta)) / (1+theta)^2."""
-    return lambda theta: pdf_fn(theta / (1.0 + theta)) / (1.0 + theta) ** 2
 
 
 # keyed by member: look a unit name up as AxisUnit(name), which also

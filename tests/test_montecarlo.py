@@ -107,6 +107,14 @@ class TestNakagami:
             h = sample_nakagami(m, rng, 200_000)
             assert abs(h.mean() - 1.0) < 4.0 * h.std() / math.sqrt(h.size)
 
+    def test_m_outside_the_fading_domain(self):
+        # the range FadingModel accepts: 0 < m < inf
+        for m in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                sample_nakagami(m, _rng_for(5, 0), 4)
+            with pytest.raises(ValueError, match="finite and > 0"):
+                FadingModel.nakagami(m)
+
 
 class TestSamplePlp:
     def test_first_point_is_weibull(self, plp_first_two):

@@ -11,6 +11,8 @@ from sigfrac.plp import (flat_cdf_asymptote, flatness_rate, g1_unit_crossing,
                          rba_cdf, rba_mean, rba_pdf)
 from sigfrac.rayleigh import NetworkParams
 
+from reference import quad
+
 DELTAS = (0.3, 0.4, 0.5, 2.0 / 3.0, 0.8)
 
 
@@ -26,13 +28,13 @@ class TestOrderedPdf:
     def test_k1_ccdf_by_quadrature(self, params_half):
         # integrating the k = 1 pdf beyond x reproduces exp(-x^d)
         for x in (0.5, 1.0, 2.0):
-            tail = sg.quad(lambda y: ordered_pathloss_pdf(params_half, 1, y),
-                           x, math.inf)
+            tail = quad(lambda y: ordered_pathloss_pdf(params_half, 1, y),
+                        x, math.inf)
             assert tail == pytest.approx(math.exp(-x ** 0.5), rel=1e-9)
 
     def test_normalization_k2(self, params_half):
-        mass = sg.quad(lambda x: ordered_pathloss_pdf(params_half, 2, x),
-                       1e-12, math.inf)
+        mass = quad(lambda x: ordered_pathloss_pdf(params_half, 2, x),
+                    1e-12, math.inf)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_domain(self, params_half):
@@ -51,7 +53,7 @@ class TestRatioLaw:
         for d in (0.4, 0.5, 0.8):
             p = NetworkParams.from_delta(d)
             for i in (1, 2, 5):
-                mean = sg.quad(lambda r: 1.0 - ratio_cdf(p, i, r), 0.0, 1.0)
+                mean = quad(lambda r: 1.0 - ratio_cdf(p, i, r), 0.0, 1.0)
                 assert mean == pytest.approx(i * d / (1.0 + i * d), abs=1e-9)
 
 
@@ -165,15 +167,15 @@ class TestRba:
     def test_pdf_normalization(self):
         for d in (0.3, 0.5, 2.0 / 3.0, 0.8):
             p = NetworkParams.from_delta(d)
-            mass = sg.quad(lambda t: rba_pdf(p, t), 0.0, 1.0,
-                           left_power=1.0 - d, right_power=d)
+            mass = quad(lambda t: rba_pdf(p, t), 0.0, 1.0,
+                        left_power=1.0 - d, right_power=d)
             assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_mean(self):
         for d in (0.3, 0.5, 0.8):
             p = NetworkParams.from_delta(d)
-            mean = sg.quad(lambda t: t * rba_pdf(p, t), 0.0, 1.0,
-                           left_power=2.0 - d, right_power=d)
+            mean = quad(lambda t: t * rba_pdf(p, t), 0.0, 1.0,
+                        left_power=2.0 - d, right_power=d)
             assert mean == pytest.approx(1.0 - d, abs=1e-8)
             assert rba_mean(p) == 1.0 - d
 

@@ -9,6 +9,8 @@ from sigfrac import rayleigh
 from sigfrac.rayleigh import (NetworkParams, misr, sf_ccdf_exact,
                               sf_moment_exact, sf_pdf_exact, sir_ccdf_exact)
 
+from reference import quad
+
 DELTAS = (0.25, 0.4, 0.5, 2.0 / 3.0, 0.8)
 
 
@@ -163,7 +165,7 @@ class TestSfPdf:
         # the density diverges like (1-t)^(d-1) at 1; the last 1e-4 of
         # the domain's mass is the (independently tested) ccdf
         cut = 1.0 - 1e-4
-        mass = sg.quad(lambda t: sf_pdf_exact(params_half, t), 1e-9, cut)
+        mass = quad(lambda t: sf_pdf_exact(params_half, t), 1e-9, cut)
         mass += sf_ccdf_exact(params_half, cut)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
@@ -217,8 +219,8 @@ class TestMoments:
         for d in DELTAS:
             p = NetworkParams.from_delta(d)
             for k in (1, 2, 3):
-                ref = k * sg.quad(lambda t: t ** (k - 1) * sf_ccdf_exact(p, t),
-                                  0.0, 1.0, right_power=1.0 + d)
+                ref = k * quad(lambda t: t ** (k - 1) * sf_ccdf_exact(p, t),
+                               0.0, 1.0, right_power=1.0 + d)
                 assert sf_moment_exact(p, k) == pytest.approx(ref, rel=1e-11)
 
     def test_accuracy_check_passes_across_delta(self):

@@ -5,10 +5,9 @@ import pytest
 
 import sigfrac as sg
 from sigfrac.transforms import (FROM_LINEAR, TO_LINEAR, AxisUnit,
-                                db_to_linear, linear_to_db,
-                                sf_ccdf_to_sir_ccdf, sf_pdf_to_sir_pdf,
-                                sir_ccdf_to_sf_ccdf, sir_pdf_to_sf_pdf, t_inv,
-                                t_map)
+                                db_to_linear, linear_to_db, t_inv, t_map)
+
+from reference import quad
 
 mh_to_linear = TO_LINEAR[AxisUnit.MH]
 linear_to_mh = FROM_LINEAR[AxisUnit.MH]
@@ -108,15 +107,17 @@ class TestCurves:
 
 
 class TestCcdfTransforms:
+    # Fbar_SF(t) = Fbar_SIR(t_inv(t)) and Fbar_SIR(th) = Fbar_SF(t_map(th))
     def test_constant(self):
-        f = sir_ccdf_to_sf_ccdf(lambda th: 1.0)
-        assert f(0.0) == 1.0 and f(0.7) == 1.0
+        def sir_ccdf(th):
+            return 1.0
+
+        assert sir_ccdf(t_inv(0.0)) == 1.0 and sir_ccdf(t_inv(0.7)) == 1.0
 
     def test_hand_derived(self):
         # Fbar_SIR(th) = 1/(1+th)  =>  Fbar_SF(t) = 1 - t
-        f = sir_ccdf_to_sf_ccdf(lambda th: 1.0 / (1.0 + th))
         for t in (0.0, 0.25, 0.5, 0.9):
-            assert f(t) == pytest.approx(1.0 - t, rel=1e-12)
+            assert 1.0 / (1.0 + t_inv(t)) == pytest.approx(1.0 - t, rel=1e-12)
 
     def test_exact_forms_agree(self, params_half):
         # SIR ccdf at theta = 1 equals SF ccdf at t = 1/2
@@ -124,31 +125,35 @@ class TestCcdfTransforms:
             sg.sf_ccdf_exact(params_half, 0.5), rel=1e-14)
 
     def test_round_trip_pointwise(self, params_half):
-        fwd = sir_ccdf_to_sf_ccdf(lambda th: sg.sir_ccdf_exact(params_half, th))
-        back = sf_ccdf_to_sir_ccdf(fwd)
         for th in np.logspace(-3, 2, 31):
-            assert back(th) == pytest.approx(
+            back = sg.sir_ccdf_exact(params_half, t_inv(t_map(th)))
+            assert back == pytest.approx(
                 sg.sir_ccdf_exact(params_half, th), rel=1e-12)
 
     def test_monotonicity_preserved(self, params_half):
-        f = sir_ccdf_to_sf_ccdf(lambda th: sg.sir_ccdf_exact(params_half, th))
-        vals = [f(t) for t in np.linspace(0, 0.99, 100)]
+        vals = [sg.sir_ccdf_exact(params_half, t_inv(t))
+                for t in np.linspace(0, 0.99, 100)]
         assert np.all(np.diff(vals) < 0)
 
 
 class TestPdfTransforms:
+    # f_SF(t) = f_SIR(t_inv(t)) / (1-t)^2
+    # f_SIR(th) = f_SF(t_map(th)) / (1+th)^2
     def test_uniform_sf(self):
         # uniform SF density on [0,1]  =>  f_SIR(th) = (1+th)^-2
-        f = sf_pdf_to_sir_pdf(lambda t: 1.0)
+        def sf_pdf(t):
+            return 1.0
+
         for th in (0.0, 0.5, 2.0, 10.0):
-            assert f(th) == pytest.approx((1.0 + th) ** -2, rel=1e-13)
+            f = sf_pdf(t_map(th)) / (1.0 + th) ** 2
+            assert f == pytest.approx((1.0 + th) ** -2, rel=1e-13)
 
     def test_exponential_sir(self):
         # f_SIR(th) = e^-th  =>  f_SF(t) = e^(-t/(1-t)) / (1-t)^2
-        f = sir_pdf_to_sf_pdf(lambda th: math.exp(-th))
         for t in (0.1, 0.5, 0.9):
+            f = math.exp(-t_inv(t)) / (1.0 - t) ** 2
             ref = math.exp(-t / (1.0 - t)) / (1.0 - t) ** 2
-            assert f(t) == pytest.approx(ref, rel=1e-13)
+            assert f == pytest.approx(ref, rel=1e-13)
 
     def test_mass_conservation_random_pdfs(self):
         # ten random beta densities on the SF axis keep unit mass as SIR pdfs
@@ -160,9 +165,10 @@ class TestPdfTransforms:
             def sf_pdf(t, p=p, q=q, c=c):
                 return c * t ** (p - 1.0) * (1.0 - t) ** (q - 1.0)
 
-            sir_pdf = sf_pdf_to_sir_pdf(sf_pdf)
-            # map back to (0,1) for the quadrature: th = u/(1-u)
-            mass = sg.quad(lambda u: sir_pdf(u / (1.0 - u)) / (1.0 - u) ** 2,
-                           0.0, 1.0, left_power=p, right_power=q)
-            assert mass == pytest.approx(1.0, abs=1e-6)
+            def sir_pdf(th, sf_pdf=sf_pdf):
+                return sf_pdf(t_map(th)) / (1.0 + th) ** 2
 
+            # map back to (0,1) for the quadrature: th = u/(1-u)
+            mass = quad(lambda u: sir_pdf(t_inv(u)) / (1.0 - u) ** 2,
+                        0.0, 1.0, left_power=p, right_power=q)
+            assert mass == pytest.approx(1.0, abs=1e-6)
