@@ -33,9 +33,9 @@ _CONJ_GATE_SAMPLES = 20_000_000
 
 
 _TAIL_EPS_HELP = ("truncation tolerance in (0, 1): a realization stops once "
-                  "the un-generated tail's third cumulant is at most "
-                  "tail_eps^2 * total^3, and the tail is added as a "
-                  "mean- and variance-matched Gaussian draw")
+                  "the un-generated tail's fourth cumulant is at most "
+                  "tail_eps^2 * total^4, and the tail is added as a "
+                  "translated-gamma draw matching its first three cumulants")
 
 
 class UsageError(ValueError):
@@ -268,6 +268,7 @@ def cmd_simulate(args):
         "flagged": int(res.flagged),
         "points_per_realization": float(res.points_per_realization),
         "chunk_rounds": int(res.chunk_rounds),
+        "tail_clamped": int(res.tail_clamped),
         "seed": int(args.seed),
     }
     emit_curve(args, "SF", "ccdf", grid, empirical_ccdf(res.dist, grid),

@@ -13,13 +13,20 @@ so kappa_1 is its mean and kappa_2 its variance.  Each realization is
 generated relative to its first arrival G_1, which scales every value
 and cumulant by a power of G_1 that signal fractions do not see, so
 nothing overflows however small delta is.  When a realization finishes,
-the tail is replaced by a Gaussian with the same mean and variance (the
-Gaussian approximation of small jumps, Asmussen & Rosinski 2001),
-clamped at zero so the total never falls below the generated power.
-What the Gaussian leaves unmatched starts at the third cumulant, so
-generation stops once kappa_3 <= tail_eps^2 * total^3, which leaves an
-error of order tail_eps^2 in the signal-fraction law.  The per-realization fluctuation the tail
-contributes is drawn, not bounded by tail_eps.
+the tail is replaced by a translated gamma with the same first three
+cumulants: scale kappa_3/(2 kappa_2), shape 4 kappa_2^3/kappa_3^2 and
+shift kappa_1 - 2 kappa_2^2/kappa_3 (the translated-gamma approximation
+to a compound Poisson sum, Seal 1977, which refines the Gaussian
+approximation of small jumps, Asmussen & Rosinski 2001).  The draw is
+clamped at zero so the total never falls below the generated power; the
+shift is negative without fading for delta up to about 0.58, and
+SimResult.tail_clamped counts the clamped rows.  What the gamma leaves
+unmatched starts at the fourth cumulant, so generation stops once
+kappa_4 <= tail_eps^2 * total^4, which leaves an error of order
+tail_eps^2 in the signal-fraction law: about 28 points per realization
+at delta = 2/3 with Rayleigh fading, where the third-cumulant stop of a
+Gaussian tail needed about 105.  The per-realization fluctuation the
+tail contributes is drawn, not bounded by tail_eps.
 
 Every association rule runs on the same batched chunk generator.
 Random association keeps a value-weighted reservoir of one candidate
@@ -48,7 +55,7 @@ import numpy as np
 from .rayleigh import NetworkParams
 
 _SHARD = 16384        # realizations per RNG substream; part of the output contract
-_CHUNK_MIN = 8
+_CHUNK_MIN = 5
 _CHUNK_MAX = 8192
 _CHUNK_ELEMS = 4_000_000
 
@@ -83,17 +90,11 @@ class FadingModel:
     def nakagami(cls, m: float) -> "FadingModel":
         return cls(kind="nakagami", m=float(m))
 
-    @property
-    def second_moment(self) -> float:
+    def moment(self, n: int) -> float:
+        """E[h^n] = prod_{i<n} (1 + i/m), which is 1 without fading."""
         if self.kind == "none":
             return 1.0
-        return 1.0 + 1.0 / self.m
-
-    @property
-    def third_moment(self) -> float:
-        if self.kind == "none":
-            return 1.0
-        return (1.0 + 1.0 / self.m) * (1.0 + 2.0 / self.m)
+        return math.prod(1.0 + i / self.m for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -177,14 +178,16 @@ class EmpiricalDistribution:
 @dataclass(frozen=True)
 class SimResult:
     """Sorted samples, the count of realizations that hit the point
-    budget, the mean number of points generated per realization and the
-    number of chunk rounds summed over shards (all seed-determined,
-    independent of the worker count)."""
+    budget, the mean number of points generated per realization, the
+    number of chunk rounds summed over shards and the count of
+    realizations whose drawn tail was clamped at zero (all
+    seed-determined, independent of the worker count)."""
 
     dist: EmpiricalDistribution
     flagged: int
     points_per_realization: float
     chunk_rounds: int
+    tail_clamped: int
 
 
 def empirical_ccdf(dist: EmpiricalDistribution, t):
@@ -251,30 +254,49 @@ def _cumulant(n: int, delta: float, hn: float):
     return hn * delta / (n - delta), (delta - n) / delta
 
 
+def _gamma_tail(delta: float, fading: FadingModel, g1, r):
+    """(shape, scale, shift) of the translated gamma that stands in for
+    the tail beyond arrival G = G_1 r, in G_1-relative units.
+
+    shift + scale * Z, with Z standard gamma of this shape, has the
+    tail's kappa_1, kappa_2 and kappa_3, each c_n G_1 r^e_n (Seal 1977).
+    The forms below are kappa_3/(2 kappa_2), 4 kappa_2^3/kappa_3^2 and
+    kappa_1 - 2 kappa_2^2/kappa_3 with the powers of G_1 and r
+    cancelled; as ratios of the kappa_n they would underflow to 0/0."""
+    c1, e1 = _cumulant(1, delta, fading.moment(1))
+    c2, _ = _cumulant(2, delta, fading.moment(2))
+    c3, _ = _cumulant(3, delta, fading.moment(3))
+    return (4.0 * c2 ** 3 / c3 ** 2 * g1 * r,
+            c3 / (2.0 * c2) * _pow_neg(r, -1.0 / delta),
+            (c1 - 2.0 * c2 ** 2 / c3) * g1 * np.power(r, e1))
+
+
 def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     """Simulate n realizations; returns (values, flagged_count, points,
-    rounds).
+    rounds, clamped_count).
 
     values has shape (n, k): for kth_strongest(k), the k strongest
     no-fading signal fractions of each realization; for nba, isba and
     rba (k = 1), the served station's signal fraction.  points is the
     number of path loss values generated and rounds the number of chunk
-    rounds.
+    rounds; clamped_count is the number of rows whose drawn tail fell
+    below zero.
 
     Values are relative to the row's first arrival G_1: with r = G/G_1
     they are r^(-1/delta) times the fading gain, and the tail cumulants
     become c_n G_1 r^e_n.
 
-    A row stops once the tail's third cumulant is at most
-    tail_eps^2 * total^3, with total = power so far + tail mean, and its
-    total becomes power + max(mean + sd * Z, 0) with a standard normal Z;
-    once every row has finished, the block is divided by the totals.
+    A row stops once the tail's fourth cumulant is at most
+    tail_eps^2 * total^4, with total = power so far + tail mean, and its
+    total becomes power + max(shift + scale * Z, 0) with a standard gamma
+    Z of the tail's shape; once every row has finished, the block is
+    divided by the totals.
     A row whose power and drawn tail are both 0 (every fading gain
     underflowed float64) has no signal fraction and raises ValueError.
-    The first chunk has max(8, k) points and its first k values fill the
+    The first chunk has max(5, k) points and its first k values fill the
     row (for rba, the reservoir and the tail pick then rewrite it); each
     later one is the lower quartile over the live rows of the points
-    each would need, with the total held fixed, plus 8, so most rows
+    each would need, with the total held fixed, plus 5, so most rows
     stop a few points past where the rule first holds.
 
     Random association is a size-1 weighted reservoir over the chunks
@@ -294,7 +316,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     (u * total - power) / tail is the tail's inversion uniform.
 
     Draw order per chunk: the exponentials, the fading gains, then one
-    uniform per active row (rba).  At finish: one standard normal per
+    uniform per active row (rba).  At finish: one standard gamma per
     finishing row, then one uniform per finishing row (rba).
     """
     delta = config.params.delta
@@ -305,12 +327,11 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
               else config.fading)
     fad_m = fading.m if fading.kind == "nakagami" else None
     c1, e1 = _cumulant(1, delta, 1.0)
-    c2, e2 = _cumulant(2, delta, fading.second_moment)
-    c3, e3 = _cumulant(3, delta, fading.third_moment)
+    c4, e4 = _cumulant(4, delta, fading.moment(4))
     eps2 = config.tail_eps ** 2
-    # with the total held fixed the stop holds from G * (kappa_3 /
-    # (tail_eps^2 total^3))^grow on; tail_eps^(2 grow) cannot underflow
-    grow = -1.0 / e3
+    # with the total held fixed the stop holds from G * (kappa_4 /
+    # (tail_eps^2 total^4))^grow on; tail_eps^(2 grow) cannot underflow
+    grow = -1.0 / e4
     eps_grow = config.tail_eps ** (2.0 * grow)
     budget = config.point_budget
     rba = config.assoc.kind == "rba"
@@ -321,6 +342,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     power = np.zeros(n)
     out = np.empty((n, k))
     flagged = 0
+    clamped = 0
     npts = 0
     points = 0
     rounds = 0
@@ -361,20 +383,22 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
         r = newg / g
         mean_tail = c1 * g * np.power(r, e1)
         tot = power[idx] + mean_tail
-        # tot^3 would underflow for a tiny total; a ratio past the
+        # tot^4 would underflow for a tiny total; a ratio past the
         # largest double means "far from done", and 0/0 (no power and no
-        # tail mean left) satisfies kappa_3 <= tail_eps^2 tot^3 as 0 <= 0
+        # tail mean left) satisfies kappa_4 <= tail_eps^2 tot^4 as 0 <= 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            k3_rel = c3 * g * np.power(r, e3) / tot / tot / tot
-        done = ~(k3_rel > eps2)
+            k4_rel = c4 * g * np.power(r, e4) / tot / tot / tot / tot
+        done = ~(k4_rel > eps2)
         if npts >= budget:
             flagged += np.count_nonzero(~done)
             done[:] = True
         if done.any():
             fin = idx[done]
-            sd = np.sqrt(c2 * g[done] * np.power(r[done], e2))
-            z = rng.standard_normal(fin.size)
-            tail = np.maximum(mean_tail[done] + sd * z, 0.0)
+            shape, scale, shift = _gamma_tail(delta, fading, g[done], r[done])
+            tail = shift + scale * rng.standard_gamma(shape)
+            neg = tail < 0.0
+            clamped += np.count_nonzero(neg)
+            tail[neg] = 0.0
             totf = power[fin] + tail
             if not totf.all():
                 raise ValueError(
@@ -391,12 +415,12 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
         idx = idx[~done]
         if idx.size:
             live = ~done
-            deficit = newg[live] * (np.power(k3_rel[live], grow) / eps_grow - 1.0)
+            deficit = newg[live] * (np.power(k4_rel[live], grow) / eps_grow - 1.0)
             q = (deficit.size - 1) // 4
             # may be inf; the clamp at the top of the loop bounds it
             chunk = np.partition(deficit, q)[q] + _CHUNK_MIN
     out /= power[:, None]
-    return out, int(flagged), points, rounds
+    return out, int(flagged), points, rounds, int(clamped)
 
 
 def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
@@ -409,14 +433,15 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
     truncated_flag).
 
     Such a row draws only its exponentials, chunk by chunk, and then one
-    normal, so the values are the engine's arrivals drawn again from the
-    saved generator state; rng ends just past those exponentials.
+    standard gamma, so the values are the engine's arrivals drawn again
+    from the saved generator state; rng ends just past those
+    exponentials.
     """
     config = SimConfig(params=params, fading=FadingModel.none(),
                        assoc=AssociationRule.nba(), samples=1,
                        point_budget=point_budget, tail_eps=tail_eps)
     state = rng.bit_generator.state
-    _, flagged, points, _ = _sim_shard(config, 1, rng)
+    _, flagged, points, _, _ = _sim_shard(config, 1, rng)
     rng.bit_generator.state = state
     g = np.cumsum(rng.standard_exponential(points))
     return g ** (1.0 / params.delta), flagged > 0
@@ -511,14 +536,14 @@ def _run_all(config: SimConfig, workers: int | None):
     else:
         results = _map_shards(shards, w)
     # map keeps shard order, whichever worker ran a shard
-    vals, flagged, points, rounds = zip(*results)
+    vals, flagged, points, rounds, clamped = zip(*results)
     flagged = sum(flagged)
     if flagged > 0.001 * config.samples:
         raise SimulationError(
             f"{flagged} of {config.samples} realizations hit the point "
             f"budget {config.point_budget} before the tail criterion")
     return (np.concatenate(vals), flagged, sum(points) / config.samples,
-            sum(rounds))
+            sum(rounds), sum(clamped))
 
 
 def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
@@ -540,13 +565,14 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     stays the same.  If a worker dies, the call raises
     BrokenProcessPool and the next call starts fresh workers.
     """
-    vals, flagged, points, rounds = _run_all(config, workers)
+    vals, flagged, points, rounds, clamped = _run_all(config, workers)
     k = vals.shape[1]
     x = np.sort(vals[:, -1])
     if k > 1 and x[-1] > 1.0 / k:
         raise AssertionError(f"SF_{k} sample exceeds its support bound 1/{k}")
     return SimResult(dist=EmpiricalDistribution(samples=x), flagged=flagged,
-                     points_per_realization=points, chunk_rounds=rounds)
+                     points_per_realization=points, chunk_rounds=rounds,
+                     tail_clamped=clamped)
 
 
 def sample_sf_topk(config: SimConfig, workers: int | None = None):
@@ -558,7 +584,7 @@ def sample_sf_topk(config: SimConfig, workers: int | None = None):
     if config.assoc.kind != "kth":
         raise ValueError("top-k signal fractions need a kth_strongest(k) "
                          f"association, got {config.assoc.kind!r}")
-    vals, flagged, _, _ = _run_all(config, workers)
+    vals, flagged, _, _, _ = _run_all(config, workers)
     return vals, flagged
 
 
@@ -607,4 +633,5 @@ def conjecture_report(samples: int, seed: int, point_budget: int = 1_000_000,
         "flagged": res.flagged,
         "points_per_realization": res.points_per_realization,
         "chunk_rounds": res.chunk_rounds,
+        "tail_clamped": res.tail_clamped,
     }

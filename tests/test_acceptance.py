@@ -166,6 +166,28 @@ def test_criterion_03_rayleigh_mc_oracle(rayleigh_mc):
     assert elapsed < 120.0
 
 
+@pytest.mark.skipif(os.environ.get("SIGFRAC_FULL_SCALE") != "1",
+                    reason="full-scale run (4e6 samples); set "
+                           "SIGFRAC_FULL_SCALE=1 to enable")
+def test_criterion_03_rayleigh_mc_full_scale():
+    # the slow-tail case, where rows stop on the fourth cumulant after
+    # ~28 points; at 4e6 samples the standard error (at most 2.5e-4)
+    # is half of criterion 3's, on a 49-point grid
+    n = 4 * 10**6
+    p = NetworkParams.from_delta(TWO_THIRDS)
+    cfg = SimConfig(params=p, fading=FadingModel.nakagami(1.0),
+                    assoc=AssociationRule.nba(), samples=n, seed=777)
+    dist = sample_sf(cfg).dist
+    t = np.linspace(0.02, 0.98, 49)
+    ref = sf_ccdf_exact(p, t)
+    z = (empirical_ccdf(dist, t) - ref) / np.sqrt(ref * (1.0 - ref) / n)
+    worst = float(np.max(np.abs(z)))
+    ok = worst < 4.0
+    report("criterion 3 (Rayleigh ccdf vs 4e6-sample MC, delta = 2/3)", ok,
+           f"worst |z| = {worst:.2f} over 49 points")
+    assert ok
+
+
 # --- criterion 4: no-fading SF1 ccdf and the joint event ---------------------
 
 def test_criterion_04_no_fading_oracle(nofad_half_top5, params_half):

@@ -278,6 +278,16 @@ class TestSimulate:
             rounds.append(doc["summary"]["chunk_rounds"])
         assert rounds[0] == rounds[1] >= 3
 
+    def test_tail_clamped_reported(self, capsys):
+        # without fading at delta = 0.1 the gamma tail's shift is
+        # negative and some drawn tails are clamped at zero
+        rc, out, _ = run(capsys, "simulate", "--delta", "0.1", "--samples",
+                         "20000", "--seed", "14", "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        validate(doc, "curve")
+        assert doc["summary"]["tail_clamped"] > 0
+
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         args = ("simulate", "--alpha", "4", "--fading", "none", "--assoc",
                 "nba", "--samples", "40000", "--seed", "11", "--grid",

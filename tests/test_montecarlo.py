@@ -13,8 +13,9 @@ from scipy import special as sp
 
 import sigfrac as sg
 from sigfrac.montecarlo import (AssociationRule, EmpiricalDistribution,
-                                FadingModel, SimConfig, _rng_for, _sim_shard,
-                                arcsine_moment, conjecture_report,
+                                FadingModel, SimConfig, _cumulant, _gamma_tail,
+                                _rng_for, _sim_shard, arcsine_moment,
+                                conjecture_report,
                                 empirical_ccdf, empirical_moment, ks_distance,
                                 sample_nakagami, sample_plp, sample_sf,
                                 sample_sf_topk)
@@ -39,8 +40,11 @@ def plp_first_two(params_half):
 
 class TestConfigTypes:
     def test_fading_validation(self):
-        assert FadingModel.none().second_moment == 1.0
-        assert FadingModel.nakagami(2.0).second_moment == 1.5
+        assert FadingModel.none().moment(4) == 1.0
+        assert FadingModel.nakagami(2.0).moment(1) == 1.0
+        assert FadingModel.nakagami(2.0).moment(2) == 1.5
+        # (1 + 1/2)(1 + 2/2)(1 + 3/2)
+        assert FadingModel.nakagami(2.0).moment(4) == 7.5
         with pytest.raises(ValueError):
             FadingModel(kind="nakagami")
         with pytest.raises(ValueError):
@@ -87,10 +91,13 @@ class TestNakagami:
         assert abs(h.var() - 1.0) < 3.0 * math.sqrt(8.0 / n)
 
     def test_nakagami2_second_moment(self):
+        # and the fourth, which the engine's stop rule uses
         rng = _rng_for(2, 0)
         h = sample_nakagami(2.0, rng, 10**6)
-        se = np.std(h * h) / math.sqrt(h.size)
-        assert abs(np.mean(h * h) - 1.5) < 3.0 * se
+        for n in (2, 4):
+            se = np.std(h ** n) / math.sqrt(h.size)
+            assert abs(np.mean(h ** n) - FadingModel.nakagami(2.0).moment(n)) \
+                < 3.0 * se
 
     def test_half_small_x_slope(self):
         # F_h(x) ~ c x^(1/2) near 0: log-log slope of the empirical cdf
@@ -134,8 +141,8 @@ class TestSamplePlp:
     @pytest.mark.parametrize("delta, budget, tail_eps, flagged", [
         (0.5, 100_000, 1e-4, False),
         (2.0 / 3.0, 100_000, 1e-4, False),
-        # after 10 points the stop needs G_10/G_1 > 7e6, a first
-        # arrival below ~1e-6
+        # after 10 points the stop needs G_10^5 / G_1^6 > 2e23, a first
+        # arrival below ~1e-3
         (2.0 / 3.0, 10, 1e-12, True)])
     def test_reads_one_engine_row(self, delta, budget, tail_eps, flagged):
         params = NetworkParams.from_delta(delta)
@@ -148,7 +155,7 @@ class TestSamplePlp:
         cfg = SimConfig(params=params, fading=FadingModel.none(),
                         assoc=AssociationRule.nba(), samples=1,
                         point_budget=budget, tail_eps=tail_eps)
-        _, nflag, points, _ = _sim_shard(cfg, 1, rng)
+        _, nflag, points, _, _ = _sim_shard(cfg, 1, rng)
         assert flag is flagged and nflag == int(flagged)
         assert xi.size == points
 
@@ -156,7 +163,7 @@ class TestSamplePlp:
         g = np.cumsum(rng.standard_exponential(points))
         np.testing.assert_allclose(xi ** delta, g, rtol=1e-14, atol=0.0)
         # rng ends just past the exponentials, not past the engine's
-        # finishing normal
+        # finishing gamma
         assert rng.random() == after
 
     def test_increments_are_unit_exponential(self, params_half):
@@ -270,43 +277,43 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
     # sorted samples of a 5-realization run at seed 34, alpha = 4,
-    # re-recorded when the shard streams became SFC64 and the chunks
-    # were sized to the stop rule, which changed the stream on purpose;
-    # a change in the tail draw moves them at ~1e-3 and one in the point
-    # stream at O(1), the tolerance only absorbs last-digit differences
-    # of the math library
+    # re-recorded when the tail became a translated gamma, rows began to
+    # stop on the fourth cumulant and chunks began at 5 points, which
+    # changed the stream on purpose; a change in the tail draw moves
+    # them at ~1e-3 and one in the point stream at O(1), the tolerance
+    # only absorbs last-digit differences of the math library
     RECORDED = {
         "nba": (FadingModel.nakagami(1.0), AssociationRule.nba(),
-                [0.28085773625785504, 0.2902561439449708, 0.46064921597600805,
-                 0.8220096255750213, 0.8848179343143813]),
+                [0.08265614242960283, 0.5844842176124823, 0.6384772142402284,
+                 0.7110156379229103, 0.818799483532113]),
         "isba": (FadingModel.nakagami(1.0), AssociationRule.isba(),
-                 [0.2892667144185272, 0.30794358578302855, 0.4308236394207934,
-                  0.4973325431243874, 0.7660428054747686]),
+                 [0.35859854246745576, 0.5170608727187667, 0.7039713735569946,
+                  0.7736318704802004, 0.7893913280411641]),
         "kth2": (FadingModel.none(), AssociationRule.kth_strongest(2),
-                 [0.12735586249073827, 0.16721176286924178,
-                  0.1689328377292081, 0.18140589445264307,
-                  0.215911102800324]),
+                 [0.07302161172543559, 0.12861755689261448,
+                  0.15901535886356774, 0.18535916634195107,
+                  0.31324580073183445]),
         "nba_none": (FadingModel.none(), AssociationRule.nba(),
-                     [0.2892667144185272, 0.30794358578302855,
-                      0.4308236394207934, 0.4973325431243874,
-                      0.7660428054747686]),
+                     [0.35859854246745576, 0.5170608727187667,
+                      0.7039713735569946, 0.7736318704802004,
+                      0.7893913280411641]),
         "nba_half": (FadingModel.nakagami(0.5), AssociationRule.nba(),
-                     [0.2977266768735991, 0.4504621428857149,
-                      0.4676702308044347, 0.8027079233494682,
-                      0.8877135151742529]),
+                     [0.05373559309958474, 0.32861444854931704,
+                      0.4465510769361949, 0.6237873766932498,
+                      0.6562049418418352]),
         "rba": (FadingModel.none(), AssociationRule.rba(),
-                [0.0002912278590732765, 0.012919692516193272,
-                 0.03709586392504014, 0.2713122729056673,
-                 0.3100581723149915]),
+                [0.16153725614914644, 0.2513023455403064,
+                 0.6877224388418993, 0.7576348079172022,
+                 0.8133221539322549]),
     }
     # the three strongest signal fractions of the same 5 realizations,
     # in realization order
     RECORDED_TOP3 = [
-        [0.7660428054747686, 0.12735586249073827, 0.013739957597782407],
-        [0.2892667144185272, 0.16721176286924178, 0.11043588881167327],
-        [0.4308236394207934, 0.18140589445264307, 0.16704853889794016],
-        [0.30794358578302855, 0.215911102800324, 0.12392304907992267],
-        [0.4973325431243874, 0.1689328377292081, 0.0796664684073697],
+        [0.7736318704802004, 0.12861755689261448, 0.013876077186186902],
+        [0.7039713735569946, 0.18535916634195107, 0.021648909432691942],
+        [0.5170608727187667, 0.15901535886356774, 0.1116840438813027],
+        [0.7893913280411641, 0.07302161172543559, 0.03853826044656199],
+        [0.35859854246745576, 0.31324580073183445, 0.24990021297339834],
     ]
 
     @pytest.mark.parametrize("rule", sorted(RECORDED))
@@ -473,11 +480,11 @@ class TestTruncation:
 
 
 def per_point_stop_depth(delta, fading, n, tail_eps, rng, block=64):
-    """Mean over n rows of the first K at which kappa_3(G_K) <= tail_eps^2
-    (P_K + kappa_1(G_K))^3, with the rule evaluated after every point on
+    """Mean over n rows of the first K at which kappa_4(G_K) <= tail_eps^2
+    (P_K + kappa_1(G_K))^4, with the rule evaluated after every point on
     absolute arrivals G_K and received power P_K."""
     c1 = delta / (1.0 - delta)
-    c3 = fading.third_moment * delta / (3.0 - delta)
+    c4 = fading.moment(4) * delta / (4.0 - delta)
     depth = np.zeros(n)
     g_last = np.zeros(n)
     p_last = np.zeros(n)
@@ -491,7 +498,7 @@ def per_point_stop_depth(delta, fading, n, tail_eps, rng, block=64):
             v *= sample_nakagami(fading.m, rng, v.shape)
         p = p_last[live, None] + np.cumsum(v, axis=1)
         tot = p + c1 * g ** ((delta - 1.0) / delta)
-        ok = c3 * g ** ((delta - 3.0) / delta) <= tail_eps ** 2 * tot ** 3
+        ok = c4 * g ** ((delta - 4.0) / delta) <= tail_eps ** 2 * tot ** 4
         hit = ok.any(axis=1)
         depth[live[hit]] = k + ok[hit].argmax(axis=1) + 1
         g_last[live] = g[:, -1]
@@ -501,16 +508,68 @@ def per_point_stop_depth(delta, fading, n, tail_eps, rng, block=64):
     return float(depth.mean())
 
 
+def conditional_ccdf_bias(delta, fading, n, ts, rng, depth=400, block=50,
+                          tail_eps=1e-4):
+    """Paired bias of P(SF > t | the points so far) for n nba rows stopped
+    at the first point where kappa_4 <= tail_eps^2 total^4, against the
+    same rows after `depth` points, both with the engine's gamma tail.
+    SF > t when the tail is below S/t - P, S the signal and P the power
+    so far, so each is a gammainc value; the tail is clamped at 0.
+    Returns the mean differences over rows and their standard errors."""
+    c1, e1 = _cumulant(1, delta, 1.0)
+    c4, e4 = _cumulant(4, delta, fading.moment(4))
+    g_last = np.zeros(n)
+    p_last = np.zeros(n)
+    stop_p = np.empty(n)
+    stop_r = np.empty(n)
+    live = np.ones(n, dtype=bool)
+    for k in range(0, depth, block):
+        g = g_last[:, None] + np.cumsum(
+            rng.standard_exponential((n, block)), axis=1)
+        if k == 0:
+            g1 = g[:, 0].copy()
+        r = g / g1[:, None]
+        v = r ** (-1.0 / delta)
+        if fading.kind == "nakagami":
+            v *= sample_nakagami(fading.m, rng, v.shape)
+        if k == 0:
+            s = v[:, 0].copy()
+        p = p_last[:, None] + np.cumsum(v, axis=1)
+        rows = np.flatnonzero(live)
+        tot = p[rows] + c1 * g1[rows, None] * r[rows] ** e1
+        ok = c4 * g1[rows, None] * r[rows] ** e4 <= tail_eps ** 2 * tot ** 4
+        hit = ok.any(axis=1)
+        rows, j = rows[hit], ok[hit].argmax(axis=1)
+        stop_p[rows] = p[rows, j]
+        stop_r[rows] = r[rows, j]
+        live[rows] = False
+        g_last = g[:, -1]
+        p_last = p[:, -1]
+    assert not live.any()
+    r_ref = g_last / g1
+
+    def ccdf(t, power, rr):
+        shape, scale, shift = _gamma_tail(delta, fading, g1, rr)
+        x = s / t - power
+        return np.where(x > 0.0, sp.gammainc(
+            shape, np.maximum(x - shift, 0.0) / scale), 0.0)
+
+    d = np.array([ccdf(t, stop_p, stop_r) - ccdf(t, p_last, r_ref)
+                  for t in ts])
+    return d.mean(axis=1), d.std(axis=1) / math.sqrt(n)
+
+
 class TestTailCorrection:
     def test_points_per_realization_capped(self):
-        # the third-cumulant stop needs ~105 points per realization here;
-        # stopping on the tail's standard deviation needed ~4k
+        # the fourth-cumulant stop needs ~28 points per realization here;
+        # the third-cumulant stop of a Gaussian tail needed ~105, and
+        # stopping on the tail's standard deviation ~4k
         cfg = SimConfig(params=NetworkParams.from_delta(2.0 / 3.0),
                         fading=FadingModel.nakagami(1.0),
                         assoc=AssociationRule.nba(), samples=20_000, seed=45)
         a = sample_sf(cfg, workers=1)
         b = sample_sf(cfg, workers=2)
-        assert 32.0 <= a.points_per_realization <= 400.0
+        assert 14.0 <= a.points_per_realization <= 56.0
         assert a.points_per_realization == b.points_per_realization
 
     @pytest.mark.parametrize("delta, fading", [
@@ -518,9 +577,10 @@ class TestTailCorrection:
         (0.5, FadingModel.none())])
     def test_truncation_is_tight(self, delta, fading):
         # a row may only stop at a chunk boundary; chunks sized to the
-        # stop rule keep the mean depth near the per-point one (1.2x and
-        # 1.3x here, where the first chunk of 32 and upper-quartile
-        # chunks gave 1.7x and 2.1x)
+        # stop rule keep the mean depth near the per-point one (1.19x
+        # and 1.31x here, where a first chunk of 8 gave 1.25x and 1.53x,
+        # and a first chunk of 32 with upper-quartile chunks 1.7x and
+        # 2.1x on the third-cumulant stop)
         n = 16384
         cfg = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
                         assoc=AssociationRule.nba(), samples=n, seed=49)
@@ -556,14 +616,58 @@ class TestTailCorrection:
         (FadingModel.none(), AssociationRule.rba()),
         (FadingModel.none(), AssociationRule.kth_strongest(2))])
     def test_clamped_tail_keeps_support(self, fading, assoc):
-        # at delta = 0.1 nearly every row stops after the first 8 points,
-        # where the drawn tail falls below zero and is clamped in ~22% of
-        # rows with Nakagami-1/2 fading and ~9% without; every SF must
-        # stay in [0, 1] and SF_2 <= 1/2
+        # at delta = 0.1 nearly every row stops after the first 5 points;
+        # without fading the gamma tail's shift is negative and the drawn
+        # tail is clamped at zero in ~12% of rows, while with
+        # Nakagami-1/2 fading the shift is positive and nothing is
+        # clamped; every SF must stay in [0, 1] and SF_2 <= 1/2
         cfg = SimConfig(params=NetworkParams.from_delta(0.1), fading=fading,
                         assoc=assoc, samples=20_000, seed=46)
-        x = sample_sf(cfg).dist.samples
+        res = sample_sf(cfg)
+        x = res.dist.samples
         assert x[0] >= 0.0 and x[-1] <= 1.0 / (assoc.k or 1)
+        assert (res.tail_clamped > 0) is (fading.kind == "none")
+
+    def test_tail_clamped_worker_independent(self):
+        cfg = SimConfig(params=NetworkParams.from_delta(0.1),
+                        fading=FadingModel.none(), assoc=AssociationRule.nba(),
+                        samples=40_000, seed=50)
+        a = sample_sf(cfg, workers=1).tail_clamped
+        assert a > 0
+        assert sample_sf(cfg, workers=2).tail_clamped == a
+
+    @pytest.mark.parametrize("delta, fading", [
+        (2.0 / 3.0, FadingModel.nakagami(1.0)),
+        (0.4, FadingModel.none()),          # negative shift
+        (0.5, FadingModel.nakagami(0.5))])
+    def test_gamma_tail_matches_cumulants(self, delta, fading):
+        # shift + scale * Z at a fixed (G_1, r), unclamped, against the
+        # tail's kappa_1..3 = c_n G_1 r^e_n; 5 standard errors
+        g1, r, n = 0.5, 2.0, 10**6
+        shape, scale, shift = (float(a[0]) for a in _gamma_tail(
+            delta, fading, np.array([g1]), np.array([r])))
+        x = shift + scale * _rng_for(52, 0).standard_gamma(shape, n)
+        d = x - x.mean()
+        var = np.mean(d * d)
+        # each estimate, and the terms whose spread gives its error
+        estimates = {1: (x.mean(), x), 2: (var, d * d),
+                     3: (np.mean(d ** 3), d ** 3 - 3.0 * var * d)}
+        for order, (got, terms) in estimates.items():
+            c, e = _cumulant(order, delta, fading.moment(order))
+            se = terms.std() / math.sqrt(n)
+            assert abs(got - c * g1 * r ** e) < 5.0 * se
+
+    @pytest.mark.parametrize("delta, fading", [
+        (2.0 / 3.0, FadingModel.nakagami(1.0)),
+        (0.7, FadingModel.none()),
+        (0.5, FadingModel.nakagami(0.5))])
+    def test_conditional_ccdf_unbiased(self, delta, fading):
+        # the rows stopped on kappa_4 against the same rows 400 points
+        # deep, paired, within 4 standard errors (~3e-4 each) at every t
+        diff, se = conditional_ccdf_bias(delta, fading, 20_000,
+                                         (0.1, 0.3, 0.5, 0.7, 0.9),
+                                         np.random.default_rng(71))
+        assert np.all(np.abs(diff) <= 4.0 * se)
 
 
 class TestEmpirical:
@@ -621,12 +725,14 @@ class TestConjectureReport:
         rep = conjecture_report(20_000, seed=61)
         assert list(rep) == ["samples", "seed", "alpha", "fading_m",
                              "moments", "ks_distance", "flagged",
-                             "points_per_realization", "chunk_rounds"]
+                             "points_per_realization", "chunk_rounds",
+                             "tail_clamped"]
         assert [m["k"] for m in rep["moments"]] == list(range(1, 11))
         assert rep["moments"][0]["arcsine"] == 0.5
         assert rep["moments"][1]["arcsine"] == 0.375
         assert rep["flagged"] == 0
-        assert 32.0 <= rep["points_per_realization"] <= 400.0
+        # ~21.5 points per realization; the third-cumulant stop needed ~50
+        assert 11.0 <= rep["points_per_realization"] <= 44.0
         assert 0.0 < rep["ks_distance"] < 0.05
 
     def test_moments_consistent_at_moderate_n(self):
