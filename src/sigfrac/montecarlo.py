@@ -317,7 +317,11 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
 
     Draw order per chunk: the exponentials, the fading gains, then one
     uniform per active row (rba).  At finish: one standard gamma per
-    finishing row, then one uniform per finishing row (rba).
+    finishing row, then one uniform per finishing row (rba).  A chunk
+    is laid out as (points, rows): the exponentials and the gains are
+    each one (chunk, live rows) draw, a realization is a column, and a
+    running sum along it is one vector op per point.  The values are
+    held as (k, n) and returned transposed.
     """
     delta = config.params.delta
     pw = -1.0 / delta
@@ -340,7 +344,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     idx = np.arange(n)
     glast = np.zeros(n)
     power = np.zeros(n)
-    out = np.empty((n, k))
+    out = np.empty((k, n))
     flagged = 0
     clamped = 0
     npts = 0
@@ -354,27 +358,33 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
         if rounds == 0 and chunk < k:
             raise ValueError(
                 f"point budget {budget} too small for the {k} ordered points")
-        e = rng.standard_exponential((na, chunk))
-        e[:, 0] += glast[idx]
+        e = rng.standard_exponential((chunk, na))
+        e[0] += glast[idx]
         if rounds == 0:
-            g1 = e[:, 0].copy()
-        np.cumsum(e, axis=1, out=e)   # the arrivals G
+            g1 = e[0].copy()
+        for i in range(1, chunk):   # the arrivals G, as np.cumsum adds them
+            e[i] += e[i - 1]
         g = g1[idx]
-        newg = e[:, -1].copy()
-        e *= (1.0 / g)[:, None]
+        newg = e[-1].copy()
+        e *= 1.0 / g
         v = _pow_neg(e, pw, out=e)
         if fad_m is not None:
-            v *= sample_nakagami(fad_m, rng, (na, chunk))
-        w = v.sum(axis=1)
+            v *= sample_nakagami(fad_m, rng, (chunk, na))
+        w = np.add.reduce(v, axis=0)
         power[idx] += w
         if rounds == 0:
-            out[:] = v[:, :k]
+            out[:] = v[:k]
         if rba:
             u = rng.random(na) * power[idx]
+            # the first partial sum >= u; they never decrease, so that is
+            # the count of the first chunk - 1 that fall below u
+            cs = np.zeros(na)
+            j = np.zeros(na, dtype=np.intp)
+            for i in range(chunk - 1):
+                cs += v[i]
+                j += cs < u
             sw = np.flatnonzero(u < w)
-            cs = np.cumsum(v[sw], axis=1)
-            j = np.minimum(np.count_nonzero(cs < u[sw, None], axis=1), chunk - 1)
-            out[idx[sw], 0] = v[sw, j]
+            out[0, idx[sw]] = v[j[sw], sw]
         glast[idx] = newg
         npts += chunk
         points += na * chunk
@@ -409,7 +419,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
             if rba:
                 u = rng.random(fin.size) * totf - power[fin]
                 tl = u > 0.0
-                out[fin[tl], 0] = _pow_neg(r[done][tl], pw) * (
+                out[0, fin[tl]] = _pow_neg(r[done][tl], pw) * (
                     u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
             power[fin] = totf
         idx = idx[~done]
@@ -419,8 +429,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
             q = (deficit.size - 1) // 4
             # may be inf; the clamp at the top of the loop bounds it
             chunk = np.partition(deficit, q)[q] + _CHUNK_MIN
-    out /= power[:, None]
-    return out, int(flagged), points, rounds, int(clamped)
+    out /= power
+    return out.T, int(flagged), points, rounds, int(clamped)
 
 
 def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,

@@ -277,43 +277,43 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
     # sorted samples of a 5-realization run at seed 34, alpha = 4,
-    # re-recorded when the tail became a translated gamma, rows began to
-    # stop on the fourth cumulant and chunks began at 5 points, which
-    # changed the stream on purpose; a change in the tail draw moves
-    # them at ~1e-3 and one in the point stream at O(1), the tolerance
-    # only absorbs last-digit differences of the math library
+    # re-recorded when each chunk was laid out as (points, rows), which
+    # put the draws in other rows and so changed the stream on purpose;
+    # a change in the tail draw moves them at ~1e-3 and one in the point
+    # stream at O(1), the tolerance only absorbs last-digit differences
+    # of the math library
     RECORDED = {
         "nba": (FadingModel.nakagami(1.0), AssociationRule.nba(),
-                [0.08265614242960283, 0.5844842176124823, 0.6384772142402284,
-                 0.7110156379229103, 0.818799483532113]),
+                [0.1641352441695789, 0.3384002286873517, 0.3515993323170416,
+                 0.611673130843934, 0.9528826076681083]),
         "isba": (FadingModel.nakagami(1.0), AssociationRule.isba(),
-                 [0.35859854246745576, 0.5170608727187667, 0.7039713735569946,
-                  0.7736318704802004, 0.7893913280411641]),
+                 [0.2556243865871982, 0.4239161078351555, 0.5958631767118147,
+                  0.8110405289852306, 0.9281753471927484]),
         "kth2": (FadingModel.none(), AssociationRule.kth_strongest(2),
-                 [0.07302161172543559, 0.12861755689261448,
-                  0.15901535886356774, 0.18535916634195107,
-                  0.31324580073183445]),
+                 [0.01936540783595996, 0.08285560897285059,
+                  0.11114705141077164, 0.14741034428287866,
+                  0.15382274843680316]),
         "nba_none": (FadingModel.none(), AssociationRule.nba(),
-                     [0.35859854246745576, 0.5170608727187667,
-                      0.7039713735569946, 0.7736318704802004,
-                      0.7893913280411641]),
+                     [0.2556243865871982, 0.4239161078351555,
+                      0.5958631767118147, 0.8110405289852306,
+                      0.9281753471927484]),
         "nba_half": (FadingModel.nakagami(0.5), AssociationRule.nba(),
-                     [0.05373559309958474, 0.32861444854931704,
-                      0.4465510769361949, 0.6237873766932498,
-                      0.6562049418418352]),
+                     [0.05532717938230495, 0.06741360947717145,
+                      0.1668619520585609, 0.27123855493811294,
+                      0.8980674534473063]),
         "rba": (FadingModel.none(), AssociationRule.rba(),
-                [0.16153725614914644, 0.2513023455403064,
-                 0.6877224388418993, 0.7576348079172022,
-                 0.8133221539322549]),
+                [1.9903352620845767e-05, 0.1494687522766841,
+                 0.5303301904739174, 0.8148546081870969,
+                 0.930418412414799]),
     }
     # the three strongest signal fractions of the same 5 realizations,
     # in realization order
     RECORDED_TOP3 = [
-        [0.7736318704802004, 0.12861755689261448, 0.013876077186186902],
-        [0.7039713735569946, 0.18535916634195107, 0.021648909432691942],
-        [0.5170608727187667, 0.15901535886356774, 0.1116840438813027],
-        [0.7893913280411641, 0.07302161172543559, 0.03853826044656199],
-        [0.35859854246745576, 0.31324580073183445, 0.24990021297339834],
+        [0.5958631767118147, 0.14741034428287866, 0.09693380580201245],
+        [0.4239161078351555, 0.15382274843680316, 0.11507518892424555],
+        [0.2556243865871982, 0.08285560897285059, 0.07986556516237987],
+        [0.9281753471927484, 0.01936540783595996, 0.017608439500999617],
+        [0.8110405289852306, 0.11114705141077164, 0.03873748693857146],
     ]
 
     @pytest.mark.parametrize("rule", sorted(RECORDED))
@@ -323,6 +323,20 @@ class TestDeterminism:
                         samples=5, seed=34)
         np.testing.assert_allclose(sample_sf(cfg, workers=1).dist.samples,
                                    expected, rtol=1e-13, atol=0.0)
+
+    def test_chunk_layout_is_points_by_rows(self, params_half):
+        # the first chunk of a kth:5 shard is one (5, n) exponential
+        # draw, one column per realization; the ratios of its values do
+        # not involve the tail, so they pin which draw went where
+        n = 1000
+        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
+                        assoc=AssociationRule.kth_strongest(5), samples=n)
+        out = _sim_shard(cfg, n, _rng_for(35, 0))[0]
+        g = np.cumsum(_rng_for(35, 0).standard_exponential((5, n)), axis=0)
+        for j in range(1, 5):
+            np.testing.assert_allclose(out[:, j] / out[:, 0],
+                                       (g[j] / g[0]) ** -2.0, rtol=1e-13,
+                                       atol=0.0)
 
     def test_recorded_topk_block(self, params_half):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
