@@ -232,8 +232,9 @@ def _pow_neg(x, expo, out=None):
     return np.power(x, expo, out=out)
 
 
-def sample_nakagami(m: float, rng: np.random.Generator, size):
-    """Unit-mean Nakagami-m power gain: gamma with shape m, scale 1/m.
+def sample_nakagami(m: float, rng: np.random.Generator, size=None, out=None):
+    """Unit-mean Nakagami-m power gain: gamma with shape m, scale 1/m,
+    drawn into out if given.
 
     m = 1 is the unit exponential (Rayleigh power); m = 1/2 is the
     square of a standard normal.
@@ -241,11 +242,11 @@ def sample_nakagami(m: float, rng: np.random.Generator, size):
     if not 0.0 < m < math.inf:
         raise ValueError(f"m must be finite and > 0, got {m}")
     if m == 0.5:
-        z = rng.standard_normal(size)
-        return z * z
+        z = rng.standard_normal(size, out=out)
+        return np.multiply(z, z, out=out)
     if m == 1.0:
-        return rng.standard_exponential(size)
-    return rng.standard_gamma(m, size) / m
+        return rng.standard_exponential(size, out=out)
+    return np.divide(rng.standard_gamma(m, size, out=out), m, out=out)
 
 
 def _cumulant(n: int, delta: float, hn: float):
@@ -254,21 +255,21 @@ def _cumulant(n: int, delta: float, hn: float):
     return hn * delta / (n - delta), (delta - n) / delta
 
 
-def _gamma_tail(delta: float, fading: FadingModel, g1, r):
+def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1):
     """(shape, scale, shift) of the translated gamma that stands in for
-    the tail beyond arrival G = G_1 r, in G_1-relative units.
+    the tail beyond arrival G = G_1 r, in G_1-relative units, given
+    rp = r^(-1/delta) and re1 = r * rp = r^e_1.
 
     shift + scale * Z, with Z standard gamma of this shape, has the
     tail's kappa_1, kappa_2 and kappa_3, each c_n G_1 r^e_n (Seal 1977).
     The forms below are kappa_3/(2 kappa_2), 4 kappa_2^3/kappa_3^2 and
     kappa_1 - 2 kappa_2^2/kappa_3 with the powers of G_1 and r
     cancelled; as ratios of the kappa_n they would underflow to 0/0."""
-    c1, e1 = _cumulant(1, delta, fading.moment(1))
+    c1, _ = _cumulant(1, delta, fading.moment(1))
     c2, _ = _cumulant(2, delta, fading.moment(2))
     c3, _ = _cumulant(3, delta, fading.moment(3))
-    return (4.0 * c2 ** 3 / c3 ** 2 * g1 * r,
-            c3 / (2.0 * c2) * _pow_neg(r, -1.0 / delta),
-            (c1 - 2.0 * c2 ** 2 / c3) * g1 * np.power(r, e1))
+    return (4.0 * c2 ** 3 / c3 ** 2 * g1 * r, c3 / (2.0 * c2) * rp,
+            (c1 - 2.0 * c2 ** 2 / c3) * g1 * re1)
 
 
 def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
@@ -284,7 +285,11 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
 
     Values are relative to the row's first arrival G_1: with r = G/G_1
     they are r^(-1/delta) times the fading gain, and the tail cumulants
-    become c_n G_1 r^e_n.
+    become c_n G_1 r^e_n.  A round's one non-integer power is the chunk's:
+    rp = r^(-1/delta) at its last arrival, taken before the gain, gives
+    r^e_1 = r rp and r^e_4 = r (rp^2)^2.  G_1, the last arrival and the
+    power are held for the live rows only, compacted through one index
+    array as rows finish, whose totals go to their columns.
 
     A row stops once the tail's fourth cumulant is at most
     tail_eps^2 * total^4, with total = power so far + tail mean, and its
@@ -319,9 +324,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     uniform per active row (rba).  At finish: one standard gamma per
     finishing row, then one uniform per finishing row (rba).  A chunk
     is laid out as (points, rows): the exponentials and the gains are
-    each one (chunk, live rows) draw, a realization is a column, and a
-    running sum along it is one vector op per point.  The values are
-    held as (k, n) and returned transposed.
+    each drawn as one (chunk, live rows) block into a workspace that the
+    call reuses and grows, a realization is a column, and a running sum
+    along it is one vector op per point.  The values are held as (k, n)
+    and returned transposed.
     """
     delta = config.params.delta
     pw = -1.0 / delta
@@ -330,7 +336,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     fading = (FadingModel.none() if config.assoc.kind == "isba"
               else config.fading)
     fad_m = fading.m if fading.kind == "nakagami" else None
-    c1, e1 = _cumulant(1, delta, 1.0)
+    c1, _ = _cumulant(1, delta, 1.0)
     c4, e4 = _cumulant(4, delta, fading.moment(4))
     eps2 = config.tail_eps ** 2
     # with the total held fixed the stop holds from G * (kappa_4 /
@@ -341,15 +347,13 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     rba = config.assoc.kind == "rba"
     k = config.assoc.k or 1
 
-    idx = np.arange(n)
+    idx = np.arange(n)      # the live rows' columns of out
     glast = np.zeros(n)
     power = np.zeros(n)
+    total = np.empty(n)
     out = np.empty((k, n))
-    flagged = 0
-    clamped = 0
-    npts = 0
-    points = 0
-    rounds = 0
+    buf = np.empty(0)
+    flagged = clamped = npts = points = rounds = 0
     chunk = max(_CHUNK_MIN, k)
     while idx.size:
         na = idx.size
@@ -358,24 +362,28 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
         if rounds == 0 and chunk < k:
             raise ValueError(
                 f"point budget {budget} too small for the {k} ordered points")
-        e = rng.standard_exponential((chunk, na))
-        e[0] += glast[idx]
+        m = chunk * na
+        if buf.size < 2 * m:
+            buf = np.empty(2 * m)   # the exponentials, then the gains
+        e = rng.standard_exponential(out=buf[:m].reshape(chunk, na))
+        e[0] += glast
         if rounds == 0:
             g1 = e[0].copy()
         for i in range(1, chunk):   # the arrivals G, as np.cumsum adds them
             e[i] += e[i - 1]
-        g = g1[idx]
-        newg = e[-1].copy()
-        e *= 1.0 / g
+        glast = e[-1].copy()
+        e *= 1.0 / g1
+        r = e[-1].copy()
         v = _pow_neg(e, pw, out=e)
+        rp = v[-1].copy()
         if fad_m is not None:
-            v *= sample_nakagami(fad_m, rng, (chunk, na))
+            v *= sample_nakagami(fad_m, rng, out=buf[m:2 * m].reshape(chunk, na))
         w = np.add.reduce(v, axis=0)
-        power[idx] += w
+        power += w
         if rounds == 0:
             out[:] = v[:k]
         if rba:
-            u = rng.random(na) * power[idx]
+            u = rng.random(na) * power
             # the first partial sum >= u; they never decrease, so that is
             # the count of the first chunk - 1 that fall below u
             cs = np.zeros(na)
@@ -385,26 +393,25 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
                 j += cs < u
             sw = np.flatnonzero(u < w)
             out[0, idx[sw]] = v[j[sw], sw]
-        glast[idx] = newg
         npts += chunk
-        points += na * chunk
+        points += m
         rounds += 1
 
-        r = newg / g
-        mean_tail = c1 * g * np.power(r, e1)
-        tot = power[idx] + mean_tail
+        re1 = r * rp
+        tot = power + c1 * g1 * re1
         # tot^4 would underflow for a tiny total; a ratio past the
         # largest double means "far from done", and 0/0 (no power and no
         # tail mean left) satisfies kappa_4 <= tail_eps^2 tot^4 as 0 <= 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            k4_rel = c4 * g * np.power(r, e4) / tot / tot / tot / tot
-        done = ~(k4_rel > eps2)
+            k4_rel = c4 * g1 * (r * (rp * rp) ** 2) / tot / tot / tot / tot
+        live = k4_rel > eps2
         if npts >= budget:
-            flagged += np.count_nonzero(~done)
-            done[:] = True
-        if done.any():
-            fin = idx[done]
-            shape, scale, shift = _gamma_tail(delta, fading, g[done], r[done])
+            flagged += np.count_nonzero(live)
+            live[:] = False
+        fin = np.flatnonzero(~live)
+        if fin.size:
+            shape, scale, shift = _gamma_tail(delta, fading, g1[fin], r[fin],
+                                              rp[fin], re1[fin])
             tail = shift + scale * rng.standard_gamma(shape)
             neg = tail < 0.0
             clamped += np.count_nonzero(neg)
@@ -418,18 +425,19 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
                     "Nakagami m")
             if rba:
                 u = rng.random(fin.size) * totf - power[fin]
-                tl = u > 0.0
-                out[0, fin[tl]] = _pow_neg(r[done][tl], pw) * (
+                tl = np.flatnonzero(u > 0.0)
+                out[0, idx[fin[tl]]] = rp[fin[tl]] * (
                     u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
-            power[fin] = totf
-        idx = idx[~done]
+            total[idx[fin]] = totf
+            keep = np.flatnonzero(live)
+            idx, g1, glast, power = idx[keep], g1[keep], glast[keep], power[keep]
+            k4_rel = k4_rel[keep]
         if idx.size:
-            live = ~done
-            deficit = newg[live] * (np.power(k4_rel[live], grow) / eps_grow - 1.0)
+            deficit = glast * (np.power(k4_rel, grow) / eps_grow - 1.0)
             q = (deficit.size - 1) // 4
             # may be inf; the clamp at the top of the loop bounds it
             chunk = np.partition(deficit, q)[q] + _CHUNK_MIN
-    out /= power
+    out /= total
     return out.T, int(flagged), points, rounds, int(clamped)
 
 
@@ -464,7 +472,7 @@ def _run_shard(args):
 
 def worker_count(requested: int | None = None) -> int:
     """Worker processes to use: explicit argument, else SIGFRAC_THREADS,
-    else the machine's CPU count.  Never affects results, only speed.
+    else the CPUs this process may use.  Never affects results, only speed.
 
     The workers start on the first call that has more than one shard to
     run and live until the process exits; a call that asks for another
@@ -478,6 +486,8 @@ def worker_count(requested: int | None = None) -> int:
         except ValueError:
             raise ValueError(
                 f"SIGFRAC_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import threading
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -14,11 +15,11 @@ from scipy import special as sp
 import sigfrac as sg
 from sigfrac.montecarlo import (AssociationRule, EmpiricalDistribution,
                                 FadingModel, SimConfig, _cumulant, _gamma_tail,
-                                _rng_for, _sim_shard, arcsine_moment,
+                                _pow_neg, _rng_for, _sim_shard, arcsine_moment,
                                 conjecture_report,
                                 empirical_ccdf, empirical_moment, ks_distance,
                                 sample_nakagami, sample_plp, sample_sf,
-                                sample_sf_topk)
+                                sample_sf_topk, worker_count)
 from sigfrac.rayleigh import NetworkParams, sf_ccdf_exact
 
 KS99 = 1.63  # 99% Kolmogorov quantile of sqrt(N) D_N
@@ -356,6 +357,73 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
 
+class _RecordingRng:
+    """A generator that keeps every array a draw was asked to fill."""
+
+    def __init__(self, rng):
+        self.rng, self.outs = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            if kwargs.get("out") is not None:
+                self.outs.append(kwargs["out"])
+            return draw(*args, **kwargs)
+        return call
+
+
+class TestLeanRound:
+    """Each round takes its one non-integer power from the chunk, holds
+    the live rows compacted, and draws into one workspace per call."""
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5, 2.0 / 3.0, 0.9])
+    def test_tail_powers_are_products_of_rp(self, delta):
+        # r^e_1 = r rp and r^e_4 = r (rp^2)^2 with rp = r^(-1/delta), as
+        # a round forms them: within 8 ulp of np.power, plus what the
+        # exponent's own rounding makes of ln r (1 - n/delta is not
+        # always the double nearest (delta - n)/delta)
+        r = np.geomspace(1.0, 1e4, 100_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rp = _pow_neg(r, -1.0 / delta)
+            products = {1: r * rp, 4: r * (rp * rp) ** 2}
+        for n, got in products.items():
+            e = _cumulant(n, delta, 1.0)[1]
+            ref = np.power(r, e)
+            tol = 8.0 * np.spacing(ref) + ref * np.log(r) * 8.0 * np.spacing(-e)
+            # where np.power underflows to 0 the products do too, and
+            # where it is subnormal they may differ by the subnormal
+            # spacing of their last factor, times r
+            assert np.all(got[ref == 0.0] == 0.0)
+            assert np.all(np.abs(got - ref) <= tol + r * 2.0 ** -1074)
+
+    @pytest.mark.parametrize("delta, fading, assoc", [
+        (0.5, FadingModel.none(), AssociationRule.rba()),
+        (0.5, FadingModel.nakagami(0.5), AssociationRule.nba()),
+        # its second round draws more than its first, so the workspace
+        # grows
+        (2.0 / 3.0, FadingModel.nakagami(1.0), AssociationRule.nba())])
+    def test_workspace_is_private_to_a_call(self, delta, fading, assoc):
+        n = 4096
+        cfg = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
+                        assoc=assoc, samples=n)
+        gen = _rng_for(36, 0)
+        state = gen.bit_generator.state
+        rng = _RecordingRng(gen)
+        a = _sim_shard(cfg, n, rng)
+        outs = rng.outs
+        assert not any(np.shares_memory(a[0], o) for o in outs)
+        if fading.m == 1.0:
+            assert max(o.size for o in outs) > outs[0].size
+        rng.outs = []
+        gen.bit_generator.state = state
+        b = _sim_shard(cfg, n, rng)
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1:] == b[1:]
+        assert not any(np.shares_memory(b[0], o) for o in outs + rng.outs)
+
+
 def _worker_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
@@ -377,6 +445,14 @@ class TestWorkerPool:
     def config(params, samples):
         return SimConfig(params=params, fading=FadingModel.none(),
                          assoc=AssociationRule.nba(), samples=samples, seed=41)
+
+    def test_default_count_is_usable_cpus(self, monkeypatch):
+        # a cpuset or taskset leaves the process fewer CPUs than the
+        # machine has; no worker starts here
+        monkeypatch.delenv("SIGFRAC_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert worker_count() == 1
 
     def test_calls_share_workers(self, params_half):
         cfg = self.config(params_half, 20_000)     # two shards
@@ -563,7 +639,8 @@ def conditional_ccdf_bias(delta, fading, n, ts, rng, depth=400, block=50,
     r_ref = g_last / g1
 
     def ccdf(t, power, rr):
-        shape, scale, shift = _gamma_tail(delta, fading, g1, rr)
+        rp = rr ** (-1.0 / delta)
+        shape, scale, shift = _gamma_tail(delta, fading, g1, rr, rp, rr * rp)
         x = s / t - power
         return np.where(x > 0.0, sp.gammainc(
             shape, np.maximum(x - shift, 0.0) / scale), 0.0)
@@ -658,8 +735,9 @@ class TestTailCorrection:
         # shift + scale * Z at a fixed (G_1, r), unclamped, against the
         # tail's kappa_1..3 = c_n G_1 r^e_n; 5 standard errors
         g1, r, n = 0.5, 2.0, 10**6
+        rp = np.array([r ** (-1.0 / delta)])
         shape, scale, shift = (float(a[0]) for a in _gamma_tail(
-            delta, fading, np.array([g1]), np.array([r])))
+            delta, fading, np.array([g1]), np.array([r]), rp, r * rp))
         x = shift + scale * _rng_for(52, 0).standard_gamma(shape, n)
         d = x - x.mean()
         var = np.mean(d * d)
