@@ -32,12 +32,6 @@ _CONJ_KS_TOL = 1.0 / 3000.0
 _CONJ_GATE_SAMPLES = 20_000_000
 
 
-_TAIL_EPS_HELP = ("truncation tolerance in (0, 1): a realization stops once "
-                  "the un-generated tail's fourth cumulant is at most "
-                  "tail_eps^2 * total^4, and the tail is added as a "
-                  "translated-gamma draw matching its first three cumulants")
-
-
 class UsageError(ValueError):
     pass
 
@@ -265,10 +259,7 @@ def cmd_simulate(args):
         "mean": float(x.mean()),
         "variance": float(x.var()),
         "count": int(x.size),
-        "flagged": int(res.flagged),
-        "points_per_realization": float(res.points_per_realization),
-        "chunk_rounds": int(res.chunk_rounds),
-        "tail_clamped": int(res.tail_clamped),
+        **res.counters(),
         "seed": int(args.seed),
     }
     emit_curve(args, "SF", "ccdf", grid, empirical_ccdf(res.dist, grid),
@@ -350,6 +341,19 @@ def _add_common(p, grid_default=None, unit=False):
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
 
+def _add_engine(p):
+    """The Monte Carlo run flags, defaulting as SimConfig does."""
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    p.add_argument("--point-budget", type=int, default=SimConfig.point_budget)
+    p.add_argument("--tail-eps", type=float, default=SimConfig.tail_eps,
+                   help="truncation tolerance in (0, 1): a realization stops "
+                        "once the un-generated tail's fourth cumulant is at "
+                        "most tail_eps^2 * total^4, and the tail is added as "
+                        "a translated-gamma draw matching its first three "
+                        "cumulants")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -372,10 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, grid_default="0:1:101")
     p.add_argument("--fading", default="none", help="none | nakagami:m")
     p.add_argument("--assoc", default="nba", help="nba | isba | rba | kth:n")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--point-budget", type=int, default=1_000_000)
-    p.add_argument("--tail-eps", type=float, default=1e-4, help=_TAIL_EPS_HELP)
+    _add_engine(p)
 
     p = sub.add_parser("plp", help="no-fading path-loss-process statistics")
     _add_common(p, grid_default="0.01:0.99:99")
@@ -385,10 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture",
                        help="arcsine comparison for Nakagami-1/2, alpha = 4")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--point-budget", type=int, default=1_000_000)
-    p.add_argument("--tail-eps", type=float, default=1e-4, help=_TAIL_EPS_HELP)
+    _add_engine(p)
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default="-")
 

@@ -47,7 +47,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import util as mp_util
 
 import numpy as np
@@ -189,6 +189,10 @@ class SimResult:
     chunk_rounds: int
     tail_clamped: int
 
+    def counters(self) -> dict:
+        """The engine counters, every field after dist, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+
 
 def empirical_ccdf(dist: EmpiricalDistribution, t):
     """Fraction of samples strictly above t; vectorized over t."""
@@ -300,9 +304,9 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     underflowed float64) has no signal fraction and raises ValueError.
     The first chunk has max(5, k) points and its first k values fill the
     row (for rba, the reservoir and the tail pick then rewrite it); each
-    later one is the lower quartile over the live rows of the points
-    each would need, with the total held fixed, plus 5, so most rows
-    stop a few points past where the rule first holds.
+    later one, capped in size, is the lower quartile over the live rows
+    of the points each would need, with the total held fixed, plus 5, so
+    most rows stop a few points past where the rule first holds.
 
     Random association is a size-1 weighted reservoir over the chunks
     (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
@@ -355,13 +359,14 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     buf = np.empty(0)
     flagged = clamped = npts = points = rounds = 0
     chunk = max(_CHUNK_MIN, k)
+    if chunk > budget:
+        raise ValueError(
+            f"point budget {budget} too small for the {k} ordered points")
     while idx.size:
         na = idx.size
-        chunk = int(min(max(chunk, _CHUNK_MIN), _CHUNK_MAX,
-                        max(_CHUNK_ELEMS // na, _CHUNK_MIN), budget - npts))
-        if rounds == 0 and chunk < k:
-            raise ValueError(
-                f"point budget {budget} too small for the {k} ordered points")
+        if rounds:
+            chunk = int(min(max(chunk, _CHUNK_MIN), _CHUNK_MAX,
+                            max(_CHUNK_ELEMS // na, _CHUNK_MIN), budget - npts))
         m = chunk * na
         if buf.size < 2 * m:
             buf = np.empty(2 * m)   # the exponentials, then the gains
@@ -470,15 +475,13 @@ def _run_shard(args):
     return _sim_shard(config, count, _rng_for(config.seed, shard_idx))
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker processes to use: explicit argument, else SIGFRAC_THREADS,
-    else the CPUs this process may use.  Never affects results, only speed.
+def worker_count() -> int:
+    """Worker processes in the pool: SIGFRAC_THREADS, else the CPUs this
+    process may use.  Never affects results, only speed.
 
-    The workers start on the first call that has more than one shard to
-    run and live until the process exits; a call that asks for another
-    count replaces them."""
-    if requested is not None:
-        return max(1, int(requested))
+    The pool starts with this many workers on the first call that maps
+    shards on it and keeps that size until the process exits; a count of
+    1 runs every shard in-process."""
     env = os.environ.get("SIGFRAC_THREADS")
     if env:
         try:
@@ -491,11 +494,9 @@ def worker_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-# The one worker pool of this process and its size.  The lock covers
-# every use of the pool, so a concurrent call can neither replace nor
-# shut it down under a running map.
+# The one worker pool of this process.  The lock covers every use of the
+# pool, so a concurrent call cannot shut it down under a running map.
 _pool: ProcessPoolExecutor | None = None
-_pool_size = 0
 _pool_lock = threading.RLock()
 
 
@@ -518,16 +519,13 @@ def _close_pool():
             _pool = None
 
 
-def _map_shards(shards, w: int):
-    """Run the shards on the process's pool of w workers, in order."""
-    global _pool, _pool_size
+def _map_shards(shards):
+    """Run the shards on the process's pool, in order, starting it with
+    worker_count() workers if there is none."""
+    global _pool
     with _pool_lock:
-        if w != _pool_size:
-            # the old workers and manager thread end before any new fork
-            _close_pool()
         if _pool is None:
-            _pool = ProcessPoolExecutor(max_workers=w)
-            _pool_size = w
+            _pool = ProcessPoolExecutor(max_workers=worker_count())
             # a multiprocessing child process joins its children before
             # concurrent.futures' exit hook would stop them, so it needs
             # this earlier hook to exit at all; it must also run before
@@ -550,11 +548,11 @@ def _run_all(config: SimConfig, workers: int | None):
         shards.append((config, i, take))
         left -= take
         i += 1
-    w = min(worker_count(workers), len(shards))
-    if w <= 1:
+    # worker_count() first, so a bad SIGFRAC_THREADS fails every call
+    if worker_count() == 1 or workers == 1 or len(shards) == 1:
         results = [_run_shard(s) for s in shards]
     else:
-        results = _map_shards(shards, w)
+        results = _map_shards(shards)
     # map keeps shard order, whichever worker ran a shard
     vals, flagged, points, rounds, clamped = zip(*results)
     flagged = sum(flagged)
@@ -579,11 +577,12 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     configs (including seed) give bit-identical output for any worker
     count.
 
-    With more than one shard and worker_count(workers) > 1 the shards
-    run on worker processes that start on the first such call and live
-    until the process exits; later calls reuse them while the count
-    stays the same.  If a worker dies, the call raises
-    BrokenProcessPool and the next call starts fresh workers.
+    workers=1 runs the shards in this process, as does a run of one
+    shard or a worker_count() of 1.  Any other value maps them on the
+    process's pool, whose size worker_count() fixes when the first such
+    call starts it; it lives until the process exits.  If a worker dies,
+    the call raises BrokenProcessPool and the next call starts a fresh
+    pool.
     """
     vals, flagged, points, rounds, clamped = _run_all(config, workers)
     k = vals.shape[1]
@@ -600,7 +599,7 @@ def sample_sf_topk(config: SimConfig, workers: int | None = None):
     kth_strongest(k) config, as a (samples, k) array in realization
     order, plus the flagged count.  Rows are joint draws: column j is
     SF_{j+1} of the same network.  Any other association is a
-    ValueError."""
+    ValueError; workers is as for sample_sf."""
     if config.assoc.kind != "kth":
         raise ValueError("top-k signal fractions need a kth_strongest(k) "
                          f"association, got {config.assoc.kind!r}")
@@ -619,15 +618,17 @@ def arcsine_cdf(t):
     return 2.0 / math.pi * np.arcsin(np.sqrt(t))
 
 
-def conjecture_report(samples: int, seed: int, point_budget: int = 1_000_000,
-                      tail_eps: float = 1e-4,
+def conjecture_report(samples: int, seed: int,
+                      point_budget: int = SimConfig.point_budget,
+                      tail_eps: float = SimConfig.tail_eps,
                       workers: int | None = None) -> dict:
     """Simulate NBA with Nakagami-1/2 fading at alpha = 4 and compare
     against the arcsine distribution (cdf 2 arcsin(sqrt t) / pi).
 
     Returns the body of the CLI's conjecture document: the run's size
     and seed, the first ten empirical and arcsine moments with their
-    relative differences, the KS sup-distance and the engine counters."""
+    relative differences, the KS sup-distance and the engine counters.
+    workers is as for sample_sf."""
     config = SimConfig(params=NetworkParams.from_alpha(4.0),
                        fading=FadingModel.nakagami(0.5),
                        assoc=AssociationRule.nba(),
@@ -650,8 +651,5 @@ def conjecture_report(samples: int, seed: int, point_budget: int = 1_000_000,
         "fading_m": 0.5,
         "moments": moments,
         "ks_distance": ks_distance(res.dist, arcsine_cdf),
-        "flagged": res.flagged,
-        "points_per_realization": res.points_per_realization,
-        "chunk_rounds": res.chunk_rounds,
-        "tail_clamped": res.tail_clamped,
+        **res.counters(),
     }

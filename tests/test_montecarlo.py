@@ -16,7 +16,7 @@ import sigfrac as sg
 from sigfrac.montecarlo import (AssociationRule, EmpiricalDistribution,
                                 FadingModel, SimConfig, _cumulant, _gamma_tail,
                                 _pow_neg, _rng_for, _sim_shard, arcsine_moment,
-                                conjecture_report,
+                                _close_pool, conjecture_report,
                                 empirical_ccdf, empirical_moment, ks_distance,
                                 sample_nakagami, sample_plp, sample_sf,
                                 sample_sf_topk, worker_count)
@@ -428,18 +428,17 @@ def _worker_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
 
-def _gone(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    return False
-
-
 class TestWorkerPool:
-    """One pool per process: started by the first multi-shard call,
-    reused while the worker count stays, replaced when it changes, and
+    """One pool per process: started with worker_count() workers by the
+    first multi-shard call, reused at that size by every later one, and
     dropped after a worker dies."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # each test starts its own pool, of two workers unless it says
+        # otherwise
+        _close_pool()
+        monkeypatch.setenv("SIGFRAC_THREADS", "2")
 
     @staticmethod
     def config(params, samples):
@@ -461,20 +460,20 @@ class TestWorkerPool:
         assert len(pids) == 2
         sample_sf(cfg, workers=2)
         assert _worker_pids() == pids
-        # two shards never need more than two workers
+        # only worker_count() sizes the pool, not the workers argument
         sample_sf(cfg, workers=5)
         assert _worker_pids() == pids
 
-    def test_count_change_replaces_workers(self, params_half):
-        sample_sf(self.config(params_half, 20_000), workers=2)
-        old = _worker_pids()
-        sample_sf(self.config(params_half, 40_000), workers=3)
-        new = _worker_pids()
-        assert len(new) == 3
-        assert all(_gone(pid) for pid in old)
+    def test_fewer_shards_keep_workers(self, params_half, monkeypatch):
+        monkeypatch.setenv("SIGFRAC_THREADS", "3")
+        sample_sf(self.config(params_half, 40_000))     # three shards
+        pids = _worker_pids()
+        assert len(pids) == 3
+        sample_sf(self.config(params_half, 20_000))     # two shards
+        assert _worker_pids() == pids
 
     def test_concurrent_calls(self, params_half):
-        # threads that keep changing the worker count must neither close
+        # threads that pass changing workers arguments must neither close
         # the pool under another's map nor start a second one
         cfg = self.config(params_half, 40_000)
         expected = sample_sf(cfg, workers=1).dist.samples
@@ -566,6 +565,28 @@ class TestTruncation:
                         assoc=AssociationRule.rba(), samples=2_000, seed=44,
                         point_budget=16)
         with pytest.raises(sg.SimulationError):
+            sample_sf(cfg)
+
+    def test_first_chunk_holds_k_points_on_a_full_shard(self, params_half):
+        # 300 ordered points on 16,384 rows exceed the later rounds' cap
+        # of 4,000,000 draws a round; the first chunk is one (300, n)
+        # draw all the same
+        n = 16384
+        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
+                        assoc=AssociationRule.kth_strongest(300), samples=n)
+        out, flagged = _sim_shard(cfg, n, _rng_for(45, 0))[:2]
+        assert out.shape == (n, 300) and flagged == 0
+        g = np.cumsum(_rng_for(45, 0).standard_exponential((300, n)), axis=0)
+        for j in (1, 150, 299):
+            np.testing.assert_allclose(out[:, j] / out[:, 0],
+                                       (g[j] / g[0]) ** -2.0, rtol=1e-13,
+                                       atol=0.0)
+
+    def test_budget_below_k_is_domain_error(self, params_half):
+        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
+                        assoc=AssociationRule.kth_strongest(300), samples=10,
+                        point_budget=299)
+        with pytest.raises(ValueError, match="too small for the 300 ordered"):
             sample_sf(cfg)
 
 
