@@ -58,6 +58,7 @@ _SHARD = 16384        # realizations per RNG substream; part of the output contr
 _CHUNK_MIN = 5
 _CHUNK_MAX = 8192
 _CHUNK_ELEMS = 4_000_000
+_KTH_VALUES = 1 << 23   # k * rows of a kth:k shard: 64 MiB, twice at first
 
 
 class SimulationError(RuntimeError):
@@ -155,6 +156,12 @@ class SimConfig:
             raise ValueError(
                 f"{self.assoc.kind} association is defined on the no-fading "
                 "path loss process")
+        rows = min(self.samples, _SHARD)
+        if self.assoc.kind == "kth" and self.assoc.k * rows > _KTH_VALUES:
+            raise ValueError(
+                f"kth:{self.assoc.k} on {rows} realizations a shard holds "
+                f"{self.assoc.k * rows} values, more than {_KTH_VALUES}; use "
+                f"k <= {_KTH_VALUES // rows}")
 
 
 @dataclass(frozen=True)
@@ -476,11 +483,8 @@ def _run_shard(args):
 
 
 def worker_count() -> int:
-    """Worker processes in the pool: SIGFRAC_THREADS, else the CPUs this
-    process may use.  Never affects results, only speed.
-
-    The pool starts with this many workers on the first call that maps
-    shards on it and keeps that size until the process exits; a count of
+    """Most worker processes in the pool: SIGFRAC_THREADS, else the CPUs
+    this process may use.  Never affects results, only speed; a count of
     1 runs every shard in-process."""
     env = os.environ.get("SIGFRAC_THREADS")
     if env:
@@ -494,9 +498,11 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-# The one worker pool of this process.  The lock covers every use of the
-# pool, so a concurrent call cannot shut it down under a running map.
+# The one worker pool of this process and its size.  The lock covers
+# every use of the pool, so a concurrent call can neither replace nor
+# shut it down under a running map.
 _pool: ProcessPoolExecutor | None = None
+_pool_size = 0
 _pool_lock = threading.RLock()
 
 
@@ -519,13 +525,17 @@ def _close_pool():
             _pool = None
 
 
-def _map_shards(shards):
-    """Run the shards on the process's pool, in order, starting it with
-    worker_count() workers if there is none."""
-    global _pool
+def _map_shards(shards, w: int):
+    """Run the shards on the process's pool, in order, growing it to w
+    workers if it has fewer."""
+    global _pool, _pool_size
     with _pool_lock:
+        if _pool is not None and w > _pool_size:
+            # the old workers and manager thread end before any new fork
+            _close_pool()
         if _pool is None:
-            _pool = ProcessPoolExecutor(max_workers=worker_count())
+            _pool = ProcessPoolExecutor(max_workers=w)
+            _pool_size = w
             # a multiprocessing child process joins its children before
             # concurrent.futures' exit hook would stop them, so it needs
             # this earlier hook to exit at all; it must also run before
@@ -549,10 +559,11 @@ def _run_all(config: SimConfig, workers: int | None):
         left -= take
         i += 1
     # worker_count() first, so a bad SIGFRAC_THREADS fails every call
-    if worker_count() == 1 or workers == 1 or len(shards) == 1:
+    w = min(worker_count(), len(shards))
+    if w == 1 or workers == 1:
         results = [_run_shard(s) for s in shards]
     else:
-        results = _map_shards(shards)
+        results = _map_shards(shards, w)
     # map keeps shard order, whichever worker ran a shard
     vals, flagged, points, rounds, clamped = zip(*results)
     flagged = sum(flagged)
@@ -577,12 +588,14 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     configs (including seed) give bit-identical output for any worker
     count.
 
-    workers=1 runs the shards in this process, as does a run of one
-    shard or a worker_count() of 1.  Any other value maps them on the
-    process's pool, whose size worker_count() fixes when the first such
-    call starts it; it lives until the process exits.  If a worker dies,
-    the call raises BrokenProcessPool and the next call starts a fresh
-    pool.
+    workers is not a count: workers=1 runs the shards in this process,
+    as does a run of one shard or a worker_count() of 1; any other
+    value, 0 and negative ones included, is ignored and the shards run
+    on the process's pool.  The pool starts with one worker per shard,
+    up to worker_count(), is replaced by a larger one only when a later
+    call has more shards, and lives until the process exits.  If a
+    worker dies, the call raises BrokenProcessPool and the next call
+    starts a fresh pool.
     """
     vals, flagged, points, rounds, clamped = _run_all(config, workers)
     k = vals.shape[1]

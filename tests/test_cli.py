@@ -306,6 +306,13 @@ class TestSimulate:
         assert out == ""
         assert f"nakagami parameter m must be finite and > 0, got {m}" in err
 
+    def test_kth_over_shard_limit_rejected(self, capsys):
+        rc, out, err = run(capsys, "simulate", "--alpha", "4", "--assoc",
+                           "kth:100000", "--samples", "20000")
+        assert rc == 2
+        assert out == ""
+        assert "error: kth:100000 on 16384 realizations a shard" in err
+
     def test_non_integer_threads_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGFRAC_THREADS", "abc")
         rc, out, err = run(capsys, "simulate", "--alpha", "4", "--samples",

@@ -26,6 +26,30 @@ KS99 = 1.63  # 99% Kolmogorov quantile of sqrt(N) D_N
 PLP_N = 50_000
 
 
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """pool_of(n) closes the pool and caps the next one at n workers,
+    whatever pool an earlier test left or SIGFRAC_THREADS says; the pool
+    is closed again after the test."""
+    def start(n):
+        _close_pool()
+        monkeypatch.setenv("SIGFRAC_THREADS", str(n))
+    yield start
+    _close_pool()
+
+
 @pytest.fixture(scope="module")
 def plp_first_two(params_half):
     """xi_1 and xi_2 of PLP_N successive sample_plp realizations at
@@ -74,6 +98,20 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
                       assoc=AssociationRule.kth_strongest(2), samples=10)
+
+    def test_kth_values_per_shard_capped(self, params_half):
+        # a kth:k shard holds k values per realization, so k * rows is
+        # what bounds a worker's memory
+        def cfg(k, samples):
+            return SimConfig(params=params_half, fading=FadingModel.none(),
+                             assoc=AssociationRule.kth_strongest(k),
+                             samples=samples)
+        assert cfg(512, 40_000).assoc.k == 512
+        assert cfg(100_000, 80).samples == 80
+        with pytest.raises(ValueError, match="use k <= 512"):
+            cfg(513, 40_000)
+        with pytest.raises(ValueError, match="holds 1638400000 values"):
+            cfg(100_000, 20_000)
 
     def test_negative_seed_rejected(self, params_half):
         # SeedSequence would refuse it only inside the first shard
@@ -263,18 +301,22 @@ class TestSampleSf:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self, params_half):
+    def test_worker_count_invariance(self, params_half, pool_of):
         cfg = SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
                         assoc=AssociationRule.nba(), samples=40_000, seed=31)
+        pool_of(3)
         a = sample_sf(cfg, workers=1).dist.samples
-        b = sample_sf(cfg, workers=3).dist.samples
+        b = sample_sf(cfg).dist.samples
+        assert len(_worker_pids()) == 3
         np.testing.assert_array_equal(a, b)
 
-    def test_worker_count_invariance_rba(self, params_half):
+    def test_worker_count_invariance_rba(self, params_half, pool_of):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
                         assoc=AssociationRule.rba(), samples=40_000, seed=32)
+        pool_of(2)
         a = sample_sf(cfg, workers=1).dist.samples
-        b = sample_sf(cfg, workers=2).dist.samples
+        b = sample_sf(cfg).dist.samples
+        assert len(_worker_pids()) == 2
         np.testing.assert_array_equal(a, b)
 
     # sorted samples of a 5-realization run at seed 34, alpha = 4,
@@ -348,12 +390,14 @@ class TestDeterminism:
         np.testing.assert_allclose(vals, self.RECORDED_TOP3, rtol=1e-13,
                                    atol=0.0)
 
-    def test_topk_invariance(self, params_half):
+    def test_topk_invariance(self, params_half, pool_of):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
                         assoc=AssociationRule.kth_strongest(3), samples=40_000,
                         seed=33)
+        pool_of(3)
         a, _ = sample_sf_topk(cfg, workers=1)
-        b, _ = sample_sf_topk(cfg, workers=3)
+        b, _ = sample_sf_topk(cfg)
+        assert len(_worker_pids()) == 3
         np.testing.assert_array_equal(a, b)
 
 
@@ -424,21 +468,17 @@ class TestLeanRound:
         assert not any(np.shares_memory(b[0], o) for o in outs + rng.outs)
 
 
-def _worker_pids():
-    return {p.pid for p in multiprocessing.active_children()}
-
-
 class TestWorkerPool:
-    """One pool per process: started with worker_count() workers by the
-    first multi-shard call, reused at that size by every later one, and
-    dropped after a worker dies."""
+    """One pool per process: started by the first multi-shard call with
+    one worker per shard up to worker_count(), reused by every later
+    call with as many shards or fewer, replaced by a larger one for a
+    call with more, and dropped after a worker dies."""
 
     @pytest.fixture(autouse=True)
-    def two_workers(self, monkeypatch):
+    def two_workers(self, pool_of):
         # each test starts its own pool, of two workers unless it says
         # otherwise
-        _close_pool()
-        monkeypatch.setenv("SIGFRAC_THREADS", "2")
+        pool_of(2)
 
     @staticmethod
     def config(params, samples):
@@ -460,12 +500,24 @@ class TestWorkerPool:
         assert len(pids) == 2
         sample_sf(cfg, workers=2)
         assert _worker_pids() == pids
-        # only worker_count() sizes the pool, not the workers argument
+        # the workers argument does not size the pool
         sample_sf(cfg, workers=5)
         assert _worker_pids() == pids
 
-    def test_fewer_shards_keep_workers(self, params_half, monkeypatch):
-        monkeypatch.setenv("SIGFRAC_THREADS", "3")
+    def test_count_change_replaces_workers(self, params_half, pool_of):
+        # a one-shot two-shard call starts two workers, not
+        # worker_count(); a call with more shards grows the pool
+        pool_of(3)
+        sample_sf(self.config(params_half, 20_000))     # two shards
+        old = _worker_pids()
+        assert len(old) == 2
+        sample_sf(self.config(params_half, 40_000))     # three shards
+        new = _worker_pids()
+        assert len(new) == 3
+        assert all(_gone(pid) for pid in old)
+
+    def test_fewer_shards_keep_workers(self, params_half, pool_of):
+        pool_of(3)
         sample_sf(self.config(params_half, 40_000))     # three shards
         pids = _worker_pids()
         assert len(pids) == 3
@@ -672,15 +724,17 @@ def conditional_ccdf_bias(delta, fading, n, ts, rng, depth=400, block=50,
 
 
 class TestTailCorrection:
-    def test_points_per_realization_capped(self):
+    def test_points_per_realization_capped(self, pool_of):
         # the fourth-cumulant stop needs ~28 points per realization here;
         # the third-cumulant stop of a Gaussian tail needed ~105, and
         # stopping on the tail's standard deviation ~4k
         cfg = SimConfig(params=NetworkParams.from_delta(2.0 / 3.0),
                         fading=FadingModel.nakagami(1.0),
                         assoc=AssociationRule.nba(), samples=20_000, seed=45)
+        pool_of(2)
         a = sample_sf(cfg, workers=1)
-        b = sample_sf(cfg, workers=2)
+        b = sample_sf(cfg)
+        assert len(_worker_pids()) == 2
         assert 14.0 <= a.points_per_realization <= 56.0
         assert a.points_per_realization == b.points_per_realization
 
@@ -740,13 +794,15 @@ class TestTailCorrection:
         assert x[0] >= 0.0 and x[-1] <= 1.0 / (assoc.k or 1)
         assert (res.tail_clamped > 0) is (fading.kind == "none")
 
-    def test_tail_clamped_worker_independent(self):
+    def test_tail_clamped_worker_independent(self, pool_of):
         cfg = SimConfig(params=NetworkParams.from_delta(0.1),
                         fading=FadingModel.none(), assoc=AssociationRule.nba(),
                         samples=40_000, seed=50)
+        pool_of(2)
         a = sample_sf(cfg, workers=1).tail_clamped
         assert a > 0
-        assert sample_sf(cfg, workers=2).tail_clamped == a
+        assert sample_sf(cfg).tail_clamped == a
+        assert len(_worker_pids()) == 2
 
     @pytest.mark.parametrize("delta, fading", [
         (2.0 / 3.0, FadingModel.nakagami(1.0)),
