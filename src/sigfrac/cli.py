@@ -7,7 +7,8 @@ or JSON (schemas shipped in ``schemas/``).  Floats are emitted with 12
 significant digits; any command taking ``--seed`` is reproducible
 byte-for-byte, independent of ``SIGFRAC_THREADS``.
 
-Exit codes: 0 success, 2 usage or domain error, 3 numeric failure.
+Exit codes: 0 success, 2 usage or domain error, 3 numeric failure; a
+command that fails writes nothing to stdout and no file.
 """
 
 from __future__ import annotations
@@ -113,17 +114,14 @@ def _sf_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
-
-
-def write_rows(fh, unit: str, pts, values, flags=None):
-    fh.write("arg_unit,arg,value" + ("" if flags is None else ",flag") + "\n")
-    tails = [""] * len(pts) if flags is None else [f",{f}" for f in flags]
-    for arg, val, tail in zip(pts.tolist(), values.tolist(), tails):
-        fh.write(f"{unit},{_fmt(arg)},{_fmt(val)}{tail}\n")
+def _write(path, text: str):
+    """Write text to stdout for '-', else to the file at path, which is
+    created or truncated only here, once the text is whole."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def curve_doc(variable, kind, unit, pts, values, flags=None, **extra):
@@ -145,38 +143,33 @@ def emit_curve(args, variable, kind, pts, values, flags=None, sidecars=None):
 
     sidecars is a dict name -> json-able payload; in JSON format they
     are embedded, in CSV format they go to '<out>.<name>.json' (or to
-    stderr when writing CSV to stdout).  A curve with no point left in
-    its domain is a usage error, and nothing is written.
+    stderr when writing CSV to stdout).  Every text is built before the
+    first is written, so a curve with no point left in its domain (a
+    usage error) or a value JSON cannot hold writes nothing.
     """
     if len(pts) == 0:
         raise UsageError("no --grid point lies in the curve's domain")
     unit = getattr(args, "unit", "linear") or "linear"
-    fh, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            fh.write(_dumps(curve_doc(variable, kind, unit, pts, values,
-                                      flags, **(sidecars or {}))))
+    sidecars = sidecars or {}
+    if args.format == "json":
+        _write(args.out, _dumps(curve_doc(variable, kind, unit, pts, values,
+                                          flags, **sidecars)))
+        return
+    sides = {name: _dumps(payload) for name, payload in sidecars.items()}
+    tails = [""] * len(pts) if flags is None else [f",{f}" for f in flags]
+    _write(args.out, "".join(
+        ["arg_unit,arg,value" + ("" if flags is None else ",flag") + "\n"]
+        + [f"{unit},{_fmt(arg)},{_fmt(val)}{tail}\n"
+           for arg, val, tail in zip(pts.tolist(), values.tolist(), tails)]))
+    for name, text in sides.items():
+        if args.out == "-":
+            sys.stderr.write(text)
         else:
-            write_rows(fh, unit, pts, values, flags)
-            for name, payload in (sidecars or {}).items():
-                if close:
-                    with open(f"{args.out}.{name}.json", "w",
-                              encoding="utf-8", newline="\n") as side:
-                        side.write(_dumps(payload))
-                else:
-                    sys.stderr.write(_dumps(payload))
-    finally:
-        if close:
-            fh.close()
+            _write(f"{args.out}.{name}.json", text)
 
 
 def emit_json(args, doc):
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(_dumps(doc))
-    finally:
-        if close:
-            fh.close()
+    _write(args.out, _dumps(doc))
 
 
 def cmd_exact(args):

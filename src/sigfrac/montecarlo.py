@@ -58,7 +58,7 @@ _SHARD = 16384        # realizations per RNG substream; part of the output contr
 _CHUNK_MIN = 5
 _CHUNK_MAX = 8192
 _CHUNK_ELEMS = 4_000_000
-_KTH_VALUES = 1 << 23   # k * rows of a kth:k shard: 64 MiB, twice at first
+_KTH_VALUES = 1 << 23   # k * rows of a kth:k shard's first chunk: 64 MiB
 
 
 class SimulationError(RuntimeError):
@@ -156,11 +156,14 @@ class SimConfig:
             raise ValueError(
                 f"{self.assoc.kind} association is defined on the no-fading "
                 "path loss process")
-        rows = min(self.samples, _SHARD)
-        if self.assoc.kind == "kth" and self.assoc.k * rows > _KTH_VALUES:
+        k, rows = self.assoc.k, min(self.samples, _SHARD)
+        if k and k > self.point_budget:
+            raise ValueError(f"point budget {self.point_budget} too small for "
+                             f"the {k} ordered points")
+        if k and k * rows > _KTH_VALUES:
             raise ValueError(
-                f"kth:{self.assoc.k} on {rows} realizations a shard holds "
-                f"{self.assoc.k * rows} values, more than {_KTH_VALUES}; use "
+                f"kth:{k} on {rows} realizations a shard holds {k * rows} "
+                f"values, more than {_KTH_VALUES}; use "
                 f"k <= {_KTH_VALUES // rows}")
 
 
@@ -283,16 +286,18 @@ def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1):
             (c1 - 2.0 * c2 ** 2 / c3) * g1 * re1)
 
 
-def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
+def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
+               keep: int | None = None):
     """Simulate n realizations; returns (values, flagged_count, points,
     rounds, clamped_count).
 
-    values has shape (n, k): for kth_strongest(k), the k strongest
-    no-fading signal fractions of each realization; for nba, isba and
-    rba (k = 1), the served station's signal fraction.  points is the
-    number of path loss values generated and rounds the number of chunk
-    rounds; clamped_count is the number of rows whose drawn tail fell
-    below zero.
+    values has shape (n, keep), keep being k unless given: for
+    kth_strongest(k), the weakest keep of the k strongest no-fading
+    signal fractions of each realization, strongest first; for nba, isba
+    and rba (k = 1), the served station's signal fraction.  points is
+    the number of path loss values generated and rounds the number of
+    chunk rounds; clamped_count is the number of rows whose drawn tail
+    fell below zero.
 
     Values are relative to the row's first arrival G_1: with r = G/G_1
     they are r^(-1/delta) times the fading gain, and the tail cumulants
@@ -309,11 +314,12 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     divided by the totals.
     A row whose power and drawn tail are both 0 (every fading gain
     underflowed float64) has no signal fraction and raises ValueError.
-    The first chunk has max(5, k) points and its first k values fill the
-    row (for rba, the reservoir and the tail pick then rewrite it); each
-    later one, capped in size, is the lower quartile over the live rows
-    of the points each would need, with the total held fixed, plus 5, so
-    most rows stop a few points past where the rule first holds.
+    The first chunk has max(5, k) points, and the last keep of its first
+    k values fill the row (for rba, the reservoir and the tail pick then
+    rewrite it); each later one, capped in size, is the lower quartile
+    over the live rows of the points each would need, with the total
+    held fixed, plus 5, so most rows stop a few points past where the
+    rule first holds.
 
     Random association is a size-1 weighted reservoir over the chunks
     (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
@@ -357,18 +363,16 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
     budget = config.point_budget
     rba = config.assoc.kind == "rba"
     k = config.assoc.k or 1
+    keep = keep or k
 
     idx = np.arange(n)      # the live rows' columns of out
     glast = np.zeros(n)
     power = np.zeros(n)
     total = np.empty(n)
-    out = np.empty((k, n))
+    out = np.empty((keep, n))
     buf = np.empty(0)
     flagged = clamped = npts = points = rounds = 0
-    chunk = max(_CHUNK_MIN, k)
-    if chunk > budget:
-        raise ValueError(
-            f"point budget {budget} too small for the {k} ordered points")
+    chunk = max(_CHUNK_MIN, k)   # SimConfig holds k within the budget
     while idx.size:
         na = idx.size
         if rounds:
@@ -393,7 +397,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator):
         w = np.add.reduce(v, axis=0)
         power += w
         if rounds == 0:
-            out[:] = v[:k]
+            out[:] = v[k - keep:k]
         if rba:
             u = rng.random(na) * power
             # the first partial sum >= u; they never decrease, so that is
@@ -478,8 +482,8 @@ def sample_plp(params: NetworkParams, point_budget: int, tail_eps: float,
 
 
 def _run_shard(args):
-    config, shard_idx, count = args
-    return _sim_shard(config, count, _rng_for(config.seed, shard_idx))
+    config, shard_idx, count, keep = args
+    return _sim_shard(config, count, _rng_for(config.seed, shard_idx), keep)
 
 
 def worker_count() -> int:
@@ -549,15 +553,9 @@ def _map_shards(shards, w: int):
             raise
 
 
-def _run_all(config: SimConfig, workers: int | None):
-    shards = []
-    left = config.samples
-    i = 0
-    while left > 0:
-        take = min(_SHARD, left)
-        shards.append((config, i, take))
-        left -= take
-        i += 1
+def _run_all(config: SimConfig, workers: int | None, keep: int):
+    shards = [(config, i, min(_SHARD, config.samples - start), keep)
+              for i, start in enumerate(range(0, config.samples, _SHARD))]
     # worker_count() first, so a bad SIGFRAC_THREADS fails every call
     w = min(worker_count(), len(shards))
     if w == 1 or workers == 1:
@@ -597,9 +595,9 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     worker dies, the call raises BrokenProcessPool and the next call
     starts a fresh pool.
     """
-    vals, flagged, points, rounds, clamped = _run_all(config, workers)
-    k = vals.shape[1]
-    x = np.sort(vals[:, -1])
+    vals, flagged, points, rounds, clamped = _run_all(config, workers, 1)
+    k = config.assoc.k or 1
+    x = np.sort(vals[:, 0])
     if k > 1 and x[-1] > 1.0 / k:
         raise AssertionError(f"SF_{k} sample exceeds its support bound 1/{k}")
     return SimResult(dist=EmpiricalDistribution(samples=x), flagged=flagged,
@@ -616,7 +614,7 @@ def sample_sf_topk(config: SimConfig, workers: int | None = None):
     if config.assoc.kind != "kth":
         raise ValueError("top-k signal fractions need a kth_strongest(k) "
                          f"association, got {config.assoc.kind!r}")
-    vals, flagged, _, _, _ = _run_all(config, workers)
+    vals, flagged, _, _, _ = _run_all(config, workers, config.assoc.k)
     return vals, flagged
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from scipy import special as _special
 
 from .rayleigh import NetworkParams
-from .specfun import NumericError, _checked, _rba_cdf, harmonic, sinc_pi
+from .specfun import (NumericError, _checked, _no_overflow, _rba_cdf, harmonic,
+                      sinc_pi)
 
 #: g_n(t) is the exact ccdf of SF_n/(1 - SF_1 - ... - SF_{n-1}) only for
 #: t >= 1/2; below that it is an upper bound.
@@ -73,14 +74,17 @@ def g_n(params: NetworkParams, n: int, t):
 
     Equals P(SF_n + t (SF_1 + ... + SF_{n-1}) > t) exactly for
     t >= 1/2; for smaller t it is only an upper bound (and can exceed
-    1) -- see g_n_is_exact.
+    1) -- see g_n_is_exact.  A value past the largest double, near
+    t = 0, is a ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t = _checked(t, "t", 0.0, 1.0, open_="both")
     d = params.delta
-    return np.power(1.0 / t - 1.0, n * d) * math.exp(
-        -math.lgamma(1.0 + n * d) - n * math.lgamma(1.0 - d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.power(1.0 / t - 1.0, n * d) * math.exp(
+            -math.lgamma(1.0 + n * d) - n * math.lgamma(1.0 - d))
+    return _no_overflow(v, t, f"g_{n}(t) overflows a double at t = {{}}")
 
 
 def g1_unit_crossing(params: NetworkParams) -> float:
@@ -104,11 +108,14 @@ def mean_sf1_upper_bound(params: NetworkParams) -> float:
 def rba_pdf(params: NetworkParams, t):
     """Density of the SF under random association with selection
     probabilities SF_k: sin(pi d) / (pi t^d (1-t)^(1-d)), a Beta(1-d, d);
-    t in (0, 1) is a float or an array."""
+    t in (0, 1) is a float or an array.  A value past the largest
+    double, near t = 0, is a ValueError."""
     t = _checked(t, "t", 0.0, 1.0, open_="both")
     d = params.delta
-    return math.sin(math.pi * d) / (
-        math.pi * np.power(t, d) * np.power(1.0 - t, 1.0 - d))
+    with np.errstate(over="ignore"):
+        v = math.sin(math.pi * d) / (
+            math.pi * np.power(t, d) * np.power(1.0 - t, 1.0 - d))
+    return _no_overflow(v, t, "the rba density overflows a double at t = {}")
 
 
 def rba_cdf(params: NetworkParams, t):
@@ -133,7 +140,9 @@ def flatness_rate(params: NetworkParams) -> float:
     1F1(-delta; 1-delta; s).  Evaluated at negative argument instead,
     the Kummer transformation shows 1F1(-delta; 1-delta; -s) =
     e^-s 1F1(1; 1-delta; s) > 0 for every s, so the zero can only sit
-    on the positive axis.  The bracket is located by a doubling scan.
+    on the positive axis.  On the positive axis it falls from 1 at
+    s = 0, so one bracket [1e-12, 100] holds the zero whenever the value
+    at 100 is negative.
     """
     from scipy import optimize   # only s* needs it; loaded on first call
 
@@ -142,21 +151,10 @@ def flatness_rate(params: NetworkParams) -> float:
     def f(s):
         return _special.hyp1f1(-d, 1.0 - d, s)
 
-    lo = 1e-3
-    if f(lo) <= 0.0:
-        lo, hi = 1e-12, lo
-    else:
-        hi = lo
-        while True:
-            hi = 2.0 * hi
-            if hi > 100.0:
-                raise NumericError(
-                    "no sign change of 1F1(-d, 1-d, s) on (0, 100]")
-            if f(hi) < 0.0:
-                break
-        lo = hi / 2.0
+    if not f(100.0) < 0.0:
+        raise NumericError("no sign change of 1F1(-d, 1-d, s) on (0, 100]")
     try:
-        return optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
+        return optimize.brentq(f, 1e-12, 100.0, xtol=1e-15, rtol=8.9e-16,
                                maxiter=100)
     except RuntimeError as exc:   # brentq did not converge
         raise NumericError(f"root iteration failed: {exc}") from exc

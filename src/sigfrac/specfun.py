@@ -64,6 +64,16 @@ def _checked(x, name: str, lo: float, hi: float, open_: str = ""):
     return v
 
 
+def _no_overflow(v, x, msg: str):
+    """v, computed from x (a float, or an array of v's shape) with
+    overflow warnings off, after checking that it is finite; a value
+    that is not is a ValueError, msg.format() of the first such x."""
+    ok = np.isfinite(v)
+    if not ok.all():
+        raise ValueError(msg.format(x if np.ndim(v) == 0 else x[~ok][0]))
+    return v
+
+
 def _by_half(t, lower, upper):
     """lower(t) where t <= 1/2 and upper(t) above, for a float or an
     array t.  The incomplete beta ratios switch there to their

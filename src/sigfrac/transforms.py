@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import _checked
+from .specfun import _checked, _no_overflow
 
 
 class AxisUnit(str, Enum):
@@ -46,11 +46,7 @@ def db_to_linear(x_db):
     x_db = _checked(x_db, "x_db", -math.inf, math.inf)
     with np.errstate(over="ignore"):
         lin = np.power(10.0, x_db / 10.0)
-    over = ~np.isfinite(lin)
-    if over.any():
-        bad = x_db if np.ndim(lin) == 0 else x_db[over][0]
-        raise ValueError(f"{bad} dB overflows a double in linear units")
-    return lin
+    return _no_overflow(lin, x_db, "{} dB overflows a double in linear units")
 
 
 def linear_to_db(x):

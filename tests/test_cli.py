@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
@@ -429,6 +431,27 @@ class TestPlpCommand:
         rc, _, err = run(capsys, "plp", "--stat", "what", "--delta", "0.5")
         assert rc == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("--stat", "gn:5", "--delta", "0.9", "--grid", "1e-300,0.5"),
+        ("--stat", "gn:1", "--delta", "0.99", "--grid", "5e-324,0.5"),
+        ("--stat", "rba-curve", "--kind", "pdf", "--delta", "0.99",
+         "--grid", "5e-324,0.5"),
+    ], ids=" ".join)
+    def test_overflowing_curve_is_domain_error(self, capsys, tmp_path, argv,
+                                               fmt):
+        # a value past the largest double is no CSV inf and no invalid
+        # JSON, and no --out file is left behind
+        out_path = tmp_path / "curve.out"
+        rc, out, err = run(capsys, "plp", *argv, "--format", fmt,
+                           "--out", str(out_path))
+        assert rc == 2
+        assert out == ""
+        assert "overflows a double at t = " in err
+        assert not out_path.exists()
+        rc, out, _ = run(capsys, "plp", *argv, "--format", fmt)
+        assert (rc, out) == (2, "")
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_t_rejected(self, capsys, t):
         rc, out, err = run(capsys, "plp", "--alpha", "4", "--stat", "gn:2",
@@ -497,6 +520,41 @@ class TestCurveOutput:
         assert rc == 2
         assert out == ""
         assert "no --grid point lies in the curve's domain" in err
+
+
+class TestOutputBoundary:
+    """Every text is built before the first write, so a failed command
+    leaves no --out file and no sidecar file."""
+
+    @staticmethod
+    def args(fmt, out):
+        return argparse.Namespace(format=fmt, out=str(out), unit=None)
+
+    def test_json_inf_creates_no_file(self, tmp_path):
+        out = tmp_path / "curve.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.emit_curve(self.args("json", out), "SF", "ccdf",
+                           np.array([0.5]), np.array([math.inf]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_nan_sidecar_creates_no_file(self, capsys, tmp_path):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.emit_curve(self.args("csv", out), "SF", "ccdf",
+                           np.array([0.5]), np.array([0.25]),
+                           sidecars={"summary": {"mean": math.nan}})
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr() == ("", "")
+
+    def test_existing_out_file_is_kept(self, capsys, tmp_path):
+        # a failed command does not truncate what a good one wrote
+        out = tmp_path / "f.json"
+        argv = ["plp", "--stat", "gn:5", "--delta", "0.9", "--format",
+                "json", "--out", str(out)]
+        assert main(argv + ["--grid", "0.5"]) == 0
+        good = out.read_text()
+        assert main(argv + ["--grid", "1e-300,0.5"]) == 2
+        assert out.read_text() == good
 
 
 class TestConjecture:

@@ -113,6 +113,15 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match="holds 1638400000 values"):
             cfg(100_000, 20_000)
 
+    def test_kth_within_point_budget(self, params_half):
+        # the first chunk holds the k ordered points, so k above the
+        # budget fails here, before any worker starts
+        with pytest.raises(ValueError, match="point budget 10 too small for "
+                                             "the 20 ordered points"):
+            SimConfig(params=params_half, fading=FadingModel.none(),
+                      assoc=AssociationRule.kth_strongest(20), samples=40_000,
+                      point_budget=10)
+
     def test_negative_seed_rejected(self, params_half):
         # SeedSequence would refuse it only inside the first shard
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -635,11 +644,11 @@ class TestTruncation:
                                        atol=0.0)
 
     def test_budget_below_k_is_domain_error(self, params_half):
-        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
-                        assoc=AssociationRule.kth_strongest(300), samples=10,
-                        point_budget=299)
+        # SimConfig refuses it, before any shard runs
         with pytest.raises(ValueError, match="too small for the 300 ordered"):
-            sample_sf(cfg)
+            SimConfig(params=params_half, fading=FadingModel.none(),
+                      assoc=AssociationRule.kth_strongest(300), samples=10,
+                      point_budget=299)
 
 
 def per_point_stop_depth(delta, fading, n, tail_eps, rng, block=64):

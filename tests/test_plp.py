@@ -127,6 +127,17 @@ class TestGn:
             with pytest.raises(ValueError):
                 g_n(params_half, 1, t)
 
+    @pytest.mark.parametrize("n, d, t, bad", [
+        (5, 0.9, 1e-300, "1e-300"),
+        (5, 0.9, np.array([0.5, 1e-300, 1e-310]), "1e-300"),
+        (1, 0.99, np.array([5e-324, 0.5]), "5e-324")])
+    def test_overflow_names_the_first_t(self, n, d, t, bad):
+        # no RuntimeWarning, and the first t whose value passes the
+        # largest double
+        with pytest.raises(ValueError,
+                           match=f"^g_{n}\\(t\\) overflows a double at t = {bad}$"):
+            g_n(NetworkParams.from_delta(d), n, t)
+
     def test_joint_event_mc_agreement(self, nofad_half_top5, params_half):
         # P(SF_n + t (SF_1+...+SF_{n-1}) > t) = g_n(t) on t >= 1/2
         vals = nofad_half_top5
@@ -178,6 +189,12 @@ class TestRba:
                         left_power=2.0 - d, right_power=d)
             assert mean == pytest.approx(1.0 - d, abs=1e-8)
             assert rba_mean(p) == 1.0 - d
+
+    @pytest.mark.parametrize("t", [5e-324, np.array([0.5, 5e-324])])
+    def test_pdf_overflow_names_the_t(self, t):
+        with pytest.raises(ValueError, match="^the rba density overflows a "
+                                             "double at t = 5e-324$"):
+            rba_pdf(NetworkParams.from_delta(0.99), t)
 
     def test_arcsine_cdf(self, params_half):
         assert rba_cdf(params_half, 0.5) == pytest.approx(0.5, rel=1e-13)
