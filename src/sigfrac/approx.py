@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .rayleigh import NetworkParams, _sf_moments, misr
 from .specfun import NumericError, _by_half, _checked, beta_fn, sinc_pi
@@ -188,6 +187,8 @@ def gb_cdf(gbp: GBParams, t):
     regularized incomplete beta I_w(p, q) with u = t^a, c = b^-a and
     w = c u / (1 + (c-1) u) (McDonald & Xu 1995); 0 below t = 0 and 1
     above t = 1."""
+    from scipy import special   # loaded on first call
+
     a, p, q = gbp.a, gbp.p, gbp.q
     c = gbp.b ** -a
     t = _checked(t, "t", -math.inf, math.inf)
@@ -197,15 +198,15 @@ def gb_cdf(gbp: GBParams, t):
 
     def lower(s):
         u = np.power(s, a)
-        return _special.betainc(p, q, c * u / (1.0 + (c - 1.0) * u))
+        return special.betainc(p, q, c * u / (1.0 + (c - 1.0) * u))
 
     def upper(s):
         # I_w(p, q) = 1 - I_{1-w}(q, p), with 1 - w = (1 - t^a)/(1 + (c-1) u)
         # formed without cancellation: rounding w itself costs up to 7e-8
         # relative in the ccdf at t = 1 - 1e-9
         u = np.power(s, a)
-        return _special.betaincc(q, p, -np.expm1(a * np.log(s))
-                                 / (1.0 + (c - 1.0) * u))
+        return special.betaincc(q, p, -np.expm1(a * np.log(s))
+                                / (1.0 + (c - 1.0) * u))
 
     return _by_half(t, lower, upper)
 
@@ -217,13 +218,15 @@ def gb_moment(gbp: GBParams, k: int) -> float:
     z = 1 - 6e-14 with p = 0.1, q = 0.072 and k = 1, where the value is
     4.59); a non-finite value is raised as NumericError, never returned.
     """
+    from scipy import special   # loaded on first call
+
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
     a, b, p, q = gbp.a, gbp.b, gbp.p, gbp.q
     z = 1.0 - b ** a
     if not abs(z) < 1.0:
         raise ValueError(f"gb_moment requires |1 - b^a| < 1, got {z}")
-    f = float(_special.hyp2f1((k + 1.0) * p, k * p, (k + 1.0) * p + q, z))
+    f = float(special.hyp2f1((k + 1.0) * p, k * p, (k + 1.0) * p + q, z))
     if not math.isfinite(f):
         raise NumericError(f"2F1 at z = {z} for p = {p}, q = {q} is {f}")
     return b ** k * beta_fn((k + 1.0) * p, q) / beta_fn(p, q) * f

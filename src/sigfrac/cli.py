@@ -14,9 +14,11 @@ command that fails writes nothing to stdout and no file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -61,8 +63,9 @@ def _rounded(doc):
 
 
 def _dumps(doc) -> str:
-    """The JSON serializer every document goes through: floats rounded
-    in place by _rounded, NaN and inf refused."""
+    """The JSON serializer every document goes through, apart from the
+    points curve_doc writes itself: floats rounded in place by
+    _rounded, NaN and inf refused."""
     return json.dumps(_rounded(doc), indent=2, allow_nan=False) + "\n"
 
 
@@ -114,27 +117,63 @@ def _sf_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def _write(path, text: str):
-    """Write text to stdout for '-', else to the file at path, which is
-    created or truncated only here, once the text is whole."""
+def _write(path, text: str, sides=None):
+    """Write text to stdout for path '-', else to the file at path, and
+    each name -> text of sides to '<path>.<name>.json', or to stderr
+    when path is '-'.  Files are created or truncated only here, once
+    every text is whole, and all are opened before any is written: a
+    file that cannot be opened is a UsageError that leaves none of them
+    behind."""
+    sides = sides or {}
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        for side in sides.values():
+            sys.stderr.write(side)
+        return
+    targets = {path: text} | {f"{path}.{name}.json": side
+                              for name, side in sides.items()}
+    with contextlib.ExitStack() as stack:
+        files = []
+        for target in targets:
+            try:
+                files.append(stack.enter_context(
+                    open(target, "w", encoding="utf-8", newline="\n")))
+            except OSError as exc:
+                stack.close()
+                for fh in files:
+                    os.remove(fh.name)
+                raise UsageError(
+                    f"cannot write {target}: {exc.strerror}") from exc
+        for fh, out in zip(files, targets.values()):
+            fh.write(out)
 
 
-def curve_doc(variable, kind, unit, pts, values, flags=None, **extra):
-    points = [{"arg": arg, "value": val}
-              for arg, val in zip(pts.tolist(), values.tolist())]
-    if flags is not None:
-        for pt, f in zip(points, flags):
-            if f:
-                pt["flag"] = f
-    doc = {"schema": "curve", "variable": variable, "kind": kind,
-           "arg_unit": unit, "points": points}
-    doc.update(extra)
-    return doc
+_POINT = '    {\n      "arg": %s,\n      "value": %s\n    }'
+
+
+def curve_doc(variable, kind, unit, pts, values, flags=None, **extra) -> str:
+    """The JSON text of a curve: _dumps of the document whose "points"
+    list holds {"arg", "value"} per point, plus "flag" where flags has a
+    non-empty string.  The points, most of the text, are written
+    directly at their fixed indentation and spliced into the _dumps
+    text of the rest; pts must not be empty."""
+    xy = np.column_stack((pts, values)).ravel()   # in document order
+    bad = xy[~np.isfinite(xy)]
+    if bad.size:
+        raise ValueError("Out of range float values are not JSON "
+                         f"compliant: {float(bad[0])!r}")
+    # json.dumps writes a float as its repr, here of _fmt's rounding
+    nums = list(map(repr, map(float, (
+        "%.12g " * xy.size % tuple(xy.tolist())).split())))
+    for i, f in enumerate(flags or ()):
+        if f:
+            nums[2 * i + 1] += f',\n      "flag": {json.dumps(f)}'
+    points = ",\n".join([_POINT] * len(pts)) % tuple(nums)
+    # the keys before "points" hold strings, which escape every quote,
+    # so the first '"points": []' of the text is its own
+    return _dumps({"schema": "curve", "variable": variable, "kind": kind,
+                   "arg_unit": unit, "points": [], **extra}).replace(
+        '"points": []', f'"points": [\n{points}\n  ]', 1)
 
 
 def emit_curve(args, variable, kind, pts, values, flags=None, sidecars=None):
@@ -152,20 +191,16 @@ def emit_curve(args, variable, kind, pts, values, flags=None, sidecars=None):
     unit = getattr(args, "unit", "linear") or "linear"
     sidecars = sidecars or {}
     if args.format == "json":
-        _write(args.out, _dumps(curve_doc(variable, kind, unit, pts, values,
-                                          flags, **sidecars)))
+        _write(args.out, curve_doc(variable, kind, unit, pts, values, flags,
+                                   **sidecars))
         return
     sides = {name: _dumps(payload) for name, payload in sidecars.items()}
     tails = [""] * len(pts) if flags is None else [f",{f}" for f in flags]
     _write(args.out, "".join(
         ["arg_unit,arg,value" + ("" if flags is None else ",flag") + "\n"]
         + [f"{unit},{_fmt(arg)},{_fmt(val)}{tail}\n"
-           for arg, val, tail in zip(pts.tolist(), values.tolist(), tails)]))
-    for name, text in sides.items():
-        if args.out == "-":
-            sys.stderr.write(text)
-        else:
-            _write(f"{args.out}.{name}.json", text)
+           for arg, val, tail in zip(pts.tolist(), values.tolist(), tails)]),
+        sides)
 
 
 def emit_json(args, doc):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _special
 
 from .rayleigh import NetworkParams
 from .specfun import (NumericError, _checked, _no_overflow, _rba_cdf, harmonic,
@@ -100,9 +99,11 @@ def mean_sf1_upper_bound(params: NetworkParams) -> float:
     is the Beta(1-d, 1+d) density, because Gamma(1+d) Gamma(1-d) =
     B(1-d, 1+d).  The bound is therefore t0 + 1 - I_t0(1-d, 1+d).
     """
+    from scipy import special   # loaded on first call
+
     d = params.delta
     t0 = g1_unit_crossing(params)
-    return t0 + float(_special.betaincc(1.0 - d, 1.0 + d, t0))
+    return t0 + float(special.betaincc(1.0 - d, 1.0 + d, t0))
 
 
 def rba_pdf(params: NetworkParams, t):
@@ -144,12 +145,12 @@ def flatness_rate(params: NetworkParams) -> float:
     s = 0, so one bracket [1e-12, 100] holds the zero whenever the value
     at 100 is negative.
     """
-    from scipy import optimize   # only s* needs it; loaded on first call
+    from scipy import optimize, special   # loaded on first call
 
     d = params.delta
 
     def f(s):
-        return _special.hyp1f1(-d, 1.0 - d, s)
+        return special.hyp1f1(-d, 1.0 - d, s)
 
     if not f(100.0) < 0.0:
         raise NumericError("no sign change of 1F1(-d, 1-d, s) on (0, 100]")

@@ -3,7 +3,8 @@
 The beta function, the closed form of 2F1(1, 1; 1-delta; t) through
 the incomplete beta ratio, sinc and harmonic numbers.  Everything is
 pure; hyp2f1_11 and the incomplete beta kernels take a float or an
-array.  The only SciPy module it loads is scipy.special.
+array.  The only SciPy module it uses is scipy.special, which harmonic
+and the incomplete beta kernels load on their first call.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _special
 
 
 class NumericError(RuntimeError):
@@ -41,7 +41,8 @@ def harmonic(i: int) -> float:
     digamma(i + 1) + Euler's gamma (DLMF 5.4.14), in constant time."""
     if i < 1:
         raise ValueError(f"harmonic requires i >= 1, got {i}")
-    return float(_special.digamma(i + 1.0)) + np.euler_gamma
+    from scipy import special   # loaded on first call
+    return float(special.digamma(i + 1.0)) + np.euler_gamma
 
 
 def _checked(x, name: str, lo: float, hi: float, open_: str = ""):
@@ -91,8 +92,9 @@ def _rba_cdf(d: float, t):
     """I_t(1-d, d), the Beta(1-d, d) cdf of the random-association signal
     fraction, for t in [0, 1].  betainc itself is up to 1e-10 off near
     t = 1, so the upper half is betaincc(d, 1-d, 1-t)."""
-    return _by_half(t, lambda s: _special.betainc(1.0 - d, d, s),
-                    lambda s: _special.betaincc(d, 1.0 - d, 1.0 - s))
+    from scipy import special   # loaded on first call
+    return _by_half(t, lambda s: special.betainc(1.0 - d, d, s),
+                    lambda s: special.betaincc(d, 1.0 - d, 1.0 - s))
 
 
 def _nba_parts(d: float, t):

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import math
 from pathlib import Path
@@ -522,6 +523,72 @@ class TestCurveOutput:
         assert "no --grid point lies in the curve's domain" in err
 
 
+def reference_curve_json(variable, kind, unit, pts, values, flags=None,
+                         **extra):
+    """A curve document through json.dumps, the bytes curve_doc must
+    write."""
+    points = [{"arg": arg, "value": val}
+              for arg, val in zip(pts.tolist(), values.tolist())]
+    for pt, f in zip(points, flags or ()):
+        if f:
+            pt["flag"] = f
+    doc = {"schema": "curve", "variable": variable, "kind": kind,
+           "arg_unit": unit, "points": points, **extra}
+    return json.dumps(cli._rounded(doc), indent=2, allow_nan=False) + "\n"
+
+
+class TestJsonPoints:
+    """curve_doc writes the points itself; its bytes are those of
+    json.dumps of the rounded document."""
+
+    @pytest.mark.parametrize("argv", [
+        ("plp", "--stat", "gn:2"),                              # flags
+        ("plp", "--stat", "gn:2", "--grid", "0.5:0.99:50"),     # no flags
+        ("plp", "--stat", "gn:2", "--grid", "0.6"),             # one point
+        ("approx", "--method", "gb-fit"),                       # fit
+        ("simulate", "--samples", "2000"),                      # summary
+    ], ids=" ".join)
+    def test_commands_match_json_dumps(self, capsys, monkeypatch, argv):
+        calls = []
+        real = cli.curve_doc
+
+        def spy(*args, **kwargs):
+            calls.append(copy.deepcopy((args, kwargs)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "curve_doc", spy)
+        rc, out, _ = run(capsys, *argv, "--alpha", "4", "--format", "json")
+        assert rc == 0
+        [(args, kwargs)] = calls
+        assert out == reference_curve_json(*args, **kwargs)
+
+    @pytest.mark.parametrize("flags", [None, ["", "ub-only", "", "x\"y"]])
+    def test_extreme_values_match_json_dumps(self, flags):
+        pts = np.array([-0.0, 5e-324, 1e-300, 1.7e308])
+        values = np.array([1.7e308, 1e-300, 5e-324, -0.0])
+        assert (cli.curve_doc("SF", "ccdf", "linear", pts, values, flags)
+                == reference_curve_json("SF", "ccdf", "linear", pts, values,
+                                        flags))
+        # every exponent and the positional/exponent switches of repr
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-10.0, 10.0, 600) * 10.0 ** rng.integers(-320, 299, 600)
+        x = np.concatenate([x, [1.0, 100.0, 1e12, 123456789012345.0,
+                                1e16, 0.1 + 0.2, 1e-5, 2.0 ** -1074]])
+        assert (cli.curve_doc("SF", "ccdf", "dB", x, x[::-1], fit={"a": 1.5})
+                == reference_curve_json("SF", "ccdf", "dB", x, x[::-1],
+                                        fit={"a": 1.5}))
+
+    def test_first_non_finite_value_is_named(self):
+        # the error names the first bad value in document order
+        pts = np.array([0.1, 0.2, math.inf])
+        values = np.array([0.5, -math.inf, math.nan])
+        with pytest.raises(ValueError) as ref:
+            reference_curve_json("SF", "ccdf", "linear", pts, values)
+        with pytest.raises(ValueError) as exc:
+            cli.curve_doc("SF", "ccdf", "linear", pts, values)
+        assert str(exc.value) == str(ref.value)
+
+
 class TestOutputBoundary:
     """Every text is built before the first write, so a failed command
     leaves no --out file and no sidecar file."""
@@ -545,6 +612,23 @@ class TestOutputBoundary:
                            sidecars={"summary": {"mean": math.nan}})
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr() == ("", "")
+
+    def test_unopenable_out_is_domain_error(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "exact", "--alpha", "4", "--grid", "0:1:3",
+                           "--out", str(tmp_path / "nodir" / "x.csv"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot write ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unopenable_sidecar_leaves_no_csv(self, capsys, tmp_path):
+        # every file is opened before any is written
+        out = tmp_path / "f.csv"
+        (tmp_path / "f.csv.fit.json").mkdir()
+        rc, stdout, err = run(capsys, "approx", "--method", "gb-fit",
+                              "--alpha", "4", "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: cannot write ")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv.fit.json"]
 
     def test_existing_out_file_is_kept(self, capsys, tmp_path):
         # a failed command does not truncate what a good one wrote

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 import types
 
 import sigfrac as sg
@@ -32,24 +33,55 @@ def test_public_surface():
     assert names == PUBLIC
 
 
-def test_cli_import_loads_no_scipy_solver():
-    # a fresh interpreter: importing the CLI loads scipy.special only;
-    # gb_fit and flatness_rate load scipy.optimize on their first call
-    code = (
-        "import sys, sigfrac.cli\n"
-        "loaded = sorted(m for m in ('scipy.optimize', 'scipy.integrate')\n"
-        "                if m in sys.modules)\n"
-        "assert not loaded, loaded\n"
-        "assert 'scipy.special' in sys.modules\n"
-        "import sigfrac as sg\n"
-        "p = sg.NetworkParams.from_alpha(4.0)\n"
-        "sg.gb_fit(p)\n"
-        "sg.flatness_rate(p)\n"
-        "assert 'scipy.optimize' in sys.modules\n"
-    )
+def _fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(sg.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, timeout=120,
-                       env={**os.environ, "PYTHONPATH": path})
+    r = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                       capture_output=True, text=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": path,
+                            "SIGFRAC_THREADS": "1"})
     assert r.returncode == 0, r.stderr
+
+
+def test_cli_import_loads_no_scipy_solver():
+    # importing the package and the CLI loads no SciPy, and neither do
+    # the commands that need only numpy; exact loads scipy.special on
+    # its first call
+    _fresh_interpreter("""
+        import contextlib, io, sys
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+
+        import sigfrac
+        assert not scipy_loaded(), scipy_loaded()
+        from sigfrac import cli
+        assert not scipy_loaded(), scipy_loaded()
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(list(argv)) == 0, argv
+
+        for argv in (
+                ("simulate", "--alpha", "4", "--fading", "nakagami:1",
+                 "--samples", "2000"),
+                ("simulate", "--alpha", "4", "--assoc", "rba",
+                 "--samples", "2000"),
+                ("conjecture", "--samples", "10000"),
+                ("convert", "--value", "3", "--from", "dB", "--to", "MH")):
+            run(*argv)
+            assert not scipy_loaded(), (argv, scipy_loaded())
+        run("exact", "--alpha", "4")
+        assert "scipy.special" in sys.modules
+        assert "scipy.optimize" not in sys.modules
+    """)
+    # gb_fit and flatness_rate each load scipy.optimize on first call
+    for call in ("gb_fit", "flatness_rate"):
+        _fresh_interpreter(f"""
+            import sys
+            import sigfrac as sg
+            assert "scipy.optimize" not in sys.modules
+            sg.{call}(sg.NetworkParams.from_alpha(4.0))
+            assert "scipy.optimize" in sys.modules
+        """)
