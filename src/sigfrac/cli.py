@@ -288,6 +288,7 @@ def cmd_simulate(args):
         "variance": float(x.var()),
         "count": int(x.size),
         **res.counters(),
+        "tail_eps": config.tail_eps,
         "seed": int(args.seed),
     }
     emit_curve(args, "SF", "ccdf", grid, empirical_ccdf(res.dist, grid),
@@ -329,10 +330,14 @@ def cmd_plp(args):
 def cmd_conjecture(args):
     if args.samples < 10_000:
         raise UsageError(f"conjecture report needs >= 10000 samples, got {args.samples}")
+    tail_eps = args.tail_eps
+    if tail_eps is None:    # the report's rule, nba, picks the default
+        tail_eps = SimConfig.default_tail_eps(AssociationRule.nba())
     doc = {"schema": "conjecture",
            **montecarlo.conjecture_report(args.samples, args.seed,
                                           point_budget=args.point_budget,
-                                          tail_eps=args.tail_eps),
+                                          tail_eps=tail_eps),
+           "tail_eps": tail_eps,
            "moment_threshold": _CONJ_MOMENT_TOL, "ks_threshold": _CONJ_KS_TOL}
     if args.samples >= _CONJ_GATE_SAMPLES:
         doc["thresholds_evaluated"] = True
@@ -379,7 +384,8 @@ def _add_engine(p):
                         "once the un-generated tail's fourth cumulant is at "
                         "most tail_eps^2 * total^4, and the tail is added as "
                         "a translated-gamma draw matching its first three "
-                        "cumulants")
+                        "cumulants; default 1e-3, and 1e-4 for rba, whose "
+                        "tail pick is biased at 1e-3")
 
 
 @functools.cache

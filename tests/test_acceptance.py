@@ -2,7 +2,9 @@
 PASS/FAIL line.  The heavy Monte Carlo inputs are shared session
 fixtures (see conftest).  The full-scale arcsine comparison (2e7
 samples, ~1 min on two cores) only runs when SIGFRAC_FULL_SCALE=1; its
-relaxed 1e6-sample smoke variant always runs.
+relaxed 1e6-sample smoke variant always runs.  The tail_eps accuracy
+contract (1.6e7 samples in each of ten cells, ~1 min) is opt-in the
+same way.
 """
 
 import math
@@ -18,8 +20,11 @@ import sigfrac as sg
 from sigfrac.cli import main as cli_main
 from sigfrac.montecarlo import (AssociationRule, FadingModel, SimConfig,
                                 arcsine_cdf, conjecture_report,
-                                empirical_ccdf, ks_distance, sample_sf)
+                                empirical_ccdf, ks_distance, sample_sf,
+                                sample_sf_topk)
 from sigfrac.rayleigh import NetworkParams, sf_ccdf_exact
+
+from reference import nba_nakagami_ccdf
 
 TWO_THIRDS = 2.0 / 3.0
 
@@ -171,7 +176,7 @@ def test_criterion_03_rayleigh_mc_oracle(rayleigh_mc):
                            "SIGFRAC_FULL_SCALE=1 to enable")
 def test_criterion_03_rayleigh_mc_full_scale():
     # the slow-tail case, where rows stop on the fourth cumulant after
-    # ~28 points; at 4e6 samples the standard error (at most 2.5e-4)
+    # ~12 points at the default tail_eps; at 4e6 samples the standard error (at most 2.5e-4)
     # is half of criterion 3's, on a 49-point grid
     n = 4 * 10**6
     p = NetworkParams.from_delta(TWO_THIRDS)
@@ -317,6 +322,96 @@ def test_rba_seed_sweep_full_scale():
            f"sqrt(n) KS < 1.63 in {ks_ok}/60, |mean z| < 2.576 in "
            f"{mean_ok}/60")
     assert ok, (ks_ok, mean_ok)
+
+
+# --- the tail_eps accuracy contract -------------------------------------------
+
+# Each rule's default tail_eps must keep the simulated ccdf within
+# CONTRACT_Z standard errors of the exact law at every t of the cell's
+# grid, at CONTRACT_N samples.  A cell is (delta, fading, rule, grid,
+# exact ccdf, first seed); its run is CONTRACT_N / CONTRACT_BATCH
+# batches on consecutive seeds.  g_1 and g_2 are exact only for
+# t >= 1/2, and kth:2 is checked through P(SF_2 + t SF_1 > t) = g_2(t).
+CONTRACT_N = 16 * 10**6
+CONTRACT_BATCH = 2 * 10**6
+CONTRACT_Z = 4.5
+_T_ALL = np.linspace(0.02, 0.98, 49)
+_T_HALF_UP = np.linspace(0.5, 0.98, 25)
+_T_RBA = np.concatenate([[0.002, 0.005, 0.01], _T_ALL])
+
+
+def _beta_ccdf(p, t):
+    return 1.0 - sg.rba_cdf(p, t)
+
+
+CONTRACT_CELLS = {
+    "rayleigh_nba_d0.667": (TWO_THIRDS, FadingModel.nakagami(1.0),
+                            AssociationRule.nba(), _T_ALL, sf_ccdf_exact,
+                            2300),
+    "rayleigh_nba_d0.9": (0.9, FadingModel.nakagami(1.0),
+                          AssociationRule.nba(), _T_ALL, sf_ccdf_exact, 2310),
+    "nakagami2_nba_d0.667": (TWO_THIRDS, FadingModel.nakagami(2.0),
+                             AssociationRule.nba(), _T_ALL,
+                             lambda p, t: nba_nakagami_ccdf(p.delta, 2, t),
+                             2320),
+    "nakagami1-d_nba_d0.667": (TWO_THIRDS, FadingModel.nakagami(1.0 / 3.0),
+                               AssociationRule.nba(), _T_ALL, _beta_ccdf,
+                               2330),
+    "arcsine_nba_d0.5": (0.5, FadingModel.nakagami(0.5),
+                         AssociationRule.nba(), _T_ALL, _beta_ccdf, 2340),
+    "none_nba_d0.7": (0.7, FadingModel.none(), AssociationRule.nba(),
+                      _T_HALF_UP, lambda p, t: sg.g_n(p, 1, t), 2350),
+    "rayleigh_isba_d0.5": (0.5, FadingModel.nakagami(1.0),
+                           AssociationRule.isba(), _T_HALF_UP,
+                           lambda p, t: sg.g_n(p, 1, t), 2360),
+    "none_kth2_d0.5": (0.5, FadingModel.none(),
+                       AssociationRule.kth_strongest(2), _T_HALF_UP,
+                       lambda p, t: sg.g_n(p, 2, t), 2370),
+    "none_rba_d0.5": (0.5, FadingModel.none(), AssociationRule.rba(),
+                      _T_RBA, _beta_ccdf, 2380),
+    "none_rba_d0.667": (TWO_THIRDS, FadingModel.none(), AssociationRule.rba(),
+                        _T_RBA, _beta_ccdf, 2390),
+}
+
+
+def tail_eps_contract_z(cell, tail_eps=None):
+    """(worst |z|, its t) of the cell's simulated ccdf against its exact
+    law at tail_eps (the rule's default if None), over CONTRACT_N
+    samples."""
+    n = CONTRACT_N
+    d, fading, assoc, ts, exact, seed = CONTRACT_CELLS[cell]
+    p = NetworkParams.from_delta(d)
+    hits = np.zeros(ts.size)
+    for i, start in enumerate(range(0, n, CONTRACT_BATCH)):
+        cfg = SimConfig(params=p, fading=fading, assoc=assoc,
+                        samples=min(CONTRACT_BATCH, n - start),
+                        tail_eps=tail_eps, seed=seed + i)
+        if assoc.kind == "kth":
+            vals, flagged = sample_sf_topk(cfg)
+            hits += [np.count_nonzero(vals[:, 1] + t * vals[:, 0] > t)
+                     for t in ts]
+        else:
+            res = sample_sf(cfg)
+            flagged = res.flagged
+            hits += cfg.samples - np.searchsorted(res.dist.samples, ts,
+                                                  side="right")
+        assert flagged == 0
+    ref = exact(p, ts)
+    z = np.abs(hits / n - ref) / np.sqrt(ref * (1.0 - ref) / n)
+    i = int(np.argmax(z))
+    return float(z[i]), float(ts[i])
+
+
+@pytest.mark.skipif(os.environ.get("SIGFRAC_FULL_SCALE") != "1",
+                    reason="1.6e7 samples per cell; set "
+                           "SIGFRAC_FULL_SCALE=1 to enable")
+@pytest.mark.parametrize("cell", list(CONTRACT_CELLS))
+def test_tail_eps_contract_full_scale(cell):
+    worst, t = tail_eps_contract_z(cell)
+    ok = worst <= CONTRACT_Z
+    report(f"tail_eps contract ({cell}, 1.6e7 samples)", ok,
+           f"worst |z| = {worst:.2f} at t = {t:.3g}")
+    assert ok
 
 
 # --- criterion 8: polynomial bound orientation --------------------------------

@@ -209,6 +209,25 @@ class TestSimulate:
         assert summary["flagged"] == 0
         assert summary["seed"] == 7
 
+    @pytest.mark.parametrize("assoc, extra, eps", [
+        ("nba", (), 1e-3), ("kth:2", (), 1e-3), ("rba", (), 1e-4),
+        ("rba", ("--tail-eps", "0.003"), 0.003),
+        ("nba", ("--tail-eps", "1e-05"), 1e-5)])
+    def test_summary_states_tail_eps(self, capsys, assoc, extra, eps):
+        # the rule's default, or the --tail-eps given, as the run used it
+        rc, _, err = run(capsys, "simulate", "--alpha", "4", "--assoc",
+                         assoc, "--samples", "1000", "--seed", "3", *extra)
+        assert rc == 0
+        summary = json.loads(err)
+        validate(summary, "summary")
+        assert summary["tail_eps"] == eps
+
+    def test_tail_eps_help_states_both_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "default 1e-3, and 1e-4 for rba" in text
+
     def test_kth2_support(self, capsys):
         rc, out, _ = run(capsys, "simulate", "--alpha", "4", "--fading",
                          "none", "--assoc", "kth:2", "--samples", "20000",
@@ -651,6 +670,19 @@ class TestConjecture:
         assert doc["thresholds_evaluated"] is False
         assert "not evaluated" in doc["note"]
         assert len(doc["moments"]) == 10
+        assert doc["tail_eps"] == 1e-3
+
+    def test_explicit_tail_eps_is_reported_and_used(self, capsys):
+        args = ("conjecture", "--samples", "10000", "--seed", "3")
+        docs = [json.loads(run(capsys, *args, *extra)[1])
+                for extra in ((), ("--tail-eps", "1e-4"), ("--tail-eps",
+                                                           "0.001"))]
+        for doc in docs:
+            validate(doc, "conjecture")
+        assert [d["tail_eps"] for d in docs] == [1e-3, 1e-4, 1e-3]
+        assert docs[0] == docs[2]
+        assert (docs[1]["points_per_realization"]
+                > docs[0]["points_per_realization"])
 
     def test_minimum_samples(self, capsys):
         rc, _, err = run(capsys, "conjecture", "--samples", "100")

@@ -99,6 +99,22 @@ class TestConfigTypes:
             SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
                       assoc=AssociationRule.kth_strongest(2), samples=10)
 
+    @pytest.mark.parametrize("assoc, default", [
+        (AssociationRule.nba(), 1e-3), (AssociationRule.isba(), 1e-3),
+        (AssociationRule.kth_strongest(2), 1e-3), (AssociationRule.rba(), 1e-4)])
+    def test_tail_eps_default_per_rule(self, params_half, assoc, default):
+        # None resolves to the rule's default; a given value, also 0, is
+        # used or refused as given
+        def cfg(**kw):
+            return SimConfig(params=params_half, fading=FadingModel.none(),
+                             assoc=assoc, samples=10, **kw)
+        assert SimConfig.tail_eps is None
+        assert cfg().tail_eps == default
+        assert cfg(tail_eps=None).tail_eps == default
+        assert cfg(tail_eps=3e-3).tail_eps == 3e-3
+        with pytest.raises(ValueError, match="tail_eps must be in"):
+            cfg(tail_eps=0.0)
+
     def test_kth_values_per_shard_capped(self, params_half):
         # a kth:k shard holds k values per realization, so k * rows is
         # what bounds a worker's memory
@@ -328,30 +344,29 @@ class TestDeterminism:
         assert len(_worker_pids()) == 2
         np.testing.assert_array_equal(a, b)
 
-    # sorted samples of a 5-realization run at seed 34, alpha = 4,
-    # re-recorded when each chunk was laid out as (points, rows), which
-    # put the draws in other rows and so changed the stream on purpose;
-    # a change in the tail draw moves them at ~1e-3 and one in the point
-    # stream at O(1), the tolerance only absorbs last-digit differences
-    # of the math library
+    # sorted samples of a 5-realization run at seed 34, alpha = 4, at
+    # each rule's default tail_eps; a change in the tail draw moves them
+    # at ~1e-3, and one in the point stream or in a rule's default at
+    # O(1); the tolerance only absorbs last-digit differences of the
+    # math library
     RECORDED = {
         "nba": (FadingModel.nakagami(1.0), AssociationRule.nba(),
-                [0.1641352441695789, 0.3384002286873517, 0.3515993323170416,
-                 0.611673130843934, 0.9528826076681083]),
+                [0.15516393632238756, 0.3447440388109272, 0.3873567735246482,
+                 0.6157710573958552, 0.9528826076681083]),
         "isba": (FadingModel.nakagami(1.0), AssociationRule.isba(),
-                 [0.2556243865871982, 0.4239161078351555, 0.5958631767118147,
+                 [0.2207194655157102, 0.4003081060337609, 0.5861892385988465,
                   0.8110405289852306, 0.9281753471927484]),
         "kth2": (FadingModel.none(), AssociationRule.kth_strongest(2),
-                 [0.01936540783595996, 0.08285560897285059,
-                  0.11114705141077164, 0.14741034428287866,
-                  0.15382274843680316]),
+                 [0.01936540783595996, 0.07154186645344943,
+                  0.11114705141077164, 0.1450171127432603,
+                  0.1452563182986881]),
         "nba_none": (FadingModel.none(), AssociationRule.nba(),
-                     [0.2556243865871982, 0.4239161078351555,
-                      0.5958631767118147, 0.8110405289852306,
+                     [0.2207194655157102, 0.4003081060337609,
+                      0.5861892385988465, 0.8110405289852306,
                       0.9281753471927484]),
         "nba_half": (FadingModel.nakagami(0.5), AssociationRule.nba(),
-                     [0.05532717938230495, 0.06741360947717145,
-                      0.1668619520585609, 0.27123855493811294,
+                     [0.06484894573130935, 0.07023283217595296,
+                      0.17911833715420766, 0.2678224861328737,
                       0.8980674534473063]),
         "rba": (FadingModel.none(), AssociationRule.rba(),
                 [1.9903352620845767e-05, 0.1494687522766841,
@@ -361,9 +376,9 @@ class TestDeterminism:
     # the three strongest signal fractions of the same 5 realizations,
     # in realization order
     RECORDED_TOP3 = [
-        [0.5958631767118147, 0.14741034428287866, 0.09693380580201245],
-        [0.4239161078351555, 0.15382274843680316, 0.11507518892424555],
-        [0.2556243865871982, 0.08285560897285059, 0.07986556516237987],
+        [0.5861892385988465, 0.1450171127432603, 0.09536006928827472],
+        [0.4003081060337609, 0.1452563182986881, 0.10866662077312488],
+        [0.2207194655157102, 0.07154186645344943, 0.06896010623672405],
         [0.9281753471927484, 0.01936540783595996, 0.017608439500999617],
         [0.8110405289852306, 0.11114705141077164, 0.03873748693857146],
     ]
@@ -734,12 +749,13 @@ def conditional_ccdf_bias(delta, fading, n, ts, rng, depth=400, block=50,
 
 class TestTailCorrection:
     def test_points_per_realization_capped(self, pool_of):
-        # the fourth-cumulant stop needs ~28 points per realization here;
-        # the third-cumulant stop of a Gaussian tail needed ~105, and
-        # stopping on the tail's standard deviation ~4k
+        # the fourth-cumulant stop needs ~28 points per realization here
+        # at tail_eps = 1e-4; the third-cumulant stop of a Gaussian tail
+        # needed ~105, and stopping on the tail's standard deviation ~4k
         cfg = SimConfig(params=NetworkParams.from_delta(2.0 / 3.0),
                         fading=FadingModel.nakagami(1.0),
-                        assoc=AssociationRule.nba(), samples=20_000, seed=45)
+                        assoc=AssociationRule.nba(), samples=20_000, seed=45,
+                        tail_eps=1e-4)
         pool_of(2)
         a = sample_sf(cfg, workers=1)
         b = sample_sf(cfg)
@@ -755,14 +771,31 @@ class TestTailCorrection:
         # stop rule keep the mean depth near the per-point one (1.19x
         # and 1.31x here, where a first chunk of 8 gave 1.25x and 1.53x,
         # and a first chunk of 32 with upper-quartile chunks 1.7x and
-        # 2.1x on the third-cumulant stop)
+        # 2.1x on the third-cumulant stop); at tail_eps = 1e-3 the 5-point
+        # first chunk alone takes the no-fading cell to 1.47x
         n = 16384
         cfg = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
-                        assoc=AssociationRule.nba(), samples=n, seed=49)
+                        assoc=AssociationRule.nba(), samples=n, seed=49,
+                        tail_eps=1e-4)
         ppr = sample_sf(cfg, workers=1).points_per_realization
         ref = per_point_stop_depth(delta, fading, n, cfg.tail_eps,
                                    np.random.default_rng(49))
         assert ppr <= 1.4 * ref
+
+    @pytest.mark.parametrize("fading, assoc, most", [
+        (FadingModel.nakagami(1.0), AssociationRule.nba(), 0.5),
+        (FadingModel.none(), AssociationRule.rba(), 1.0)])
+    def test_default_depth_against_1e4(self, fading, assoc, most):
+        # the default tail_eps (1e-3) takes 0.45x the points of 1e-4 at
+        # delta = 2/3 with Rayleigh fading; rba keeps 1e-4, whose tail
+        # pick is biased at 1e-3, so its depth does not move
+        base = dict(params=NetworkParams.from_delta(2.0 / 3.0), fading=fading,
+                    assoc=assoc, samples=16384, seed=53)
+        ppr = [sample_sf(SimConfig(**base, tail_eps=eps),
+                         workers=1).points_per_realization
+               for eps in (None, 1e-4)]
+        assert ppr[0] <= most * ppr[1]
+        assert (ppr[0] == ppr[1]) is (assoc.kind == "rba")
 
     def test_large_total_does_not_overflow(self):
         # at delta = 0.03 about 1 in 1000 rows has a first value above
@@ -840,11 +873,15 @@ class TestTailCorrection:
         (0.7, FadingModel.none()),
         (0.5, FadingModel.nakagami(0.5))])
     def test_conditional_ccdf_unbiased(self, delta, fading):
-        # the rows stopped on kappa_4 against the same rows 400 points
-        # deep, paired, within 4 standard errors (~3e-4 each) at every t
+        # the rows stopped on kappa_4 at the engine's default tail_eps
+        # against the same rows 400 points deep, paired, within 4
+        # standard errors (~3e-4 each) at every t
+        eps = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
+                        assoc=AssociationRule.nba(), samples=1).tail_eps
         diff, se = conditional_ccdf_bias(delta, fading, 20_000,
                                          (0.1, 0.3, 0.5, 0.7, 0.9),
-                                         np.random.default_rng(71))
+                                         np.random.default_rng(71),
+                                         tail_eps=eps)
         assert np.all(np.abs(diff) <= 4.0 * se)
 
 
@@ -909,7 +946,8 @@ class TestConjectureReport:
         assert rep["moments"][0]["arcsine"] == 0.5
         assert rep["moments"][1]["arcsine"] == 0.375
         assert rep["flagged"] == 0
-        # ~21.5 points per realization; the third-cumulant stop needed ~50
+        # ~12 points per realization at the default tail_eps (~21.5 at
+        # 1e-4); the third-cumulant stop needed ~50
         assert 11.0 <= rep["points_per_realization"] <= 44.0
         assert 0.0 < rep["ks_distance"] < 0.05
 

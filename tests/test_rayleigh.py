@@ -9,7 +9,7 @@ from sigfrac import rayleigh
 from sigfrac.rayleigh import (NetworkParams, misr, sf_ccdf_exact,
                               sf_moment_exact, sf_pdf_exact, sir_ccdf_exact)
 
-from reference import quad
+from reference import nba_nakagami_ccdf, quad
 
 DELTAS = (0.25, 0.4, 0.5, 2.0 / 3.0, 0.8)
 
@@ -128,6 +128,37 @@ class TestSfCcdf:
             sf_ccdf_exact(params_half, math.nan)
         with pytest.raises(ValueError):
             sf_ccdf_exact(params_half, np.array([0.2, math.nan, 0.5]))
+
+
+class TestIntegerNakagamiReference:
+    """The finite-sum Nakagami-m law of tests/reference.py, the Monte
+    Carlo's oracle for integer m > 1."""
+
+    @pytest.mark.parametrize("d", (0.1,) + DELTAS + (0.9,))
+    def test_m1_is_the_rayleigh_law(self, d):
+        t = np.concatenate([np.linspace(0.0, 0.99, 100), [0.999, 0.9999]])
+        np.testing.assert_allclose(
+            nba_nakagami_ccdf(d, 1, t),
+            sf_ccdf_exact(NetworkParams.from_delta(d), t), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d, m", [(2.0 / 3.0, 2), (0.4, 3)])
+    def test_against_mpmath(self, d, m):
+        # the defining sum with L's derivatives taken numerically at 30
+        # digits
+        def ref(t):
+            s = m * mp.mpf(t) / (1 - mp.mpf(t))
+            L = lambda x: 1 / mp.hyp2f1(m, -d, 1 - d, -x / m)
+            return float(sum((-s) ** j / mp.factorial(j) * mp.diff(L, s, j)
+                             for j in range(m)))
+        for t in (0.05, 0.3, 0.5, 0.8, 0.99):
+            assert nba_nakagami_ccdf(d, m, t) == pytest.approx(ref(t),
+                                                               rel=1e-13)
+
+    def test_m_must_be_a_positive_integer(self):
+        with pytest.raises(ValueError):
+            nba_nakagami_ccdf(0.5, 1.5, 0.3)
+        with pytest.raises(ValueError):
+            nba_nakagami_ccdf(0.5, 0, 0.3)
 
 
 class TestSirCcdf:
