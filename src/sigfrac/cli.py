@@ -330,14 +330,10 @@ def cmd_plp(args):
 def cmd_conjecture(args):
     if args.samples < 10_000:
         raise UsageError(f"conjecture report needs >= 10000 samples, got {args.samples}")
-    tail_eps = args.tail_eps
-    if tail_eps is None:    # the report's rule, nba, picks the default
-        tail_eps = SimConfig.default_tail_eps(AssociationRule.nba())
     doc = {"schema": "conjecture",
            **montecarlo.conjecture_report(args.samples, args.seed,
                                           point_budget=args.point_budget,
-                                          tail_eps=tail_eps),
-           "tail_eps": tail_eps,
+                                          tail_eps=args.tail_eps),
            "moment_threshold": _CONJ_MOMENT_TOL, "ks_threshold": _CONJ_KS_TOL}
     if args.samples >= _CONJ_GATE_SAMPLES:
         doc["thresholds_evaluated"] = True

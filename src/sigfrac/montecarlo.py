@@ -61,7 +61,6 @@ from .rayleigh import NetworkParams
 
 _SHARD = 16384        # realizations per RNG substream; part of the output contract
 _CHUNK_MIN = 5
-_CHUNK_MAX = 8192
 _CHUNK_ELEMS = 4_000_000
 _KTH_VALUES = 1 << 23   # k * rows of a kth:k shard's first chunk: 64 MiB
 
@@ -332,10 +331,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     underflowed float64) has no signal fraction and raises ValueError.
     The first chunk has max(5, k) points, and the last keep of its first
     k values fill the row (for rba, the reservoir and the tail pick then
-    rewrite it); each later one, capped in size, is the lower quartile
-    over the live rows of the points each would need, with the total
-    held fixed, plus 5, so most rows stop a few points past where the
-    rule first holds.
+    rewrite it); each later one has half the points generated so far,
+    at least 5, capped by the workspace and the point budget, so a row
+    of depth D takes about log_1.5(D/5) rounds and stops less than 1.5
+    times as deep as where the rule first holds, or 5 points past it.
 
     Random association is a size-1 weighted reservoir over the chunks
     (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
@@ -370,12 +369,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
               else config.fading)
     fad_m = fading.m if fading.kind == "nakagami" else None
     c1, _ = _cumulant(1, delta, 1.0)
-    c4, e4 = _cumulant(4, delta, fading.moment(4))
+    c4, _ = _cumulant(4, delta, fading.moment(4))
     eps2 = config.tail_eps ** 2
-    # with the total held fixed the stop holds from G * (kappa_4 /
-    # (tail_eps^2 total^4))^grow on; tail_eps^(2 grow) cannot underflow
-    grow = -1.0 / e4
-    eps_grow = config.tail_eps ** (2.0 * grow)
     budget = config.point_budget
     rba = config.assoc.kind == "rba"
     k = config.assoc.k or 1
@@ -391,9 +386,9 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     chunk = max(_CHUNK_MIN, k)   # SimConfig holds k within the budget
     while idx.size:
         na = idx.size
-        if rounds:
-            chunk = int(min(max(chunk, _CHUNK_MIN), _CHUNK_MAX,
-                            max(_CHUNK_ELEMS // na, _CHUNK_MIN), budget - npts))
+        if rounds:   # a shard's at most _SHARD rows leave the cap >= 244
+            chunk = min(max(_CHUNK_MIN, npts // 2), _CHUNK_ELEMS // na,
+                        budget - npts)
         m = chunk * na
         if buf.size < 2 * m:
             buf = np.empty(2 * m)   # the exponentials, then the gains
@@ -431,12 +426,13 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
 
         re1 = r * rp
         tot = power + c1 * g1 * re1
-        # tot^4 would underflow for a tiny total; a ratio past the
-        # largest double means "far from done", and 0/0 (no power and no
-        # tail mean left) satisfies kappa_4 <= tail_eps^2 tot^4 as 0 <= 0
+        # kappa_4 / tot^4 as c4 g1 r (rp / tot)^4, since tot^4 would
+        # underflow for a tiny total; a ratio past the largest double
+        # means "far from done", and 0/0 (no power and no tail mean left)
+        # satisfies kappa_4 <= tail_eps^2 tot^4 as 0 <= 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            k4_rel = c4 * g1 * (r * (rp * rp) ** 2) / tot / tot / tot / tot
-        live = k4_rel > eps2
+            q = rp / tot
+            live = c4 * g1 * r * (q * q) ** 2 > eps2
         if npts >= budget:
             flagged += np.count_nonzero(live)
             live[:] = False
@@ -461,14 +457,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
                 out[0, idx[fin[tl]]] = rp[fin[tl]] * (
                     u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
             total[idx[fin]] = totf
-            keep = np.flatnonzero(live)
-            idx, g1, glast, power = idx[keep], g1[keep], glast[keep], power[keep]
-            k4_rel = k4_rel[keep]
-        if idx.size:
-            deficit = glast * (np.power(k4_rel, grow) / eps_grow - 1.0)
-            q = (deficit.size - 1) // 4
-            # may be inf; the clamp at the top of the loop bounds it
-            chunk = np.partition(deficit, q)[q] + _CHUNK_MIN
+            rows = np.flatnonzero(live)
+            idx, g1, glast, power = idx[rows], g1[rows], glast[rows], power[rows]
     out /= total
     return out.T, int(flagged), points, rounds, int(clamped)
 
@@ -655,7 +645,8 @@ def conjecture_report(samples: int, seed: int,
 
     Returns the body of the CLI's conjecture document: the run's size
     and seed, the first ten empirical and arcsine moments with their
-    relative differences, the KS sup-distance and the engine counters.
+    relative differences, the KS sup-distance, the engine counters and
+    the tail_eps the run used.
     workers is as for sample_sf."""
     config = SimConfig(params=NetworkParams.from_alpha(4.0),
                        fading=FadingModel.nakagami(0.5),
@@ -680,4 +671,5 @@ def conjecture_report(samples: int, seed: int,
         "moments": moments,
         "ks_distance": ks_distance(res.dist, arcsine_cdf),
         **res.counters(),
+        "tail_eps": config.tail_eps,
     }

@@ -351,7 +351,7 @@ class TestDeterminism:
     # math library
     RECORDED = {
         "nba": (FadingModel.nakagami(1.0), AssociationRule.nba(),
-                [0.15516393632238756, 0.3447440388109272, 0.3873567735246482,
+                [0.17249480654389002, 0.3447440388109272, 0.3873567735246482,
                  0.6157710573958552, 0.9528826076681083]),
         "isba": (FadingModel.nakagami(1.0), AssociationRule.isba(),
                  [0.2207194655157102, 0.4003081060337609, 0.5861892385988465,
@@ -365,12 +365,12 @@ class TestDeterminism:
                       0.5861892385988465, 0.8110405289852306,
                       0.9281753471927484]),
         "nba_half": (FadingModel.nakagami(0.5), AssociationRule.nba(),
-                     [0.06484894573130935, 0.07023283217595296,
-                      0.17911833715420766, 0.2678224861328737,
+                     [0.06451122858346961, 0.07372675232820956,
+                      0.1490796924761739, 0.2778585503469396,
                       0.8980674534473063]),
         "rba": (FadingModel.none(), AssociationRule.rba(),
-                [1.9903352620845767e-05, 0.1494687522766841,
-                 0.5303301904739174, 0.8148546081870969,
+                [0.0010619042379719206, 0.0012152441694663818,
+                 0.5355491530464898, 0.8148546081870969,
                  0.930418412414799]),
     }
     # the three strongest signal fractions of the same 5 realizations,
@@ -469,13 +469,14 @@ class TestLeanRound:
     @pytest.mark.parametrize("delta, fading, assoc", [
         (0.5, FadingModel.none(), AssociationRule.rba()),
         (0.5, FadingModel.nakagami(0.5), AssociationRule.nba()),
-        # its second round draws more than its first, so the workspace
-        # grows
+        # at tail_eps = 1e-5 a later round draws more than its first, so
+        # the workspace grows
         (2.0 / 3.0, FadingModel.nakagami(1.0), AssociationRule.nba())])
     def test_workspace_is_private_to_a_call(self, delta, fading, assoc):
         n = 4096
         cfg = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
-                        assoc=assoc, samples=n)
+                        assoc=assoc, samples=n,
+                        tail_eps=1e-5 if fading.m == 1.0 else None)
         gen = _rng_for(36, 0)
         state = gen.bit_generator.state
         rng = _RecordingRng(gen)
@@ -767,12 +768,12 @@ class TestTailCorrection:
         (2.0 / 3.0, FadingModel.nakagami(1.0)),
         (0.5, FadingModel.none())])
     def test_truncation_is_tight(self, delta, fading):
-        # a row may only stop at a chunk boundary; chunks sized to the
-        # stop rule keep the mean depth near the per-point one (1.19x
-        # and 1.31x here, where a first chunk of 8 gave 1.25x and 1.53x,
-        # and a first chunk of 32 with upper-quartile chunks 1.7x and
-        # 2.1x on the third-cumulant stop); at tail_eps = 1e-3 the 5-point
-        # first chunk alone takes the no-fading cell to 1.47x
+        # a row may only stop at a chunk boundary; chunks of half the
+        # points so far keep the mean depth near the per-point one
+        # (1.22x and 1.29x here, where a first chunk of 8 gave 1.25x and
+        # 1.53x, and a first chunk of 32 with upper-quartile chunks 1.7x
+        # and 2.1x on the third-cumulant stop); at tail_eps = 1e-3 the
+        # 5-point first chunk alone takes the no-fading cell to 1.47x
         n = 16384
         cfg = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
                         assoc=AssociationRule.nba(), samples=n, seed=49,
@@ -781,6 +782,18 @@ class TestTailCorrection:
         ref = per_point_stop_depth(delta, fading, n, cfg.tail_eps,
                                    np.random.default_rng(49))
         assert ppr <= 1.4 * ref
+
+    def test_rounds_grow_with_log_depth(self):
+        # each chunk is half the points so far, so a deep row takes
+        # about log_1.5(depth / 5) rounds; 5-point chunks would take
+        # depth / 5, about 100 here
+        cfg = SimConfig(params=NetworkParams.from_delta(0.9),
+                        fading=FadingModel.none(),
+                        assoc=AssociationRule.nba(), samples=1,
+                        tail_eps=1e-7)
+        _, flagged, points, rounds, _ = _sim_shard(cfg, 1, _rng_for(50, 0))
+        assert flagged == 0 and points > 100
+        assert rounds <= 3 + math.log(points / 5) / math.log(1.5)
 
     @pytest.mark.parametrize("fading, assoc, most", [
         (FadingModel.nakagami(1.0), AssociationRule.nba(), 0.5),
@@ -941,7 +954,7 @@ class TestConjectureReport:
         assert list(rep) == ["samples", "seed", "alpha", "fading_m",
                              "moments", "ks_distance", "flagged",
                              "points_per_realization", "chunk_rounds",
-                             "tail_clamped"]
+                             "tail_clamped", "tail_eps"]
         assert [m["k"] for m in rep["moments"]] == list(range(1, 11))
         assert rep["moments"][0]["arcsine"] == 0.5
         assert rep["moments"][1]["arcsine"] == 0.375
