@@ -288,8 +288,8 @@ def nba_m_cdf_asymptote(params: NetworkParams, m: int, t):
     """Small-t ccdf asymptote 1 - c_m E[ISR^m] t^m for Nakagami-m fading.
 
     c_m = m^(m-1)/Gamma(m); E[ISR] = MISR and
-    E[ISR^2] = 2 MISR^2 + delta E[h^2]/(2-delta) with E[h^2] = 3/2 for
-    the unit-mean Nakagami-2 power gain.  Higher ISR moments are not
+    E[ISR^2] = 2 MISR^2 + delta E[h^2]/(2-delta) with E[h^2] = 1 + 1/m
+    for the unit-mean Nakagami-m power gain.  Higher ISR moments are not
     available here, so m is restricted to {1, 2}.
     """
     if m not in (1, 2):
@@ -299,8 +299,8 @@ def nba_m_cdf_asymptote(params: NetworkParams, m: int, t):
     if m == 1:
         coef = mu
     else:
-        e_h2 = 1.5
-        e_isr2 = 2.0 * mu * mu + params.delta * e_h2 / (2.0 - params.delta)
+        e_isr2 = (2.0 * mu * mu
+                  + params.delta * (1.0 + 1.0 / m) / (2.0 - params.delta))
         coef = 2.0 * e_isr2
     return 1.0 - coef * np.power(t, m)
 

@@ -380,8 +380,7 @@ def _add_engine(p):
                         "once the un-generated tail's fourth cumulant is at "
                         "most tail_eps^2 * total^4, and the tail is added as "
                         "a translated-gamma draw matching its first three "
-                        "cumulants; default 1e-3, and 1e-4 for rba, whose "
-                        "tail pick is biased at 1e-3")
+                        "cumulants; default 1e-3")
 
 
 @functools.cache

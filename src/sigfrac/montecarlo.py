@@ -25,11 +25,9 @@ unmatched starts at the fourth cumulant, so generation stops once
 kappa_4 <= tail_eps^2 * total^4.  The default tail_eps is set by a
 measured contract, not by a bound: at 1.6e7 samples the ccdf may differ
 from each exact law by at most 4.5 standard errors at every t of its
-grid.  1e-3 meets it for nba, isba and kth, taking about 12 points per
+grid.  1e-3 meets it for every rule, taking about 12 points per
 realization at delta = 2/3 with Rayleigh fading (28 at 1e-4; the
-third-cumulant stop of a Gaussian tail needed about 105).  rba misses
-it at 1e-3, its ccdf reading up to about 8 standard errors high at
-t <= 0.02, and keeps 1e-4.
+third-cumulant stop of a Gaussian tail needed about 105).
 The per-realization fluctuation the tail contributes is drawn, not
 bounded by tail_eps.
 
@@ -37,7 +35,8 @@ Every association rule runs on the same batched chunk generator.
 Random association keeps a value-weighted reservoir of one candidate
 per realization across the chunks and, when the realization finishes,
 replaces it by a size-biased draw from the not-yet-generated tail with
-the tail's share of the total power.
+the tail's share of the total power; such a draw comes with its own
+independent copy of the rest of the tail (Mecke's formula).
 
 Realizations are grouped into fixed-size shards; each shard draws from
 its own SFC64 substream, seeded by a SeedSequence keyed by (seed, shard
@@ -144,21 +143,10 @@ class SimConfig:
     assoc: AssociationRule
     samples: int
     point_budget: int = 1_000_000
-    tail_eps: float | None = None   # None: default_tail_eps(assoc)
+    tail_eps: float = 1e-3
     seed: int = 0
 
-    @staticmethod
-    def default_tail_eps(assoc: AssociationRule) -> float:
-        """The truncation tolerance a rule runs at unless given one: the
-        largest tried whose bias meets the accuracy contract (max |z|
-        <= 4.5 over each exact law's t-grid at 1.6e7 samples).  rba's
-        tail pick is biased at 1e-3, so it keeps 1e-4."""
-        return 1e-4 if assoc.kind == "rba" else 1e-3
-
     def __post_init__(self):
-        if self.tail_eps is None:
-            object.__setattr__(self, "tail_eps",
-                               self.default_tail_eps(self.assoc))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.point_budget < 10:
@@ -205,7 +193,7 @@ class SimResult:
     """Sorted samples, the count of realizations that hit the point
     budget, the mean number of points generated per realization, the
     number of chunk rounds summed over shards and the count of
-    realizations whose drawn tail was clamped at zero (all
+    realizations whose first drawn tail was clamped at zero (all
     seed-determined, independent of the worker count)."""
 
     dist: EmpiricalDistribution
@@ -311,8 +299,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     signal fractions of each realization, strongest first; for nba, isba
     and rba (k = 1), the served station's signal fraction.  points is
     the number of path loss values generated and rounds the number of
-    chunk rounds; clamped_count is the number of rows whose drawn tail
-    fell below zero.
+    chunk rounds; clamped_count is the number of rows whose first drawn
+    tail fell below zero (an rba tail pick's proposals are not counted).
 
     Values are relative to the row's first arrival G_1: with r = G/G_1
     they are r^(-1/delta) times the fading gain, and the tail cumulants
@@ -342,24 +330,29 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     chunk always does, and the index inside the chunk is drawn
     value-weighted.  When a row finishes, the pick falls in the
     not-yet-generated tail with probability tail / total, tail being
-    the drawn tail power; the tail values follow a Poisson process with
-    intensity d v^(-1-d) dv on (0, v_K), so the value-weighted tail pick
-    has cdf (v/v_K)^(1-d) and is sampled by inversion.  Each value, the
-    drawn tail included, is thus picked with probability v / total.
+    the drawn tail power.  The tail is a Poisson process of intensity
+    m(v) = d v^(-1-d) on (0, v_K), so by Mecke's formula (Last & Penrose
+    2017, Thm 4.1) a tail pick v and the rest T' of the tail have density
+    proportional to v m(v) p(T') / (power + v + T'), p being the density
+    of the tail itself.  The row proposes v with cdf (v/v_K)^(1-d), by
+    inversion, and a fresh clamped tail T', keeps them with probability
+    (power + l) / (power + v + T'), l = max(shift, 0), or proposes again,
+    and takes value v and total power + v + T'.
     One uniform u per decision, as in a single u * total walk over all
     values: a chunk takes over when u * power < W, and u * power,
     uniform on [0, W) given that, is the position in the chunk's cumsum;
-    a finishing row picks from the tail when u * total > power, and
-    (u * total - power) / tail is the tail's inversion uniform.
+    a finishing row picks from the tail when u * total > power.
 
     Draw order per chunk: the exponentials, the fading gains, then one
     uniform per active row (rba).  At finish: one standard gamma per
-    finishing row, then one uniform per finishing row (rba).  A chunk
-    is laid out as (points, rows): the exponentials and the gains are
-    each drawn as one (chunk, live rows) block into a workspace that the
-    call reuses and grows, a realization is a column, and a running sum
-    along it is one vector op per point.  The values are held as (k, n)
-    and returned transposed.
+    finishing row, then (rba) one uniform per finishing row and, per
+    round of tail-pick proposals, a uniform for v, a standard gamma and
+    a uniform for acceptance per proposing row.  A chunk is laid out as
+    (points, rows): the exponentials and the gains are each drawn as one
+    (chunk, live rows) block into a workspace that the call reuses and
+    grows, a realization is a column, and a running sum along it is one
+    vector op per point.  The values are held as (k, n) and returned
+    transposed.
     """
     delta = config.params.delta
     pw = -1.0 / delta
@@ -452,10 +445,18 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
                     "signal fraction is undefined; use a larger delta or "
                     "Nakagami m")
             if rba:
-                u = rng.random(fin.size) * totf - power[fin]
-                tl = np.flatnonzero(u > 0.0)
-                out[0, idx[fin[tl]]] = rp[fin[tl]] * (
-                    u[tl] / tail[tl]) ** (1.0 / (1.0 - delta))
+                pf = power[fin]
+                todo = np.flatnonzero(rng.random(fin.size) * totf > pf)
+                least = pf + np.maximum(shift, 0.0)
+                while todo.size:   # least >= the first value, 1, so it ends
+                    v = rp[fin[todo]] * rng.random(todo.size) ** (
+                        1.0 / (1.0 - delta))
+                    t = scale[todo] * rng.standard_gamma(shape[todo])
+                    s = pf[todo] + v + np.maximum(shift[todo] + t, 0.0)
+                    ok = rng.random(todo.size) * s < least[todo]
+                    out[0, idx[fin[todo[ok]]]] = v[ok]
+                    totf[todo[ok]] = s[ok]
+                    todo = todo[~ok]
             total[idx[fin]] = totf
             rows = np.flatnonzero(live)
             idx, g1, glast, power = idx[rows], g1[rows], glast[rows], power[rows]
@@ -637,11 +638,11 @@ def arcsine_cdf(t):
 
 def conjecture_report(samples: int, seed: int,
                       point_budget: int = SimConfig.point_budget,
-                      tail_eps: float | None = SimConfig.tail_eps,
+                      tail_eps: float = SimConfig.tail_eps,
                       workers: int | None = None) -> dict:
     """Simulate NBA with Nakagami-1/2 fading at alpha = 4 and compare
     against the arcsine distribution (cdf 2 arcsin(sqrt t) / pi), at
-    tail_eps, or SimConfig's nba default if it is None.
+    tail_eps.
 
     Returns the body of the CLI's conjecture document: the run's size
     and seed, the first ten empirical and arcsine moments with their

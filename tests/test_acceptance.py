@@ -371,13 +371,15 @@ CONTRACT_CELLS = {
                       _T_RBA, _beta_ccdf, 2380),
     "none_rba_d0.667": (TWO_THIRDS, FadingModel.none(), AssociationRule.rba(),
                         _T_RBA, _beta_ccdf, 2390),
+    # about 65% of rows pick from the tail here
+    "none_rba_d0.9": (0.9, FadingModel.none(), AssociationRule.rba(), _T_RBA,
+                      _beta_ccdf, 2400),
 }
 
 
-def tail_eps_contract_z(cell, tail_eps=None):
+def tail_eps_contract_z(cell, tail_eps=SimConfig.tail_eps):
     """(worst |z|, its t) of the cell's simulated ccdf against its exact
-    law at tail_eps (the rule's default if None), over CONTRACT_N
-    samples."""
+    law at tail_eps, over CONTRACT_N samples."""
     n = CONTRACT_N
     d, fading, assoc, ts, exact, seed = CONTRACT_CELLS[cell]
     p = NetworkParams.from_delta(d)

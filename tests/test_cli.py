@@ -210,11 +210,11 @@ class TestSimulate:
         assert summary["seed"] == 7
 
     @pytest.mark.parametrize("assoc, extra, eps", [
-        ("nba", (), 1e-3), ("kth:2", (), 1e-3), ("rba", (), 1e-4),
+        ("nba", (), 1e-3), ("kth:2", (), 1e-3), ("rba", (), 1e-3),
         ("rba", ("--tail-eps", "0.003"), 0.003),
         ("nba", ("--tail-eps", "1e-05"), 1e-5)])
     def test_summary_states_tail_eps(self, capsys, assoc, extra, eps):
-        # the rule's default, or the --tail-eps given, as the run used it
+        # the default, or the --tail-eps given, as the run used it
         rc, _, err = run(capsys, "simulate", "--alpha", "4", "--assoc",
                          assoc, "--samples", "1000", "--seed", "3", *extra)
         assert rc == 0
@@ -225,8 +225,12 @@ class TestSimulate:
     def test_tail_eps_help_states_both_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--help"])
+        # the default the help text states is the one the parser and
+        # SimConfig use, and the same for every rule
         text = " ".join(capsys.readouterr().out.split())
-        assert "default 1e-3, and 1e-4 for rba" in text
+        assert "cumulants; default 1e-3" in text and "for rba" not in text
+        args = cli.build_parser().parse_args(["simulate", "--samples", "1"])
+        assert args.tail_eps == sg.SimConfig.tail_eps == 1e-3
 
     def test_kth2_support(self, capsys):
         rc, out, _ = run(capsys, "simulate", "--alpha", "4", "--fading",

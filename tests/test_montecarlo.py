@@ -101,16 +101,15 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("assoc, default", [
         (AssociationRule.nba(), 1e-3), (AssociationRule.isba(), 1e-3),
-        (AssociationRule.kth_strongest(2), 1e-3), (AssociationRule.rba(), 1e-4)])
+        (AssociationRule.kth_strongest(2), 1e-3), (AssociationRule.rba(), 1e-3)])
     def test_tail_eps_default_per_rule(self, params_half, assoc, default):
-        # None resolves to the rule's default; a given value, also 0, is
+        # every rule runs at the one default; a given value, also 0, is
         # used or refused as given
         def cfg(**kw):
             return SimConfig(params=params_half, fading=FadingModel.none(),
                              assoc=assoc, samples=10, **kw)
-        assert SimConfig.tail_eps is None
+        assert SimConfig.tail_eps == default
         assert cfg().tail_eps == default
-        assert cfg(tail_eps=None).tail_eps == default
         assert cfg(tail_eps=3e-3).tail_eps == 3e-3
         with pytest.raises(ValueError, match="tail_eps must be in"):
             cfg(tail_eps=0.0)
@@ -344,11 +343,23 @@ class TestDeterminism:
         assert len(_worker_pids()) == 2
         np.testing.assert_array_equal(a, b)
 
+    def test_rba_tail_picks_finish_and_match_pool(self, pool_of):
+        # at delta = 0.95 about 79% of rows pick from the tail, so most
+        # rows run the tail pick's proposal loop
+        cfg = SimConfig(params=NetworkParams.from_delta(0.95),
+                        fading=FadingModel.none(), assoc=AssociationRule.rba(),
+                        samples=40_000, seed=37)
+        pool_of(2)
+        a = sample_sf(cfg, workers=1).dist.samples
+        b = sample_sf(cfg).dist.samples
+        assert len(_worker_pids()) == 2
+        assert 0.0 <= a[0] and a[-1] <= 1.0
+        assert a.tobytes() == b.tobytes()
+
     # sorted samples of a 5-realization run at seed 34, alpha = 4, at
-    # each rule's default tail_eps; a change in the tail draw moves them
-    # at ~1e-3, and one in the point stream or in a rule's default at
-    # O(1); the tolerance only absorbs last-digit differences of the
-    # math library
+    # the default tail_eps; a change in the tail draw moves them at
+    # ~1e-3, and one in the point stream or in the default at O(1); the
+    # tolerance only absorbs last-digit differences of the math library
     RECORDED = {
         "nba": (FadingModel.nakagami(1.0), AssociationRule.nba(),
                 [0.17249480654389002, 0.3447440388109272, 0.3873567735246482,
@@ -369,7 +380,7 @@ class TestDeterminism:
                       0.1490796924761739, 0.2778585503469396,
                       0.8980674534473063]),
         "rba": (FadingModel.none(), AssociationRule.rba(),
-                [0.0010619042379719206, 0.0012152441694663818,
+                [0.01315712062057635, 0.14412155879851146,
                  0.5355491530464898, 0.8148546081870969,
                  0.930418412414799]),
     }
@@ -476,7 +487,7 @@ class TestLeanRound:
         n = 4096
         cfg = SimConfig(params=NetworkParams.from_delta(delta), fading=fading,
                         assoc=assoc, samples=n,
-                        tail_eps=1e-5 if fading.m == 1.0 else None)
+                        tail_eps=1e-5 if fading.m == 1.0 else SimConfig.tail_eps)
         gen = _rng_for(36, 0)
         state = gen.bit_generator.state
         rng = _RecordingRng(gen)
@@ -640,7 +651,7 @@ class TestTruncation:
     def test_tight_budget_flags_and_aborts_rba(self, params_half):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
                         assoc=AssociationRule.rba(), samples=2_000, seed=44,
-                        point_budget=16)
+                        point_budget=10)
         with pytest.raises(sg.SimulationError):
             sample_sf(cfg)
 
@@ -797,18 +808,16 @@ class TestTailCorrection:
 
     @pytest.mark.parametrize("fading, assoc, most", [
         (FadingModel.nakagami(1.0), AssociationRule.nba(), 0.5),
-        (FadingModel.none(), AssociationRule.rba(), 1.0)])
+        (FadingModel.none(), AssociationRule.rba(), 0.6)])
     def test_default_depth_against_1e4(self, fading, assoc, most):
         # the default tail_eps (1e-3) takes 0.45x the points of 1e-4 at
-        # delta = 2/3 with Rayleigh fading; rba keeps 1e-4, whose tail
-        # pick is biased at 1e-3, so its depth does not move
+        # delta = 2/3 with Rayleigh fading, and about 0.51x under rba
         base = dict(params=NetworkParams.from_delta(2.0 / 3.0), fading=fading,
                     assoc=assoc, samples=16384, seed=53)
         ppr = [sample_sf(SimConfig(**base, tail_eps=eps),
                          workers=1).points_per_realization
-               for eps in (None, 1e-4)]
+               for eps in (SimConfig.tail_eps, 1e-4)]
         assert ppr[0] <= most * ppr[1]
-        assert (ppr[0] == ppr[1]) is (assoc.kind == "rba")
 
     def test_large_total_does_not_overflow(self):
         # at delta = 0.03 about 1 in 1000 rows has a first value above
