@@ -15,7 +15,7 @@ from .montecarlo import (AssociationRule, EmpiricalDistribution, FadingModel,
                          SimConfig, SimResult, SimulationError, arcsine_cdf,
                          arcsine_moment, conjecture_report, empirical_ccdf,
                          empirical_moment, ks_distance, sample_nakagami,
-                         sample_plp, sample_sf, sample_sf_topk)
+                         sample_sf, sample_sf_topk)
 from .plp import (flatness_rate, g_n, g_n_is_exact, log_sf_gap,
                   mean_sf1_upper_bound, mean_sf_ratio, misf,
                   ordered_pathloss_pdf, ratio_cdf, rba_cdf, rba_mean, rba_pdf)

@@ -135,14 +135,13 @@ def best_inverse(params: NetworkParams, reliability: float) -> float:
 
 @dataclass(frozen=True)
 class GBParams:
-    """Parameters of the generalized beta density on (0, 1).
-
-    The support/finite-density reduction ties a = 1/p; b in (0, 1] is
-    the scale.  The f(0) = MISR constraint additionally fixes b given
-    (p, q); use gb_params_from_pq for that.
+    """Parameters of the generalized beta density on (0, 1): the shapes
+    p, q > 0 and the scale b in (0, 1].  The support/finite-density
+    reduction ties the exponent a = 1/p, so a is derived.  The
+    f(0) = MISR constraint additionally fixes b given (p, q); use
+    gb_params_from_pq for that.
     """
 
-    a: float
     b: float
     p: float
     q: float
@@ -152,8 +151,10 @@ class GBParams:
             raise ValueError(f"p, q must be positive, got ({self.p}, {self.q})")
         if not 0.0 < self.b <= 1.0:
             raise ValueError(f"b must be in (0, 1], got {self.b}")
-        if not abs(self.a * self.p - 1.0) <= 1e-12:
-            raise ValueError(f"a must equal 1/p, got a={self.a}, p={self.p}")
+
+    @property
+    def a(self) -> float:
+        return 1.0 / self.p
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,11 @@ class FitResult:
 
 
 def gb_params_from_pq(params: NetworkParams, p: float, q: float) -> GBParams:
-    """GBParams with a = 1/p and b fixed by the density-at-zero constraint
+    """GBParams with b fixed by the density-at-zero constraint
     f(0) = MISR, i.e. b = 1/(mu p B(p, q))."""
     mu = misr(params)
     b = 1.0 / (mu * p * beta_fn(p, q))
-    return GBParams(a=1.0 / p, b=b, p=p, q=q)
+    return GBParams(b=b, p=p, q=q)
 
 
 def gb_pdf(gbp: GBParams, t):
@@ -232,11 +233,6 @@ def gb_moment(gbp: GBParams, k: int) -> float:
     return b ** k * beta_fn((k + 1.0) * p, q) / beta_fn(p, q) * f
 
 
-def _fit_residuals(params, p, q, m1, m2):
-    gbp = gb_params_from_pq(params, p, q)
-    return gb_moment(gbp, 1) / m1 - 1.0, gb_moment(gbp, 2) / m2 - 1.0
-
-
 def gb_fit(params: NetworkParams) -> FitResult:
     """Fit (p, q) so the generalized beta matches the exact first and
     second SF moments, with a = 1/p and b from the f(0) = MISR constraint.
@@ -260,7 +256,8 @@ def gb_fit(params: NetworkParams) -> FitResult:
 
     def residuals(x):
         try:
-            return _fit_residuals(params, x[0], x[1], m1, m2)
+            gbp = gb_params_from_pq(params, x[0], x[1])
+            return gb_moment(gbp, 1) / m1 - 1.0, gb_moment(gbp, 2) / m2 - 1.0
         except (ValueError, OverflowError):
             return _FIT_WALL, _FIT_WALL
 

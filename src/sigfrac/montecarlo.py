@@ -360,7 +360,7 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     # on the fading, so isba runs on the no-fading stream
     fading = (FadingModel.none() if config.assoc.kind == "isba"
               else config.fading)
-    fad_m = fading.m if fading.kind == "nakagami" else None
+    fad_m = fading.m
     c1, _ = _cumulant(1, delta, 1.0)
     c4, _ = _cumulant(4, delta, fading.moment(4))
     eps2 = config.tail_eps ** 2
@@ -667,8 +667,8 @@ def conjecture_report(samples: int, seed: int,
     return {
         "samples": samples,
         "seed": seed,
-        "alpha": 4.0,
-        "fading_m": 0.5,
+        "alpha": config.params.alpha,
+        "fading_m": config.fading.m,
         "moments": moments,
         "ks_distance": ks_distance(res.dist, arcsine_cdf),
         **res.counters(),

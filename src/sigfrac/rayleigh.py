@@ -32,32 +32,28 @@ from .specfun import NumericError, _checked, _nba_parts
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Path loss exponent alpha > 2 and delta = 2/alpha in (0, 1)."""
+    """delta = 2/alpha in (0, 1), the one parameter every law here
+    depends on; the path loss exponent alpha = 2/delta > 2 is derived."""
 
-    alpha: float
     delta: float
 
     def __post_init__(self):
-        if not (self.alpha > 2.0 and 0.0 < self.delta < 1.0):
-            raise ValueError(
-                f"need alpha > 2 and delta in (0, 1), got alpha={self.alpha}, "
-                f"delta={self.delta}")
-        if abs(self.delta - 2.0 / self.alpha) > 1e-12 * self.delta:
-            raise ValueError(
-                f"inconsistent parameters: delta={self.delta} but 2/alpha="
-                f"{2.0 / self.alpha}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+
+    @property
+    def alpha(self) -> float:
+        return 2.0 / self.delta
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "NetworkParams":
-        if alpha <= 2.0:
+        if not alpha > 2.0:
             raise ValueError(f"alpha must exceed 2, got {alpha}")
-        return cls(alpha=float(alpha), delta=2.0 / float(alpha))
+        return cls(delta=2.0 / float(alpha))
 
     @classmethod
     def from_delta(cls, delta: float) -> "NetworkParams":
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
-        return cls(alpha=2.0 / float(delta), delta=float(delta))
+        return cls(delta=float(delta))
 
 
 def misr(params: NetworkParams) -> float:

@@ -88,7 +88,7 @@ def test_criterion_01_table_reproduction(d):
     want = TABLE_ROWS[d]
     diffs = [abs(g - w) for g, w in zip(got, want)]
     b, p, q = want
-    table = sg.GBParams(a=1.0 / p, b=b, p=p, q=q)
+    table = sg.GBParams(b=b, p=p, q=q)
     # premise: the published row, with its own b, solves the moment
     # system to its solver tolerance (catches a mistyped row)
     moment_err = [sg.gb_moment(table, k) / sg.sf_moment_exact(params, k) - 1.0

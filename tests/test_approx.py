@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -202,6 +203,12 @@ class TestGeneralizedBeta:
             ref = mu / ((1.0 - t) ** 0.5 * (1.0 + mu * t) ** 1.5)
             assert gb_pdf(gbp, t) == pytest.approx(ref, rel=1e-12)
 
+    def test_exponent_is_derived_from_p(self):
+        fields = [f.name for f in dataclasses.fields(GBParams)]
+        assert fields == ["b", "p", "q"]
+        for pp in (0.7, 0.8648, 1.0, 3.0):
+            assert GBParams(b=0.5, p=pp, q=0.5).a == 1.0 / pp
+
     def test_density_at_zero_is_misr(self):
         for d in (0.4, 0.5, 2.0 / 3.0):
             p = NetworkParams.from_delta(d)
@@ -239,7 +246,7 @@ class TestGeneralizedBeta:
             pp = rng.uniform(0.4, 2.5)
             qq = rng.uniform(0.3, 2.0)
             b = rng.uniform(0.25, 1.0)
-            gbp = GBParams(a=1.0 / pp, b=b, p=pp, q=qq)
+            gbp = GBParams(b=b, p=pp, q=qq)
             for k in (1, 2):
                 direct = self._moment_by_quadrature(gbp, k)
                 assert gb_moment(gbp, k) == pytest.approx(direct, rel=1e-7)
@@ -260,7 +267,7 @@ class TestGeneralizedBeta:
                  (2.6 / 3.0, 0.5, 0.45 ** (2.6 / 3.0), 2),
                  (0.867878216063, 0.528299167141, 0.555427676035, 2)]
         for pp, qq, b, k in cases:
-            gbp = GBParams(a=1.0 / pp, b=b, p=pp, q=qq)
+            gbp = GBParams(b=b, p=pp, q=qq)
             with mp.workdps(30):
                 z = 1 - mp.mpf(b) ** (1 / mp.mpf(pp))
                 ref = (mp.mpf(b) ** k * mp.beta((k + 1) * pp, qq)
@@ -271,9 +278,9 @@ class TestGeneralizedBeta:
     def test_moment_domain(self):
         # b^a underflows to 0, so z = 1
         with pytest.raises(ValueError):
-            gb_moment(GBParams(a=100.0, b=1e-5, p=0.01, q=0.5), 1)
+            gb_moment(GBParams(b=1e-5, p=0.01, q=0.5), 1)
         # scipy's 2F1 is inf here (the value is 4.59): an error, not inf
-        gbp = GBParams(a=10.0, b=6e-14 ** 0.1, p=0.1, q=0.072)
+        gbp = GBParams(b=6e-14 ** 0.1, p=0.1, q=0.072)
         with pytest.raises(sg.NumericError):
             gb_moment(gbp, 1)
 

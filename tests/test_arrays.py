@@ -16,7 +16,7 @@ POSITIVE = np.logspace(-4, 4, 161)
 
 
 def gb(p):
-    return approx.GBParams(a=1.0 / 0.7, b=0.6, p=0.7, q=p.delta)
+    return approx.GBParams(b=0.6, p=0.7, q=p.delta)
 
 
 # name -> (curve of (params, argument), grid of arguments given delta)

@@ -62,8 +62,10 @@ NAN_CALLS = {
 
 # parameter checks written as x <= 0 would let NaN through
 NAN_PARAMS = {
-    "GBParams": lambda: approx.GBParams(a=NAN, b=0.5, p=NAN, q=0.5),
-    "GBParams_a": lambda: approx.GBParams(a=NAN, b=0.5, p=2.0, q=0.5),
+    "GBParams": lambda: approx.GBParams(b=0.5, p=NAN, q=0.5),
+    "NetworkParams": lambda: rayleigh.NetworkParams(delta=NAN),
+    "NetworkParams.from_alpha": lambda: rayleigh.NetworkParams.from_alpha(NAN),
+    "NetworkParams.from_delta": lambda: rayleigh.NetworkParams.from_delta(NAN),
     "FadingModel.nakagami": lambda: montecarlo.FadingModel.nakagami(NAN),
     "sample_nakagami": lambda: montecarlo.sample_nakagami(
         NAN, montecarlo._rng_for(0, 0), 4),

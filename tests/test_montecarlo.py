@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -51,16 +52,14 @@ def pool_of(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def plp_first_two(params_half):
-    """xi_1 and xi_2 of PLP_N successive sample_plp realizations at
-    delta = 1/2, shared by the two law checks."""
-    rng = _rng_for(11, 0)
-    out = np.empty((PLP_N, 2))
-    for i in range(PLP_N):
-        xi, flag = sample_plp(params_half, 100_000, 1e-4, rng)
-        assert not flag
-        out[i] = xi[:2]
-    return out
+def plp_first_two():
+    """xi_1 and xi_2 of PLP_N realizations at delta = 1/2, shared by the
+    two law checks: the first two arrivals G of one (5, PLP_N)
+    exponential block, as xi = G^(1/delta).  That block is the first
+    chunk of a batched engine shard, one column per realization, as
+    test_chunk_layout_is_points_by_rows checks."""
+    e = _rng_for(11, 0).standard_exponential((5, PLP_N))
+    return (np.cumsum(e[:2], axis=0) ** 2.0).T
 
 
 class TestConfigTypes:
@@ -592,7 +591,15 @@ class TestWorkerPool:
     def test_dead_worker_breaks_one_call(self, params_half):
         cfg = self.config(params_half, 20_000)
         sample_sf(cfg, workers=2)
-        os.kill(min(_worker_pids()), signal.SIGKILL)
+        pid = min(_worker_pids())
+        os.kill(pid, signal.SIGKILL)
+        # the pool marks itself broken before its manager thread reaps
+        # the dead worker, so wait for the reaping; active_children()
+        # would reap the worker itself and end the wait too early
+        deadline = time.monotonic() + 10.0
+        while not _gone(pid):
+            assert time.monotonic() < deadline, "the pool kept a dead worker"
+            time.sleep(0.001)
         with pytest.raises(BrokenProcessPool):
             sample_sf(cfg, workers=2)
         np.testing.assert_array_equal(sample_sf(cfg, workers=2).dist.samples,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -34,12 +35,23 @@ class TestParams:
         assert p.alpha == pytest.approx(5.0, rel=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NetworkParams.from_alpha(2.0)
+        for alpha in (2.0, math.inf):
+            with pytest.raises(ValueError):
+                NetworkParams.from_alpha(alpha)
         with pytest.raises(ValueError):
             NetworkParams.from_delta(1.0)
-        with pytest.raises(ValueError):
-            NetworkParams(alpha=4.0, delta=0.4)
+
+    def test_delta_is_the_one_field(self):
+        assert [f.name for f in dataclasses.fields(NetworkParams)] == ["delta"]
+
+    def test_alpha_round_trips_at_output_precision(self):
+        # alpha is derived as 2/delta, which may differ from the alpha
+        # given in the last bit, never in the 12 digits an output keeps
+        rng = np.random.default_rng(26)
+        alphas = list(5.0 - 2.8 * rng.random(10_000))   # (2.2, 5]
+        for alpha in alphas + [3.0, 3.5, 4.0, 20.0, 200.0, 2.0002]:
+            got = NetworkParams.from_alpha(alpha).alpha
+            assert "%.12g" % got == "%.12g" % alpha
 
 
 class TestMisr:
