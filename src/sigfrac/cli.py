@@ -75,19 +75,12 @@ def _finite(flag: str, x: float) -> float:
     return x
 
 
-def parse_params(alpha, delta) -> NetworkParams:
-    """NetworkParams from --alpha or --delta; the constructors check the
-    ranges, this only that one flag is given and that two agree."""
-    if alpha is None and delta is None:
-        raise UsageError("one of --alpha or --delta is required")
-    if alpha is None:
-        return NetworkParams.from_delta(delta)
-    p = NetworkParams.from_alpha(alpha)
-    # written so that a NaN --delta disagrees too
-    if delta is not None and not abs(p.delta - delta) <= 1e-12:
-        raise UsageError(
-            f"--alpha {alpha} and --delta {delta} disagree (2/alpha = {p.delta})")
-    return p
+def parse_params(args) -> NetworkParams:
+    """NetworkParams from args.alpha or args.delta, of which argparse
+    lets exactly one through; the constructors check the range."""
+    if args.alpha is None:
+        return NetworkParams.from_delta(args.delta)
+    return NetworkParams.from_alpha(args.alpha)
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -121,9 +114,9 @@ def _write(path, text: str, sides=None):
     """Write text to stdout for path '-', else to the file at path, and
     each name -> text of sides to '<path>.<name>.json', or to stderr
     when path is '-'.  Files are created or truncated only here, once
-    every text is whole, and all are opened before any is written: a
-    file that cannot be opened is a UsageError that leaves none of them
-    behind."""
+    every text is whole, and all are opened before any is truncated: a
+    file that cannot be opened is a UsageError that removes the files
+    this call created, and an existing file keeps its contents."""
     sides = sides or {}
     if path == "-":
         sys.stdout.write(text)
@@ -133,18 +126,26 @@ def _write(path, text: str, sides=None):
     targets = {path: text} | {f"{path}.{name}.json": side
                               for name, side in sides.items()}
     with contextlib.ExitStack() as stack:
-        files = []
+        files, created = [], []
         for target in targets:
             try:
-                files.append(stack.enter_context(
-                    open(target, "w", encoding="utf-8", newline="\n")))
+                try:
+                    fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                                 0o666)
+                    created.append(target)
+                except FileExistsError:
+                    fd = os.open(target, os.O_WRONLY)
             except OSError as exc:
                 stack.close()
-                for fh in files:
-                    os.remove(fh.name)
+                for name in created:
+                    os.remove(name)
                 raise UsageError(
                     f"cannot write {target}: {exc.strerror}") from exc
-        for fh, out in zip(files, targets.values()):
+            files.append(stack.enter_context(
+                open(fd, "w", encoding="utf-8", newline="\n")))
+        for fh, (target, out) in zip(files, targets.items()):
+            if os.path.isfile(target):   # as O_TRUNC: not a pipe or device
+                fh.truncate()
             fh.write(out)
 
 
@@ -208,7 +209,7 @@ def emit_json(args, doc):
 
 
 def cmd_exact(args):
-    params = parse_params(args.alpha, args.delta)
+    params = parse_params(args)
     if args.var == "SF":
         if args.unit not in (None, "linear"):
             raise UsageError("SF curves use the linear unit (t in [0, 1])")
@@ -231,7 +232,7 @@ def _parse_spec(spec: str, bare=()):
 
 
 def cmd_approx(args):
-    params = parse_params(args.alpha, args.delta)
+    params = parse_params(args)
     grid = _sf_grid(args.grid)
     name, arg = _parse_spec(args.method, ("best", "markov", "gb-fit"))
     pts, sidecars = grid, None
@@ -269,11 +270,15 @@ def cmd_approx(args):
 
 
 def cmd_simulate(args):
-    # FadingModel and AssociationRule check the kind and its parameter
-    fading, m = _parse_spec(args.fading)
+    # 'none' is the m = inf limit of 'nakagami:m'; FadingModel checks m,
+    # and AssociationRule the association kind and its parameter
+    fading, m = _parse_spec(args.fading, ("none",))
+    if fading != ("nakagami" if m else "none"):
+        raise UsageError(
+            f"--fading must be none | nakagami:m, got {args.fading!r}")
     assoc, k = _parse_spec(args.assoc)
-    config = SimConfig(params=parse_params(args.alpha, args.delta),
-                       fading=FadingModel(fading, float(m) if m else None),
+    config = SimConfig(params=parse_params(args),
+                       fading=FadingModel(float(m) if m else math.inf),
                        assoc=AssociationRule(assoc, int(k) if k else None),
                        samples=args.samples,
                        point_budget=args.point_budget,
@@ -297,7 +302,7 @@ def cmd_simulate(args):
 
 
 def cmd_plp(args):
-    params = parse_params(args.alpha, args.delta)
+    params = parse_params(args)
     name, arg = _parse_spec(args.stat, ("sf1-bound", "sstar", "rba-curve"))
     if name in ("gn", "rba-curve"):
         grid = parse_grid(args.grid)
@@ -356,10 +361,10 @@ def cmd_convert(args):
 
 
 def _add_common(p, grid_default=None, unit=False):
-    p.add_argument("--alpha", type=float, default=None,
-                   help="path loss exponent (> 2)")
-    p.add_argument("--delta", type=float, default=None,
-                   help="2/alpha, in (0, 1); give either this or --alpha")
+    exp = p.add_mutually_exclusive_group(required=True)
+    exp.add_argument("--alpha", type=float, help="path loss exponent (> 2)")
+    exp.add_argument("--delta", type=float,
+                     help="2/alpha, in (0, 1); give either this or --alpha")
     if grid_default is not None:
         p.add_argument("--grid", default=grid_default,
                        help="output grid, min:max:count or comma list")

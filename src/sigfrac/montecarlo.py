@@ -70,34 +70,25 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Power fading law with unit mean: none, or Nakagami-m (gamma with
-    shape m).  m = 1 is Rayleigh; m = 1/2 is the half-normal-squared case."""
+    """Unit-mean Nakagami-m power fading, m in (0, inf]: m = 1 is Rayleigh,
+    m = 1/2 half-normal-squared, and m = inf, the limit, no fading."""
 
-    kind: str
-    m: float | None = None
+    m: float
 
     def __post_init__(self):
-        if self.kind not in ("none", "nakagami"):
-            raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind == "nakagami":
-            if self.m is None or not 0.0 < self.m < math.inf:
-                raise ValueError(
-                    f"nakagami parameter m must be finite and > 0, got {self.m}")
-        elif self.m is not None:
-            raise ValueError("fading 'none' takes no parameter")
+        if not self.m > 0.0:   # written so that NaN fails too
+            raise ValueError(f"nakagami parameter m must be > 0, got {self.m}")
 
     @classmethod
     def none(cls) -> "FadingModel":
-        return cls(kind="none")
+        return cls(m=math.inf)
 
     @classmethod
     def nakagami(cls, m: float) -> "FadingModel":
-        return cls(kind="nakagami", m=float(m))
+        return cls(m=float(m))
 
     def moment(self, n: int) -> float:
         """E[h^n] = prod_{i<n} (1 + i/m), which is 1 without fading."""
-        if self.kind == "none":
-            return 1.0
         return math.prod(1.0 + i / self.m for i in range(n))
 
 
@@ -155,7 +146,7 @@ class SimConfig:
             raise ValueError(f"tail_eps must be in (0, 1), got {self.tail_eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.assoc.kind in ("rba", "kth") and self.fading.kind != "none":
+        if self.assoc.kind in ("rba", "kth") and self.fading.m < math.inf:
             raise ValueError(
                 f"{self.assoc.kind} association is defined on the no-fading "
                 "path loss process")
@@ -360,7 +351,6 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     # on the fading, so isba runs on the no-fading stream
     fading = (FadingModel.none() if config.assoc.kind == "isba"
               else config.fading)
-    fad_m = fading.m
     c1, _ = _cumulant(1, delta, 1.0)
     c4, _ = _cumulant(4, delta, fading.moment(4))
     eps2 = config.tail_eps ** 2
@@ -396,8 +386,9 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
         r = e[-1].copy()
         v = _pow_neg(e, pw, out=e)
         rp = v[-1].copy()
-        if fad_m is not None:
-            v *= sample_nakagami(fad_m, rng, out=buf[m:2 * m].reshape(chunk, na))
+        if fading.m < math.inf:
+            v *= sample_nakagami(fading.m, rng,
+                                 out=buf[m:2 * m].reshape(chunk, na))
         w = np.add.reduce(v, axis=0)
         power += w
         if rounds == 0:
@@ -538,26 +529,28 @@ def _close_pool():
 
 def _map_shards(shards, w: int):
     """Run the shards on the process's pool, in order, growing it to w
-    workers if it has fewer."""
+    workers if it has fewer, and once more on a fresh pool if a worker
+    has died since the last call or dies in it; a second death raises."""
     global _pool, _pool_size
     with _pool_lock:
         if _pool is not None and w > _pool_size:
             # the old workers and manager thread end before any new fork
             _close_pool()
-        if _pool is None:
-            _pool = ProcessPoolExecutor(max_workers=w)
-            _pool_size = w
-            # a multiprocessing child process joins its children before
-            # concurrent.futures' exit hook would stop them, so it needs
-            # this earlier hook to exit at all; it must also run before
-            # the queues' own hooks (priority 10) stop their feeder threads
-            mp_util.Finalize(None, _close_pool, exitpriority=15)
-        try:
-            return list(_pool.map(_run_shard, shards, chunksize=1))
-        except BrokenProcessPool:
-            # a worker died: report it, and let the next call start afresh
-            _close_pool()
-            raise
+        for rerun in (False, True):
+            if _pool is None:
+                _pool = ProcessPoolExecutor(max_workers=w)
+                _pool_size = w
+                # a multiprocessing child joins its children before
+                # concurrent.futures' exit hook would stop them, so it
+                # needs this earlier hook to exit at all, and before the
+                # queues' own hooks (priority 10) stop their feeders
+                mp_util.Finalize(None, _close_pool, exitpriority=15)
+            try:
+                return list(_pool.map(_run_shard, shards, chunksize=1))
+            except BrokenProcessPool:
+                _close_pool()
+                if rerun:
+                    raise
 
 
 def _run_all(config: SimConfig, workers: int | None, keep: int):
@@ -598,9 +591,9 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     value, 0 and negative ones included, is ignored and the shards run
     on the process's pool.  The pool starts with one worker per shard,
     up to worker_count(), is replaced by a larger one only when a later
-    call has more shards, and lives until the process exits.  If a
-    worker dies, the call raises BrokenProcessPool and the next call
-    starts a fresh pool.
+    call has more shards, and lives until the process exits.  A worker
+    that dies fails no call: the shards run once more on a fresh pool,
+    and only a second death in the same call raises BrokenProcessPool.
     """
     vals, flagged, points, rounds, clamped = _run_all(config, workers, 1)
     k = config.assoc.k or 1

@@ -3,7 +3,9 @@
 quad is the adaptive QUADPACK integral the tests check the closed forms
 against; the library's own moments use a fixed tanh-sinh rule.
 nba_nakagami_ccdf is the exact nearest-station law under integer
-Nakagami-m fading, the Monte Carlo's oracle for m > 1.
+Nakagami-m fading, the Monte Carlo's oracle for m > 1.  gem_top_sf
+draws the strongest no-fading signal fractions exactly, the oracle
+below t = 1/2, where g_n is only a bound.
 """
 
 from __future__ import annotations
@@ -109,3 +111,33 @@ def nba_nakagami_ccdf(delta: float, m: int, t):
                       for i in range(1, j + 1)) / dF[0])
     out = sum((-s) ** j / math.factorial(j) * L[j] for j in range(m))
     return float(out) if out.ndim == 0 else out
+
+
+def gem_top_sf(delta: float, k: int, n: int, rng: np.random.Generator):
+    """The k largest no-fading signal fractions of n independent
+    networks, an (n, k) array, strongest first, drawn exactly.
+
+    The normalized no-fading powers are Poisson-Dirichlet (delta, 0),
+    whose size-biased order is GEM(delta, 0) (Pitman & Yor 1997): stick
+    i is V_i prod_{j<i} (1 - V_j), with independent V_i ~ Beta(1 - delta,
+    i delta).  Every stick not yet drawn is at most the mass R left, so
+    a row's k largest are final once its k-th largest stick is at least
+    R: no tail is drawn and no tolerance enters.  The live rows draw
+    their i-th sticks together, and a row leaves once it is final.
+    """
+    out = np.empty((n, k))
+    top = np.zeros((n, k))      # the live rows' k largest, descending
+    rest = np.ones(n)
+    idx = np.arange(n)
+    i = 0
+    while idx.size:
+        i += 1
+        v = rng.beta(1.0 - delta, i * delta, idx.size)
+        stick = rest * v
+        rest *= 1.0 - v
+        top = np.sort(np.column_stack((top, stick)), axis=1)[:, :0:-1]
+        done = top[:, -1] >= rest
+        out[idx[done]] = top[done]
+        live = ~done
+        idx, top, rest = idx[live], top[live], rest[live]
+    return out

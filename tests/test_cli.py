@@ -2,6 +2,7 @@ import argparse
 import copy
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -73,17 +74,30 @@ class TestExact:
         assert float(rows[1][2]) == pytest.approx(
             sg.sf_ccdf_exact(params_half, 0.5), rel=1e-11)
 
+    @staticmethod
+    def refused(capsys, *argv):
+        """stderr of a command argparse refuses: exit 2, empty stdout."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
     def test_alpha_delta_consistency(self, capsys):
-        rc, _, err = run(capsys, "exact", "--alpha", "4", "--delta", "0.4")
-        assert rc == 2
-        assert "disagree" in err
+        # exactly one of the two is given, whether or not a pair agrees
+        for delta in ("0.4", "0.5"):
+            err = self.refused(capsys, "exact", "--alpha", "4", "--delta",
+                               delta)
+            assert "argument --delta: not allowed with argument --alpha" in err
+        assert "one of the arguments --alpha --delta is required" in \
+            self.refused(capsys, "exact", "--grid", "0:1:3")
 
     def test_nan_delta_disagrees(self, capsys):
-        rc, out, err = run(capsys, "exact", "--alpha", "4", "--delta", "nan",
+        # a NaN --delta beside --alpha is refused like any other value
+        err = self.refused(capsys, "exact", "--alpha", "4", "--delta", "nan",
                            "--grid", "0:1:3")
-        assert rc == 2
-        assert out == ""
-        assert "disagree" in err
+        assert "not allowed with argument --alpha" in err
 
     def test_invalid_delta(self, capsys):
         rc, out, err = run(capsys, "exact", "--delta", "1.5")
@@ -229,7 +243,8 @@ class TestSimulate:
         # SimConfig use, and the same for every rule
         text = " ".join(capsys.readouterr().out.split())
         assert "cumulants; default 1e-3" in text and "for rba" not in text
-        args = cli.build_parser().parse_args(["simulate", "--samples", "1"])
+        args = cli.build_parser().parse_args(["simulate", "--alpha", "4",
+                                              "--samples", "1"])
         assert args.tail_eps == sg.SimConfig.tail_eps == 1e-3
 
     def test_kth2_support(self, capsys):
@@ -324,13 +339,29 @@ class TestSimulate:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    @pytest.mark.parametrize("m", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("m", ["nan", "0"])
     def test_bad_nakagami_parameter_rejected(self, capsys, m):
         rc, out, err = run(capsys, "simulate", "--alpha", "4", "--fading",
                            f"nakagami:{m}", "--samples", "100")
         assert rc == 2
         assert out == ""
-        assert f"nakagami parameter m must be finite and > 0, got {m}" in err
+        assert f"nakagami parameter m must be > 0, got {m}" in err
+
+    def test_nakagami_inf_is_no_fading(self, capsys):
+        # no fading is the m -> inf limit, with the same bytes
+        args = ("simulate", "--alpha", "4", "--samples", "2000", "--seed",
+                "9", "--grid", "0:1:11", "--format", "json")
+        ref = run(capsys, *args, "--fading", "none")
+        assert ref[0] == 0
+        for m in ("inf", "1e400"):
+            assert run(capsys, *args, "--fading", f"nakagami:{m}") == ref
+
+    @pytest.mark.parametrize("spec", ["rice", "nakagami", "nakagami:"])
+    def test_unknown_or_bare_fading_rejected(self, capsys, spec):
+        rc, out, err = run(capsys, "simulate", "--alpha", "4", "--fading",
+                           spec, "--samples", "100")
+        assert (rc, out) == (2, "")
+        assert f"--fading must be none | nakagami:m, got {spec!r}" in err
 
     def test_kth_over_shard_limit_rejected(self, capsys):
         rc, out, err = run(capsys, "simulate", "--alpha", "4", "--assoc",
@@ -652,6 +683,32 @@ class TestOutputBoundary:
         assert (rc, stdout) == (2, "")
         assert err.startswith("error: cannot write ")
         assert [p.name for p in tmp_path.iterdir()] == ["f.csv.fit.json"]
+
+    def test_unopenable_sidecar_keeps_existing_out(self, capsys, tmp_path):
+        # only the files a failed call created are removed
+        out = tmp_path / "x.csv"
+        out.write_text("precious\n")
+        (tmp_path / "x.csv.fit.json").mkdir()
+        argv = ["approx", "--method", "gb-fit", "--alpha", "4", "--grid",
+                "0:1:3"]
+        rc, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: cannot write ")
+        assert out.read_text() == "precious\n"
+        # once the sidecar can be opened, both files are written whole,
+        # over a longer one too
+        (tmp_path / "x.csv.fit.json").rmdir()
+        (tmp_path / "x.csv.fit.json").write_text("precious\n" * 1000)
+        _, text, side = run(capsys, *argv)
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+        assert out.read_text() == text
+        assert (tmp_path / "x.csv.fit.json").read_text() == side
+
+    def test_out_to_a_device(self, capsys):
+        # a device or pipe is written, not truncated, as open(2) ignores
+        # O_TRUNC on one
+        assert run(capsys, "exact", "--alpha", "4", "--grid", "0:1:3",
+                   "--out", os.devnull) == (0, "", "")
 
     def test_existing_out_file_is_kept(self, capsys, tmp_path):
         # a failed command does not truncate what a good one wrote

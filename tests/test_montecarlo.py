@@ -5,8 +5,8 @@ import os
 import signal
 import sys
 import threading
-import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 from scipy import special as sp
 
 import sigfrac as sg
+from sigfrac import montecarlo
 from sigfrac.montecarlo import (AssociationRule, EmpiricalDistribution,
                                 FadingModel, SimConfig, _cumulant, _gamma_tail,
                                 _pow_neg, _rng_for, _sim_shard, arcsine_moment,
@@ -37,6 +38,11 @@ def _gone(pid):
     except ProcessLookupError:
         return True
     return False
+
+
+def _exit_in_worker(args):
+    # stands in for montecarlo._run_shard, by name, in a pool worker
+    os._exit(1)
 
 
 @pytest.fixture
@@ -69,12 +75,14 @@ class TestConfigTypes:
         assert FadingModel.nakagami(2.0).moment(2) == 1.5
         # (1 + 1/2)(1 + 2/2)(1 + 3/2)
         assert FadingModel.nakagami(2.0).moment(4) == 7.5
-        with pytest.raises(ValueError):
-            FadingModel(kind="nakagami")
+        # m alone states the law; no fading is its m = inf limit
+        assert [f.name for f in dataclasses.fields(FadingModel)] == ["m"]
+        assert FadingModel.nakagami(math.inf) == FadingModel.none()
+        assert FadingModel.none().m == math.inf
         with pytest.raises(ValueError):
             FadingModel.nakagami(0.0)
         with pytest.raises(ValueError):
-            FadingModel(kind="rice")
+            FadingModel(m=math.nan)
 
     def test_assoc_validation(self):
         assert AssociationRule.kth_strongest(2).k == 2
@@ -177,11 +185,13 @@ class TestNakagami:
             assert abs(h.mean() - 1.0) < 4.0 * h.std() / math.sqrt(h.size)
 
     def test_m_outside_the_fading_domain(self):
-        # the range FadingModel accepts: 0 < m < inf
+        # the gains are drawn for 0 < m < inf; FadingModel also takes
+        # m = inf, which draws none
         for m in (math.inf, math.nan, 0.0):
             with pytest.raises(ValueError, match="finite and > 0"):
                 sample_nakagami(m, _rng_for(5, 0), 4)
-            with pytest.raises(ValueError, match="finite and > 0"):
+        for m in (math.nan, 0.0, -math.inf):
+            with pytest.raises(ValueError, match="m must be > 0"):
                 FadingModel.nakagami(m)
 
 
@@ -507,7 +517,8 @@ class TestWorkerPool:
     """One pool per process: started by the first multi-shard call with
     one worker per shard up to worker_count(), reused by every later
     call with as many shards or fewer, replaced by a larger one for a
-    call with more, and dropped after a worker dies."""
+    call with more, and replaced, with the call's shards run again,
+    after a worker dies."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, pool_of):
@@ -588,22 +599,35 @@ class TestWorkerPool:
         assert errors == []
         assert len(_worker_pids()) in (2, 3)
 
-    def test_dead_worker_breaks_one_call(self, params_half):
+    def test_dead_worker_fails_no_call(self, params_half, monkeypatch):
+        # a shard is a pure function of (config, shard index), so a call
+        # that finds or meets a dead worker runs its shards once more on
+        # a fresh pool and returns the same bytes, whenever the pool
+        # notices the death
         cfg = self.config(params_half, 20_000)
+        expected = sample_sf(cfg, workers=1).dist.samples
         sample_sf(cfg, workers=2)
-        pid = min(_worker_pids())
-        os.kill(pid, signal.SIGKILL)
-        # the pool marks itself broken before its manager thread reaps
-        # the dead worker, so wait for the reaping; active_children()
-        # would reap the worker itself and end the wait too early
-        deadline = time.monotonic() + 10.0
-        while not _gone(pid):
-            assert time.monotonic() < deadline, "the pool kept a dead worker"
-            time.sleep(0.001)
-        with pytest.raises(BrokenProcessPool):
-            sample_sf(cfg, workers=2)
+        os.kill(min(_worker_pids()), signal.SIGKILL)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                sample_sf(cfg, workers=2).dist.samples, expected)
+        # a worker dies in the rerun too: then the call raises, after its
+        # second pool, and the next one starts afresh
+        _close_pool()
+        pools = []
+
+        def counted_pool(**kw):
+            pools.append(kw)
+            return ProcessPoolExecutor(**kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "ProcessPoolExecutor", counted_pool)
+            patch.setattr(montecarlo, "_run_shard", _exit_in_worker)
+            with pytest.raises(BrokenProcessPool):
+                sample_sf(cfg, workers=2)
+        assert pools == [{"max_workers": 2}] * 2
         np.testing.assert_array_equal(sample_sf(cfg, workers=2).dist.samples,
-                                      sample_sf(cfg, workers=1).dist.samples)
+                                      expected)
 
     def test_child_process_runs_own_pool(self, params_half):
         # a forked child inherits the parent's pool object but not its
@@ -700,7 +724,7 @@ def per_point_stop_depth(delta, fading, n, tail_eps, rng, block=64):
         g = g_last[live, None] + np.cumsum(
             rng.standard_exponential((live.size, block)), axis=1)
         v = g ** (-1.0 / delta)
-        if fading.kind == "nakagami":
+        if fading.m < math.inf:
             v *= sample_nakagami(fading.m, rng, v.shape)
         p = p_last[live, None] + np.cumsum(v, axis=1)
         tot = p + c1 * g ** ((delta - 1.0) / delta)
@@ -736,7 +760,7 @@ def conditional_ccdf_bias(delta, fading, n, ts, rng, depth=400, block=50,
             g1 = g[:, 0].copy()
         r = g / g1[:, None]
         v = r ** (-1.0 / delta)
-        if fading.kind == "nakagami":
+        if fading.m < math.inf:
             v *= sample_nakagami(fading.m, rng, v.shape)
         if k == 0:
             s = v[:, 0].copy()
@@ -863,7 +887,7 @@ class TestTailCorrection:
         res = sample_sf(cfg)
         x = res.dist.samples
         assert x[0] >= 0.0 and x[-1] <= 1.0 / (assoc.k or 1)
-        assert (res.tail_clamped > 0) is (fading.kind == "none")
+        assert (res.tail_clamped > 0) is (fading.m == math.inf)
 
     def test_tail_clamped_worker_independent(self, pool_of):
         cfg = SimConfig(params=NetworkParams.from_delta(0.1),
