@@ -75,6 +75,17 @@ def _finite(flag: str, x: float) -> float:
     return x
 
 
+def _number(flag: str, spec: str, text: str, convert):
+    """convert(text), int or float, for text a part of spec, the value
+    given for flag: the one place user text becomes a number, so a bad
+    one is a UsageError that names the flag and the whole spec."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise UsageError(f"{flag} {spec!r}: {text!r} is not a valid "
+                         f"{convert.__name__}") from None
+
+
 def parse_params(args) -> NetworkParams:
     """NetworkParams from args.alpha or args.delta, of which argparse
     lets exactly one through; the constructors check the range."""
@@ -89,14 +100,16 @@ def parse_grid(spec: str) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError(f"grid must be min:max:count, got {spec!r}")
-        lo, hi = (_finite("--grid", float(x)) for x in parts[:2])
-        n = int(parts[2])
+        lo, hi = (_finite("--grid", _number("--grid", spec, x, float))
+                  for x in parts[:2])
+        n = _number("--grid", spec, parts[2], int)
         if n < 2:
             raise UsageError(f"grid needs at least 2 points, got {n}")
         if not lo < hi:
             raise UsageError(f"grid needs min < max, got {spec!r}")
         return np.linspace(lo, hi, n)
-    vals = np.array([_finite("--grid", float(v)) for v in spec.split(",")])
+    vals = np.array([_finite("--grid", _number("--grid", spec, v, float))
+                     for v in spec.split(",")])
     if vals.size < 1 or np.any(np.diff(vals) <= 0):
         raise UsageError("explicit grid values must be strictly increasing")
     return vals
@@ -223,34 +236,40 @@ def cmd_exact(args):
     return 0
 
 
-def _parse_spec(spec: str, bare=()):
-    """spec 'name[:arg]' as (name, arg); a name in bare takes no arg."""
+def _parse_spec(flag: str, spec: str, convert, bare=()):
+    """spec 'name[:arg]', the value given for flag, as (name, number),
+    number being convert(arg) (see _number), or None when there is no
+    arg; a name in bare takes no arg."""
     name, _, arg = spec.partition(":")
-    if arg and name in bare:
+    if not arg:
+        return name, None
+    if name in bare:
         raise UsageError(f"{name!r} takes no parameter, got {spec!r}")
-    return name, arg
+    return name, _number(flag, spec, arg, convert)
 
 
 def cmd_approx(args):
     params = parse_params(args)
     grid = _sf_grid(args.grid)
-    name, arg = _parse_spec(args.method, ("best", "markov", "gb-fit"))
+    name, n = _parse_spec("--method", args.method, int,
+                          ("best", "markov", "gb-fit"))
+    n = {"poly": 1}.get(name, 2) if n is None else n
     pts, sidecars = grid, None
     if name == "rational":
         pts = grid[grid < 1.0]
-        values = approx.rational_ccdf(params, int(arg or 2), pts)
+        values = approx.rational_ccdf(params, n, pts)
     elif name == "poly":
-        values = approx.poly_ccdf(params, int(arg or 1), grid)
+        values = approx.poly_ccdf(params, n, grid)
     elif name == "tail":
         pts = grid[grid > 0.0]
-        values = approx.tail_ccdf(params, int(arg or 2), pts)
+        values = approx.tail_ccdf(params, n, pts)
     elif name == "best":
         values = approx.best_sf_ccdf(params, grid)
     elif name == "markov":
         pts = grid[grid < 1.0 - params.delta]
         values = approx.markov_lower_bound(params, pts)
     elif name == "nba-m":
-        values = approx.nba_m_cdf_asymptote(params, int(arg or 2), grid)
+        values = approx.nba_m_cdf_asymptote(params, n, grid)
     elif name == "gb-fit":
         fit = approx.gb_fit(params)
         gbp = fit.params
@@ -272,14 +291,14 @@ def cmd_approx(args):
 def cmd_simulate(args):
     # 'none' is the m = inf limit of 'nakagami:m'; FadingModel checks m,
     # and AssociationRule the association kind and its parameter
-    fading, m = _parse_spec(args.fading, ("none",))
-    if fading != ("nakagami" if m else "none"):
+    fading, m = _parse_spec("--fading", args.fading, float, ("none",))
+    if fading != ("none" if m is None else "nakagami"):
         raise UsageError(
             f"--fading must be none | nakagami:m, got {args.fading!r}")
-    assoc, k = _parse_spec(args.assoc)
+    assoc, k = _parse_spec("--assoc", args.assoc, int)
     config = SimConfig(params=parse_params(args),
-                       fading=FadingModel(float(m) if m else math.inf),
-                       assoc=AssociationRule(assoc, int(k) if k else None),
+                       fading=FadingModel(math.inf if m is None else m),
+                       assoc=AssociationRule(assoc, k),
                        samples=args.samples,
                        point_budget=args.point_budget,
                        tail_eps=args.tail_eps,
@@ -303,7 +322,9 @@ def cmd_simulate(args):
 
 def cmd_plp(args):
     params = parse_params(args)
-    name, arg = _parse_spec(args.stat, ("sf1-bound", "sstar", "rba-curve"))
+    name, i = _parse_spec("--stat", args.stat, int,
+                          ("sf1-bound", "sstar", "rba-curve"))
+    i = 1 if i is None else i
     if name in ("gn", "rba-curve"):
         grid = parse_grid(args.grid)
         pts = grid[(grid > 0.0) & (grid < 1.0)]
@@ -314,10 +335,9 @@ def cmd_plp(args):
         exact = plp.g_n_is_exact(pts)
         flags = None if exact.all() else np.where(exact, "", "ub-only").tolist()
         emit_curve(args, "SF", "ccdf" if flags is None else "bound", pts,
-                   plp.g_n(params, int(arg or 1), pts), flags=flags)
+                   plp.g_n(params, i, pts), flags=flags)
         return 0
     if name in ("sfirat", "loggap"):
-        i = int(arg or 1)
         stat = f"{name}:{i}"
         value = (plp.mean_sf_ratio if name == "sfirat" else plp.log_sf_gap)(
             params, i)

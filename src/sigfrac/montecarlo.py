@@ -31,9 +31,11 @@ third-cumulant stop of a Gaussian tail needed about 105).
 The per-realization fluctuation the tail contributes is drawn, not
 bounded by tail_eps.
 
-Every association rule runs on the same batched chunk generator.
-Random association keeps a value-weighted reservoir of one candidate
-per realization across the chunks and, when the realization finishes,
+Every association rule runs on the same batched chunk generator; only
+nba draws fading gains, since by the mapping theorem the others (isba
+is kth_strongest(1) in law and in bytes) have their no-fading law under
+any fading.  Random association keeps a value-weighted reservoir of one
+candidate per realization across the chunks and, when it finishes,
 replaces it by a size-biased draw from the not-yet-generated tail with
 the tail's share of the total power; such a draw comes with its own
 independent copy of the rest of the tail (Mecke's formula).
@@ -95,8 +97,9 @@ class FadingModel:
 @dataclass(frozen=True)
 class AssociationRule:
     """Which base station serves the user: nearest (nba), instantaneously
-    strongest (isba), random with probabilities SF_k (rba), or the k-th
-    strongest (kth_strongest)."""
+    strongest (isba, kth_strongest(1) in law and in bytes), random with
+    probabilities SF_k (rba), or the k-th strongest (kth_strongest);
+    only nba sees the fading."""
 
     kind: str
     k: int | None = None
@@ -146,10 +149,6 @@ class SimConfig:
             raise ValueError(f"tail_eps must be in (0, 1), got {self.tail_eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.assoc.kind in ("rba", "kth") and self.fading.m < math.inf:
-            raise ValueError(
-                f"{self.assoc.kind} association is defined on the no-fading "
-                "path loss process")
         k, rows = self.assoc.k, min(self.samples, _SHARD)
         if k and k > self.point_budget:
             raise ValueError(f"point budget {self.point_budget} too small for "
@@ -347,10 +346,10 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     """
     delta = config.params.delta
     pw = -1.0 / delta
-    # by the mapping theorem the strongest-station law does not depend
-    # on the fading, so isba runs on the no-fading stream
-    fading = (FadingModel.none() if config.assoc.kind == "isba"
-              else config.fading)
+    # iid gains only rescale the power process (mapping theorem), so the
+    # strength-ordered fractions do not see them: only nba draws gains
+    fading = (config.fading if config.assoc.kind == "nba"
+              else FadingModel.none())
     c1, _ = _cumulant(1, delta, 1.0)
     c4, _ = _cumulant(4, delta, fading.moment(4))
     eps2 = config.tail_eps ** 2
@@ -576,15 +575,14 @@ def _run_all(config: SimConfig, workers: int | None, keep: int):
 def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     """Sample `config.samples` independent signal fractions.
 
-    nba serves the nearest base station (fading applied to every
-    received power); isba serves the instantaneously strongest one,
-    whose law does not depend on the fading, so it draws no gains;
-    rba picks station k with probability SF_k, by a weighted reservoir
-    over the generated chunks and a size-biased pick from the truncated
-    tail with the tail's share of the power; kth_strongest(k) returns
-    the k-th largest element of the no-fading SF sequence.  Identical
-    configs (including seed) give bit-identical output for any worker
-    count.
+    nba serves the nearest base station, the one rule whose law depends
+    on the fading; the others draw no gains.  isba serves the strongest
+    station and is kth_strongest(1) in law and in bytes; kth_strongest(k)
+    returns the k-th largest signal fraction; rba picks station k with
+    probability SF_k, by a weighted reservoir over the generated chunks
+    and a size-biased pick from the truncated tail with the tail's share
+    of the power.  Identical configs (including seed) give bit-identical
+    output for any worker count.
 
     workers is not a count: workers=1 runs the shards in this process,
     as does a run of one shard or a worker_count() of 1; any other
@@ -606,11 +604,12 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
 
 
 def sample_sf_topk(config: SimConfig, workers: int | None = None):
-    """The k largest no-fading signal fractions per realization for a
-    kth_strongest(k) config, as a (samples, k) array in realization
-    order, plus the flagged count.  Rows are joint draws: column j is
-    SF_{j+1} of the same network.  Any other association is a
-    ValueError; workers is as for sample_sf."""
+    """The k largest signal fractions per realization for a
+    kth_strongest(k) config under any fading, as a (samples, k) array in
+    realization order, plus the flagged count.  Rows are joint draws:
+    column j is SF_{j+1} of the same network (j = 0 is isba, in law and
+    in bytes).  Any other association is a ValueError; workers is as
+    for sample_sf."""
     if config.assoc.kind != "kth":
         raise ValueError("top-k signal fractions need a kth_strongest(k) "
                          f"association, got {config.assoc.kind!r}")

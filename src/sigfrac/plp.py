@@ -65,6 +65,8 @@ def mean_sf_ratio(params: NetworkParams, i: int) -> float:
 
 def log_sf_gap(params: NetworkParams, i: int) -> float:
     """Expected log gap E[log SF_1] - E[log SF_{i+1}] = H_i / delta."""
+    if i < 1:
+        raise ValueError(f"i must be >= 1, got {i}")
     return harmonic(i) / params.delta
 
 

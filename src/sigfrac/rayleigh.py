@@ -87,7 +87,7 @@ def sf_pdf_exact(params: NetworkParams, t):
     d = params.delta
     t = _checked(t, "t", 0.0, 1.0, open_="both")
     u, w = _nba_parts(d, t)
-    return d * u * (t * u + w) / (t * (1.0 - t) * (u + w) ** 2)
+    return d * u * (t * u + w) / (t * (1.0 - t) * np.power(u + w, 2))
 
 
 def _tanh_sinh(n: int):

@@ -51,7 +51,7 @@ def _checked(x, name: str, lo: float, hi: float, open_: str = ""):
     "lo", "hi" or "both", and the others are closed.  NaN fails."""
     scalar = isinstance(x, (int, float))
     v = x if scalar else np.asarray(x, dtype=float)
-    if not open_:   # most calls, among them every quadrature node
+    if not open_:   # the closed checks, most calls
         ok = (lo <= v) & (v <= hi)
     else:
         ok = (lo < v if open_ != "hi" else lo <= v) & (

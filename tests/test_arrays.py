@@ -5,7 +5,7 @@ so both round alike)."""
 import numpy as np
 import pytest
 
-from sigfrac import approx, plp, specfun, transforms
+from sigfrac import approx, plp, rayleigh, specfun, transforms
 from sigfrac.rayleigh import NetworkParams
 
 DELTAS = (0.1, 0.5, 2.0 / 3.0, 0.9)
@@ -38,6 +38,10 @@ CURVES = {
     "nba_m_cdf_asymptote:2": (
         lambda p, t: approx.nba_m_cdf_asymptote(p, 2, t), lambda d: UNIT),
     "gb_pdf": (lambda p, t: approx.gb_pdf(gb(p), t), lambda d: INNER),
+    # gb_cdf clips its argument to [0, 1], so its grid reaches past both ends
+    "gb_cdf": (lambda p, t: approx.gb_cdf(gb(p), t),
+               lambda d: np.linspace(-0.5, 1.5, 801)),
+    "sf_pdf_exact": (rayleigh.sf_pdf_exact, lambda d: INNER),
     "g_n:1": (lambda p, t: plp.g_n(p, 1, t), lambda d: INNER),
     "g_n:2": (lambda p, t: plp.g_n(p, 2, t), lambda d: INNER),
     "ordered_pathloss_pdf:1": (
@@ -49,6 +53,7 @@ CURVES = {
                            lambda d: np.linspace(0.02, 0.98, 25)),
     "ratio_cdf:2": (lambda p, r: plp.ratio_cdf(p, 2, r), lambda d: UNIT),
     "rba_pdf": (plp.rba_pdf, lambda d: INNER),
+    "rba_cdf": (plp.rba_cdf, lambda d: UNIT),
     "hyp2f1_11": (lambda p, t: specfun.hyp2f1_11(p.delta, t),
                   lambda d: HALF_OPEN),
     "t_map": (lambda p, x: transforms.t_map(x),

@@ -389,11 +389,20 @@ class TestSimulate:
         assert out == ""
         assert "seed must be >= 0, got -1" in err
 
-    def test_rba_with_fading_rejected(self, capsys):
-        rc, _, err = run(capsys, "simulate", "--alpha", "4", "--fading",
-                         "nakagami:1", "--assoc", "rba", "--samples", "100")
-        assert rc == 2
-        assert "no-fading" in err
+    @pytest.mark.parametrize("assoc", ["isba", "kth:1", "kth:2", "rba"])
+    def test_strength_rules_ignore_fading(self, capsys, assoc):
+        # only nba sees the fading: the rules acting on the signal
+        # fractions ordered by strength print the no-fading bytes under
+        # any fading, and isba is kth:1
+        args = ("simulate", "--alpha", "4", "--samples", "3000", "--seed",
+                "5", "--grid", "0:1:21", "--format", "json", "--assoc")
+        ref = run(capsys, *args, assoc, "--fading", "none")
+        assert ref[0] == 0
+        for m in ("1", "0.5"):
+            faded = run(capsys, *args, assoc, "--fading", f"nakagami:{m}")
+            assert faded == ref
+        if assoc == "isba":
+            assert run(capsys, *args, "kth:1", "--fading", "none") == ref
 
     def test_summary_sidecar_file(self, capsys, tmp_path):
         out_path = tmp_path / "sim.csv"
@@ -538,6 +547,27 @@ def test_stray_parameter_rejected(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "takes no" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--fading", "nakagami:x", "--samples", "100"),
+    ("simulate", "--assoc", "kth:x", "--samples", "100"),
+    ("approx", "--method", "rational:x"),
+    ("approx", "--method", "poly:x"),
+    ("approx", "--method", "tail:x"),
+    ("approx", "--method", "nba-m:x"),
+    ("plp", "--stat", "gn:x"),
+    ("plp", "--stat", "sfirat:x"),
+    ("plp", "--stat", "loggap:x"),
+    ("exact", "--grid", "0:1:x"),
+    ("exact", "--grid", "0,a"),
+], ids=" ".join)
+def test_bad_spec_number_names_flag(capsys, argv):
+    # a number that does not parse names its flag and the whole spec
+    flag, spec = argv[1:3]
+    rc, out, err = run(capsys, *argv, "--alpha", "4")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {flag} {spec!r}: ")
 
 
 class TestCurveOutput:

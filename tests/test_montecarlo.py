@@ -98,13 +98,6 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             SimConfig(params=params_half, fading=FadingModel.none(),
                       assoc=AssociationRule.nba(), samples=10, tail_eps=1.5)
-        # rba and kth are no-fading constructions
-        with pytest.raises(ValueError):
-            SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
-                      assoc=AssociationRule.rba(), samples=10)
-        with pytest.raises(ValueError):
-            SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
-                      assoc=AssociationRule.kth_strongest(2), samples=10)
 
     @pytest.mark.parametrize("assoc, default", [
         (AssociationRule.nba(), 1e-3), (AssociationRule.isba(), 1e-3),
@@ -323,14 +316,25 @@ class TestSampleSf:
             sample_sf_topk(cfg)
 
     def test_isba_equals_nba_without_fading(self, params_half):
-        # isba runs on the no-fading stream whatever the fading
+        # only nba draws gains: isba, kth and rba run on the no-fading
+        # stream whatever the fading, and isba is kth_strongest(1)
         kw = dict(params=params_half, samples=5_000, seed=28)
-        b = sample_sf(SimConfig(assoc=AssociationRule.nba(),
-                                fading=FadingModel.none(), **kw)).dist
-        for fading in (FadingModel.none(), FadingModel.nakagami(1.0)):
-            a = sample_sf(SimConfig(assoc=AssociationRule.isba(),
-                                    fading=fading, **kw)).dist
-            np.testing.assert_array_equal(a.samples, b.samples)
+
+        def draw(assoc, fading):
+            res = sample_sf(SimConfig(assoc=assoc, fading=fading, **kw))
+            return res.dist.samples.tobytes(), res.counters()
+
+        fadings = (FadingModel.none(), FadingModel.nakagami(1.0),
+                   FadingModel.nakagami(0.5))
+        b = draw(AssociationRule.nba(), FadingModel.none())
+        for assoc in (AssociationRule.isba(),
+                      AssociationRule.kth_strongest(1)):
+            for fading in fadings:
+                assert draw(assoc, fading) == b
+        for assoc in (AssociationRule.kth_strongest(2), AssociationRule.rba()):
+            ref = draw(assoc, FadingModel.none())
+            for fading in fadings[1:]:
+                assert draw(assoc, fading) == ref
 
 
 class TestDeterminism:

@@ -80,6 +80,11 @@ class TestLogGaps:
         assert log_sf_gap(params_half, 3) == pytest.approx(11.0 / 3.0,
                                                            rel=1e-14)
 
+    @pytest.mark.parametrize("stat", [mean_sf_ratio, log_sf_gap])
+    def test_order_below_one_refused(self, params_half, stat):
+        with pytest.raises(ValueError, match="^i must be >= 1, got 0$"):
+            stat(params_half, 0)
+
     def test_mc_agreement(self, nofad_half_top5, params_half):
         vals = nofad_half_top5[:100_000]
         for i in (1, 2):
