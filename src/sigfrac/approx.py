@@ -58,9 +58,7 @@ def rational_ccdf(params: NetworkParams, s: int, t):
     if not 1 <= s <= _RATIONAL_MAX_ORDER:
         raise ValueError(
             f"order s must be in [1, {_RATIONAL_MAX_ORDER}], got {s}")
-    t = _checked(t, "t", 0.0, 1.0)
-    if np.any(t == 1.0):
-        raise ValueError("t must be in [0, 1), got 1.0")
+    t = _checked(t, "t", 0.0, 1.0, open_="hi")
     num = 0.0
     den = 0.0
     tn = 1.0

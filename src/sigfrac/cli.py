@@ -43,6 +43,7 @@ _APPROX_METHODS = (f"rational:s (s = 1..{approx._RATIONAL_MAX_ORDER}) | "
                    "poly:1 | poly:2 | tail:1 | tail:2 | best | gb-fit | "
                    "markov | nba-m:2")
 _PLP_STATS = "gn:n | sfirat:i | loggap:i | sf1-bound | rba-curve | sstar"
+_ASSOCS = "nba | isba | rba | kth:n"
 
 
 def _fmt(x) -> str:
@@ -202,7 +203,7 @@ def emit_curve(args, variable, kind, pts, values, flags=None, sidecars=None):
     """
     if len(pts) == 0:
         raise UsageError("no --grid point lies in the curve's domain")
-    unit = getattr(args, "unit", "linear") or "linear"
+    unit = getattr(args, "unit", "linear")
     sidecars = sidecars or {}
     if args.format == "json":
         _write(args.out, curve_doc(variable, kind, unit, pts, values, flags,
@@ -224,13 +225,13 @@ def emit_json(args, doc):
 def cmd_exact(args):
     params = parse_params(args)
     if args.var == "SF":
-        if args.unit not in (None, "linear"):
+        if args.unit != "linear":
             raise UsageError("SF curves use the linear unit (t in [0, 1])")
         grid = _sf_grid(args.grid)
         values = rayleigh.sf_ccdf_exact(params, grid)
     else:
         grid = parse_grid(args.grid)
-        theta = transforms.TO_LINEAR[AxisUnit(args.unit or "linear")](grid)
+        theta = transforms.TO_LINEAR[AxisUnit(args.unit)](grid)
         values = rayleigh.sir_ccdf_exact(params, theta)
     emit_curve(args, args.var, "ccdf", grid, values)
     return 0
@@ -238,10 +239,10 @@ def cmd_exact(args):
 
 def _parse_spec(flag: str, spec: str, convert, bare=()):
     """spec 'name[:arg]', the value given for flag, as (name, number),
-    number being convert(arg) (see _number), or None when there is no
-    arg; a name in bare takes no arg."""
-    name, _, arg = spec.partition(":")
-    if not arg:
+    number being convert(arg) (see _number), or None when spec has no
+    colon; a name in bare takes no colon, and 'name:' is a bad number."""
+    name, colon, arg = spec.partition(":")
+    if not colon:
         return name, None
     if name in bare:
         raise UsageError(f"{name!r} takes no parameter, got {spec!r}")
@@ -289,16 +290,19 @@ def cmd_approx(args):
 
 
 def cmd_simulate(args):
-    # 'none' is the m = inf limit of 'nakagami:m'; FadingModel checks m,
-    # and AssociationRule the association kind and its parameter
+    # 'none' is the m = inf limit of 'nakagami:m', and FadingModel checks m
     fading, m = _parse_spec("--fading", args.fading, float, ("none",))
     if fading != ("none" if m is None else "nakagami"):
         raise UsageError(
             f"--fading must be none | nakagami:m, got {args.fading!r}")
-    assoc, k = _parse_spec("--assoc", args.assoc, int)
+    bare = ("nba", "isba", "rba")
+    name, k = _parse_spec("--assoc", args.assoc, int, bare)
+    if name not in bare and (name != "kth" or k is None):
+        raise UsageError(f"--assoc {args.assoc!r}: must be {_ASSOCS}")
     config = SimConfig(params=parse_params(args),
                        fading=FadingModel(math.inf if m is None else m),
-                       assoc=AssociationRule(assoc, k),
+                       assoc=(getattr(AssociationRule, name)() if k is None
+                              else AssociationRule.kth_strongest(k)),
                        samples=args.samples,
                        point_budget=args.point_budget,
                        tail_eps=args.tail_eps,
@@ -390,7 +394,7 @@ def _add_common(p, grid_default=None, unit=False):
                        help="output grid, min:max:count or comma list")
     if unit:
         p.add_argument("--unit", choices=[u.value for u in AxisUnit],
-                       default=None, help="argument axis unit")
+                       default="linear", help="argument axis unit")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo signal fractions")
     _add_common(p, grid_default="0:1:101")
     p.add_argument("--fading", default="none", help="none | nakagami:m")
-    p.add_argument("--assoc", default="nba", help="nba | isba | rba | kth:n")
+    p.add_argument("--assoc", default="nba", help=_ASSOCS)
     _add_engine(p)
 
     p = sub.add_parser("plp", help="no-fading path-loss-process statistics")

@@ -26,15 +26,14 @@ kappa_4 <= tail_eps^2 * total^4.  The default tail_eps is set by a
 measured contract, not by a bound: at 1.6e7 samples the ccdf may differ
 from each exact law by at most 4.5 standard errors at every t of its
 grid.  1e-3 meets it for every rule, taking about 12 points per
-realization at delta = 2/3 with Rayleigh fading (28 at 1e-4; the
-third-cumulant stop of a Gaussian tail needed about 105).
+realization at delta = 2/3 with Rayleigh fading (28 at 1e-4).
 The per-realization fluctuation the tail contributes is drawn, not
 bounded by tail_eps.
 
 Every association rule runs on the same batched chunk generator; only
-nba draws fading gains, since by the mapping theorem the others (isba
-is kth_strongest(1) in law and in bytes) have their no-fading law under
-any fading.  Random association keeps a value-weighted reservoir of one
+nba draws fading gains, since by the mapping theorem the signal
+fractions ordered by strength have their no-fading law under any
+fading.  Random association keeps a value-weighted reservoir of one
 candidate per realization across the chunks and, when it finishes,
 replaces it by a size-biased draw from the not-yet-generated tail with
 the tail's share of the total power; such a draw comes with its own
@@ -96,16 +95,15 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class AssociationRule:
-    """Which base station serves the user: nearest (nba), instantaneously
-    strongest (isba, kth_strongest(1) in law and in bytes), random with
-    probabilities SF_k (rba), or the k-th strongest (kth_strongest);
-    only nba sees the fading."""
+    """Which base station serves the user: nearest (nba), random with
+    probabilities SF_k (rba), or the k-th strongest (kth_strongest; the
+    strongest, isba, is kth_strongest(1)); only nba sees the fading."""
 
     kind: str
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("nba", "isba", "rba", "kth"):
+        if self.kind not in ("nba", "rba", "kth"):
             raise ValueError(f"unknown association kind {self.kind!r}")
         if self.kind == "kth":
             if self.k is None or self.k < 1:
@@ -119,7 +117,7 @@ class AssociationRule:
 
     @classmethod
     def isba(cls) -> "AssociationRule":
-        return cls(kind="isba")
+        return cls.kth_strongest(1)
 
     @classmethod
     def rba(cls) -> "AssociationRule":
@@ -286,8 +284,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
 
     values has shape (n, keep), keep being k unless given: for
     kth_strongest(k), the weakest keep of the k strongest no-fading
-    signal fractions of each realization, strongest first; for nba, isba
-    and rba (k = 1), the served station's signal fraction.  points is
+    signal fractions of each realization, strongest first; for nba and
+    rba (k = 1), the served station's signal fraction.  points is
     the number of path loss values generated and rounds the number of
     chunk rounds; clamped_count is the number of rows whose first drawn
     tail fell below zero (an rba tail pick's proposals are not counted).
@@ -575,14 +573,12 @@ def _run_all(config: SimConfig, workers: int | None, keep: int):
 def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     """Sample `config.samples` independent signal fractions.
 
-    nba serves the nearest base station, the one rule whose law depends
-    on the fading; the others draw no gains.  isba serves the strongest
-    station and is kth_strongest(1) in law and in bytes; kth_strongest(k)
-    returns the k-th largest signal fraction; rba picks station k with
-    probability SF_k, by a weighted reservoir over the generated chunks
-    and a size-biased pick from the truncated tail with the tail's share
-    of the power.  Identical configs (including seed) give bit-identical
-    output for any worker count.
+    nba serves the nearest base station, the one rule whose law depends on
+    the fading; the others draw no gains.  kth_strongest(k) returns the k-th
+    largest signal fraction; rba picks station k with probability SF_k, by a
+    weighted reservoir over the generated chunks and a size-biased pick from
+    the truncated tail with the tail's share of the power.  Identical
+    configs (including seed) give bit-identical output for any worker count.
 
     workers is not a count: workers=1 runs the shards in this process,
     as does a run of one shard or a worker_count() of 1; any other
@@ -607,9 +603,8 @@ def sample_sf_topk(config: SimConfig, workers: int | None = None):
     """The k largest signal fractions per realization for a
     kth_strongest(k) config under any fading, as a (samples, k) array in
     realization order, plus the flagged count.  Rows are joint draws:
-    column j is SF_{j+1} of the same network (j = 0 is isba, in law and
-    in bytes).  Any other association is a ValueError; workers is as
-    for sample_sf."""
+    column j is SF_{j+1} of the same network.  Any other association is
+    a ValueError; workers is as for sample_sf."""
     if config.assoc.kind != "kth":
         raise ValueError("top-k signal fractions need a kth_strongest(k) "
                          f"association, got {config.assoc.kind!r}")

@@ -389,7 +389,7 @@ def tail_eps_contract_z(cell, tail_eps=SimConfig.tail_eps):
         cfg = SimConfig(params=p, fading=fading, assoc=assoc,
                         samples=min(CONTRACT_BATCH, n - start),
                         tail_eps=tail_eps, seed=seed + i)
-        if assoc.kind == "kth":
+        if (assoc.k or 1) >= 2:   # g_2(t) = P(SF_2 + t SF_1 > t)
             vals, flagged = sample_sf_topk(cfg)
             hits += [np.count_nonzero(vals[:, 1] + t * vals[:, 0] > t)
                      for t in ts]

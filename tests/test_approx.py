@@ -65,8 +65,10 @@ class TestRational:
                                         for t in grid]
 
     def test_domain(self, params_half):
-        for t in (1.0, -0.1, np.array([0.2, 1.0]), np.array([math.nan])):
-            with pytest.raises(ValueError):
+        # the curve is defined on [0, 1), and the message says so
+        for t in (1.0, 1.5, -0.1, np.array([0.2, 1.0]),
+                  np.array([math.nan])):
+            with pytest.raises(ValueError, match=r"t must be in \[0, 1\)"):
                 rational_ccdf(params_half, 2, t)
 
     def test_taylor_match(self, params_half):

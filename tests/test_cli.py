@@ -356,7 +356,7 @@ class TestSimulate:
         for m in ("inf", "1e400"):
             assert run(capsys, *args, "--fading", f"nakagami:{m}") == ref
 
-    @pytest.mark.parametrize("spec", ["rice", "nakagami", "nakagami:"])
+    @pytest.mark.parametrize("spec", ["rice", "nakagami"])
     def test_unknown_or_bare_fading_rejected(self, capsys, spec):
         rc, out, err = run(capsys, "simulate", "--alpha", "4", "--fading",
                            spec, "--samples", "100")
@@ -541,6 +541,10 @@ class TestPlpCommand:
     ("plp", "--stat", "rba-curve:2"),
     ("simulate", "--fading", "none:3", "--samples", "100"),
     ("simulate", "--assoc", "nba:5", "--samples", "100"),
+    # the colon decides: a bare name given one takes no parameter
+    ("approx", "--method", "best:"),
+    ("simulate", "--fading", "none:", "--samples", "100"),
+    ("simulate", "--assoc", "isba:2", "--samples", "100"),
 ], ids=" ".join)
 def test_stray_parameter_rejected(capsys, argv):
     rc, out, err = run(capsys, *argv, "--alpha", "4")
@@ -561,6 +565,15 @@ def test_stray_parameter_rejected(capsys, argv):
     ("plp", "--stat", "loggap:x"),
     ("exact", "--grid", "0:1:x"),
     ("exact", "--grid", "0,a"),
+    # an empty number after a colon is a bad number, not no number
+    ("approx", "--method", "tail:"),
+    ("plp", "--stat", "gn:"),
+    ("simulate", "--assoc", "kth:", "--samples", "100"),
+    ("simulate", "--fading", "nakagami:", "--samples", "100"),
+    # so do an unknown --assoc name and kth with no number
+    ("simulate", "--assoc", "foo", "--samples", "100"),
+    ("simulate", "--assoc", "kth", "--samples", "100"),
+    ("simulate", "--assoc", ":2", "--samples", "100"),
 ], ids=" ".join)
 def test_bad_spec_number_names_flag(capsys, argv):
     # a number that does not parse names its flag and the whole spec
@@ -679,7 +692,7 @@ class TestOutputBoundary:
 
     @staticmethod
     def args(fmt, out):
-        return argparse.Namespace(format=fmt, out=str(out), unit=None)
+        return argparse.Namespace(format=fmt, out=str(out), unit="linear")
 
     def test_json_inf_creates_no_file(self, tmp_path):
         out = tmp_path / "curve.json"

@@ -90,6 +90,11 @@ class TestConfigTypes:
             AssociationRule(kind="kth")
         with pytest.raises(ValueError):
             AssociationRule(kind="other")
+        # the instantaneously strongest station is the first of the
+        # strength order, not a kind of its own
+        assert AssociationRule.isba() == AssociationRule.kth_strongest(1)
+        with pytest.raises(ValueError, match="unknown association kind"):
+            AssociationRule(kind="isba")
 
     def test_config_validation(self, params_half):
         with pytest.raises(ValueError):
@@ -315,9 +320,17 @@ class TestSampleSf:
         with pytest.raises(ValueError, match="kth_strongest"):
             sample_sf_topk(cfg)
 
+    def test_isba_topk_is_its_samples(self, params_half):
+        cfg = SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
+                        assoc=AssociationRule.isba(), samples=3000, seed=30)
+        vals, flagged = sample_sf_topk(cfg)
+        assert vals.shape == (3000, 1) and flagged == 0
+        assert np.sort(vals[:, 0]).tobytes() == \
+            sample_sf(cfg).dist.samples.tobytes()
+
     def test_isba_equals_nba_without_fading(self, params_half):
-        # only nba draws gains: isba, kth and rba run on the no-fading
-        # stream whatever the fading, and isba is kth_strongest(1)
+        # only nba draws gains: isba (kth_strongest(1)), kth and rba run
+        # on the no-fading stream whatever the fading
         kw = dict(params=params_half, samples=5_000, seed=28)
 
         def draw(assoc, fading):
@@ -327,10 +340,8 @@ class TestSampleSf:
         fadings = (FadingModel.none(), FadingModel.nakagami(1.0),
                    FadingModel.nakagami(0.5))
         b = draw(AssociationRule.nba(), FadingModel.none())
-        for assoc in (AssociationRule.isba(),
-                      AssociationRule.kth_strongest(1)):
-            for fading in fadings:
-                assert draw(assoc, fading) == b
+        for fading in fadings:
+            assert draw(AssociationRule.isba(), fading) == b
         for assoc in (AssociationRule.kth_strongest(2), AssociationRule.rba()):
             ref = draw(assoc, FadingModel.none())
             for fading in fadings[1:]:
