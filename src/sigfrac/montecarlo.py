@@ -63,6 +63,7 @@ _SHARD = 16384        # realizations per RNG substream; part of the output contr
 _CHUNK_MIN = 5
 _CHUNK_ELEMS = 4_000_000
 _KTH_VALUES = 1 << 23   # k * rows of a kth:k shard's first chunk: 64 MiB
+_DRAWS_KEPT = 2 * _CHUNK_ELEMS   # the most draws a workspace keeps: 64 MB
 
 
 class SimulationError(RuntimeError):
@@ -218,9 +219,13 @@ def ks_distance(dist: EmpiricalDistribution, cdf_fn) -> float:
         raise ValueError(
             f"cdf_fn returned shape {f.shape} for samples of shape {x.shape}")
     n = x.size
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(hi - f), np.max(f - lo)))
+    hi = np.arange(1, n + 1, dtype=float)
+    hi /= n
+    hi -= f
+    lo = np.arange(0, n, dtype=float)
+    lo /= n
+    np.subtract(f, lo, out=lo)
+    return float(max(np.max(hi), np.max(lo)))
 
 
 def _rng_for(seed: int, shard: int) -> np.random.Generator:
@@ -260,10 +265,11 @@ def _cumulant(n: int, delta: float, hn: float):
     return hn * delta / (n - delta), (delta - n) / delta
 
 
-def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1):
+def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1, out=None):
     """(shape, scale, shift) of the translated gamma that stands in for
     the tail beyond arrival G = G_1 r, in G_1-relative units, given
-    rp = r^(-1/delta) and re1 = r * rp = r^e_1.
+    rp = r^(-1/delta) and re1 = r * rp = r^e_1; written into the rows
+    of out, a (3, rows) array, if given.
 
     shift + scale * Z, with Z standard gamma of this shape, has the
     tail's kappa_1, kappa_2 and kappa_3, each c_n G_1 r^e_n (Seal 1977).
@@ -273,8 +279,54 @@ def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1):
     c1, _ = _cumulant(1, delta, fading.moment(1))
     c2, _ = _cumulant(2, delta, fading.moment(2))
     c3, _ = _cumulant(3, delta, fading.moment(3))
-    return (4.0 * c2 ** 3 / c3 ** 2 * g1 * r, c3 / (2.0 * c2) * rp,
-            (c1 - 2.0 * c2 ** 2 / c3) * g1 * re1)
+    shape, scale, shift = np.empty((3, np.size(g1))) if out is None else out
+    np.multiply(g1, 4.0 * c2 ** 3 / c3 ** 2, out=shape)
+    shape *= r
+    np.multiply(rp, c3 / (2.0 * c2), out=scale)
+    np.multiply(g1, c1 - 2.0 * c2 ** 2 / c3, out=shift)
+    shift *= re1
+    return shape, scale, shift
+
+
+class _Workspace:
+    """The arrays an engine call works in, kept for the process's later
+    calls: each name holds one array, grown to the largest size a call
+    has asked for and never freed, so that a later shard works in the
+    same memory instead of faulting fresh pages in."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, size: int, dtype=float) -> np.ndarray:
+        """The named array's first size elements, whatever they hold."""
+        a = self._arrays.get(name)
+        if a is None or a.size < size:
+            a = self._arrays[name] = np.empty(size, dtype)
+        return a[:size]
+
+    def arange(self, size: int) -> np.ndarray:
+        """0, 1, ..., size - 1."""
+        a = self._arrays.get("arange")
+        if a is None or a.size < size:
+            a = self._arrays["arange"] = np.arange(size)
+        return a[:size]
+
+    def draws(self, size: int) -> np.ndarray:
+        """Room for size draws; only a kth:k first chunk asks for more
+        than _DRAWS_KEPT, and that room is the calling round's alone."""
+        if size > _DRAWS_KEPT:
+            return np.empty(size)
+        return self.get("draws", size)
+
+    def block(self, name: str, k: int, size: int) -> np.ndarray:
+        """A contiguous (k, size) block of the named array."""
+        return self.get(name, k * size).reshape(k, size)
+
+
+# Workspaces that no running call holds.  A call pops one, or makes one
+# if none is spare, and pushes it back when it ends; list.pop and
+# list.append are atomic, so two threads never work in the same one.
+_spare_workspaces: list[_Workspace] = []
 
 
 def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
@@ -308,9 +360,9 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     The first chunk has max(5, k) points, and the last keep of its first
     k values fill the row (for rba, the reservoir and the tail pick then
     rewrite it); each later one has half the points generated so far,
-    at least 5, capped by the workspace and the point budget, so a row
-    of depth D takes about log_1.5(D/5) rounds and stops less than 1.5
-    times as deep as where the rule first holds, or 5 points past it.
+    at least 5, capped by _CHUNK_ELEMS draws and the point budget, so a
+    row of depth D takes about log_1.5(D/5) rounds and stops less than
+    1.5 times as deep as where the rule first holds, or 5 points past it.
 
     Random association is a size-1 weighted reservoir over the chunks
     (Efraimidis & Spirakis 2006): a chunk of weight W takes over a row's
@@ -337,17 +389,36 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     round of tail-pick proposals, a uniform for v, a standard gamma and
     a uniform for acceptance per proposing row.  A chunk is laid out as
     (points, rows): the exponentials and the gains are each drawn as one
-    (chunk, live rows) block into a workspace that the call reuses and
-    grows, a realization is a column, and a running sum along it is one
-    vector op per point.  The values are held as (k, n) and returned
-    transposed.
+    (chunk, live rows) block, a realization is a column, and a running
+    sum along it is one vector op per point.  The values are held as
+    (k, n) and returned transposed.
+
+    Every per-round array, the draws included, lives in an engine
+    workspace that this process keeps until it exits (_Workspace), one
+    per concurrent call; only the values, the totals and the index
+    arrays of the rows that finish or stay live are the call's own, and
+    a tail pick's proposals, which only rows picking from the tail make.
     """
+    try:
+        ws = _spare_workspaces.pop()
+    except IndexError:
+        ws = _Workspace()
+    try:
+        return _sim_rows(config, n, rng, keep, ws)
+    finally:
+        _spare_workspaces.append(ws)
+
+
+def _sim_rows(config: SimConfig, n: int, rng: np.random.Generator,
+              keep: int | None, ws: _Workspace):
+    # _sim_shard's rounds, in the arrays of workspace ws
     delta = config.params.delta
     pw = -1.0 / delta
     # iid gains only rescale the power process (mapping theorem), so the
     # strength-ordered fractions do not see them: only nba draws gains
     fading = (config.fading if config.assoc.kind == "nba"
               else FadingModel.none())
+    gains = fading.m < math.inf
     c1, _ = _cumulant(1, delta, 1.0)
     c4, _ = _cumulant(4, delta, fading.moment(4))
     eps2 = config.tail_eps ** 2
@@ -356,12 +427,17 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     k = config.assoc.k or 1
     keep = keep or k
 
-    idx = np.arange(n)      # the live rows' columns of out
-    glast = np.zeros(n)
-    power = np.zeros(n)
+    # the live rows' columns of out, and their G_1, last arrival and
+    # power, each in one of two copies that compaction alternates
+    side = 0
+    idx = ws.get("idx0", n, np.intp)
+    idx[:] = ws.arange(n)
+    state = ws.block("state0", 3, n)
+    g1, glast, power = state
+    glast.fill(0.0)
+    power.fill(0.0)
     total = np.empty(n)
     out = np.empty((keep, n))
-    buf = np.empty(0)
     flagged = clamped = npts = points = rounds = 0
     chunk = max(_CHUNK_MIN, k)   # SimConfig holds k within the budget
     while idx.size:
@@ -370,84 +446,119 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
             chunk = min(max(_CHUNK_MIN, npts // 2), _CHUNK_ELEMS // na,
                         budget - npts)
         m = chunk * na
-        if buf.size < 2 * m:
-            buf = np.empty(2 * m)   # the exponentials, then the gains
+        buf = ws.draws(2 * m if gains else m)   # the exponentials, the gains
         e = rng.standard_exponential(out=buf[:m].reshape(chunk, na))
         e[0] += glast
         if rounds == 0:
-            g1 = e[0].copy()
+            np.copyto(g1, e[0])
         for i in range(1, chunk):   # the arrivals G, as np.cumsum adds them
             e[i] += e[i - 1]
-        glast = e[-1].copy()
-        e *= 1.0 / g1
-        r = e[-1].copy()
+        np.copyto(glast, e[-1])
+        e *= np.divide(1.0, g1, out=ws.get("inv_g1", na))
+        # r, rp and re1 at the chunk's last arrival
+        ends = ws.block("ends", 3, na)
+        r, rp, re1 = ends
+        np.copyto(r, e[-1])
         v = _pow_neg(e, pw, out=e)
-        rp = v[-1].copy()
-        if fading.m < math.inf:
+        np.copyto(rp, v[-1])
+        if gains:
             v *= sample_nakagami(fading.m, rng,
                                  out=buf[m:2 * m].reshape(chunk, na))
-        w = np.add.reduce(v, axis=0)
+        w = np.add.reduce(v, axis=0, out=ws.get("w", na))
         power += w
         if rounds == 0:
             out[:] = v[k - keep:k]
         if rba:
-            u = rng.random(na) * power
+            u = rng.random(out=ws.get("u", na))
+            u *= power
             # the first partial sum >= u; they never decrease, so that is
             # the count of the first chunk - 1 that fall below u
-            cs = np.zeros(na)
-            j = np.zeros(na, dtype=np.intp)
+            cs = ws.get("cs", na)
+            cs.fill(0.0)
+            j = ws.get("j", na, np.intp)
+            j.fill(0)
+            below = ws.get("below", na, bool)
             for i in range(chunk - 1):
                 cs += v[i]
-                j += cs < u
-            sw = np.flatnonzero(u < w)
-            out[0, idx[sw]] = v[j[sw], sw]
+                j += np.less(cs, u, out=below)
+            # the rows whose chunk takes over keep v[j], the others
+            # their candidate
+            j *= na
+            j += ws.arange(na)
+            pick = np.take(v.reshape(-1), j, out=ws.get("pick", na))
+            cand = np.take(out[0], idx, out=ws.get("cand", na))
+            np.copyto(cand, pick, where=np.less(u, w, out=below))
+            out[0, idx] = cand
         npts += chunk
         points += m
         rounds += 1
 
-        re1 = r * rp
-        tot = power + c1 * g1 * re1
+        np.multiply(r, rp, out=re1)
+        tot = np.multiply(g1, c1, out=ws.get("tot", na))
+        tot *= re1
+        tot += power
         # kappa_4 / tot^4 as c4 g1 r (rp / tot)^4, since tot^4 would
         # underflow for a tiny total; a ratio past the largest double
         # means "far from done", and 0/0 (no power and no tail mean left)
         # satisfies kappa_4 <= tail_eps^2 tot^4 as 0 <= 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            q = rp / tot
-            live = c4 * g1 * r * (q * q) ** 2 > eps2
+            q = np.divide(rp, tot, out=ws.get("q", na))
+            q *= q
+            q *= q
+            crit = np.multiply(g1, c4, out=ws.get("crit", na))
+            crit *= r
+            crit *= q
+            live = np.greater(crit, eps2, out=ws.get("live", na, bool))
         if npts >= budget:
             flagged += np.count_nonzero(live)
             live[:] = False
-        fin = np.flatnonzero(~live)
-        if fin.size:
-            shape, scale, shift = _gamma_tail(delta, fading, g1[fin], r[fin],
-                                              rp[fin], re1[fin])
-            tail = shift + scale * rng.standard_gamma(shape)
-            neg = tail < 0.0
+        fin = np.flatnonzero(np.logical_not(live, out=ws.get("fin", na, bool)))
+        nf = fin.size
+        if nf:
+            g1f, _, pf = np.take(state, fin, axis=1,
+                                 out=ws.block("state_fin", 3, nf))
+            rf, rpf, re1f = np.take(ends, fin, axis=1,
+                                    out=ws.block("ends_fin", 3, nf))
+            shape, scale, shift = _gamma_tail(delta, fading, g1f, rf, rpf,
+                                              re1f, ws.block("gamma", 3, nf))
+            tail = rng.standard_gamma(shape, out=ws.get("tail", nf))
+            tail *= scale
+            tail += shift
+            neg = np.less(tail, 0.0, out=ws.get("neg", nf, bool))
             clamped += np.count_nonzero(neg)
             tail[neg] = 0.0
-            totf = power[fin] + tail
+            totf = np.add(pf, tail, out=ws.get("totf", nf))
             if not totf.all():
                 raise ValueError(
                     "a realization's received power underflows float64: every "
                     "fading gain generated and the drawn tail are 0, so its "
                     "signal fraction is undefined; use a larger delta or "
                     "Nakagami m")
+            cols = np.take(idx, fin, out=ws.get("cols_fin", nf, np.intp))
             if rba:
-                pf = power[fin]
-                todo = np.flatnonzero(rng.random(fin.size) * totf > pf)
-                least = pf + np.maximum(shift, 0.0)
+                uf = rng.random(out=ws.get("uf", nf))
+                uf *= totf
+                todo = np.flatnonzero(
+                    np.greater(uf, pf, out=ws.get("to_tail", nf, bool)))
+                least = np.maximum(shift, 0.0, out=ws.get("least", nf))
+                least += pf
                 while todo.size:   # least >= the first value, 1, so it ends
-                    v = rp[fin[todo]] * rng.random(todo.size) ** (
+                    v = rpf[todo] * rng.random(todo.size) ** (
                         1.0 / (1.0 - delta))
                     t = scale[todo] * rng.standard_gamma(shape[todo])
                     s = pf[todo] + v + np.maximum(shift[todo] + t, 0.0)
                     ok = rng.random(todo.size) * s < least[todo]
-                    out[0, idx[fin[todo[ok]]]] = v[ok]
+                    out[0, cols[todo[ok]]] = v[ok]
                     totf[todo[ok]] = s[ok]
                     todo = todo[~ok]
-            total[idx[fin]] = totf
+            total[cols] = totf
             rows = np.flatnonzero(live)
-            idx, g1, glast, power = idx[rows], g1[rows], glast[rows], power[rows]
+            side ^= 1
+            state = np.take(state, rows, axis=1,
+                            out=ws.block(f"state{side}", 3, rows.size))
+            g1, glast, power = state
+            idx = np.take(idx, rows, out=ws.get(f"idx{side}", rows.size,
+                                                np.intp))
     out /= total
     return out.T, int(flagged), points, rounds, int(clamped)
 
@@ -542,8 +653,12 @@ def _map_shards(shards, w: int):
                 # needs this earlier hook to exit at all, and before the
                 # queues' own hooks (priority 10) stop their feeders
                 mp_util.Finalize(None, _close_pool, exitpriority=15)
+            # contiguous batches of shards // workers: the pool queues
+            # only one call more than it has workers, so with a call per
+            # shard a worker can wait for its next shard to be queued
             try:
-                return list(_pool.map(_run_shard, shards, chunksize=1))
+                return list(_pool.map(_run_shard, shards,
+                                      chunksize=max(1, len(shards) // w)))
             except BrokenProcessPool:
                 _close_pool()
                 if rerun:
@@ -585,13 +700,20 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     value, 0 and negative ones included, is ignored and the shards run
     on the process's pool.  The pool starts with one worker per shard,
     up to worker_count(), is replaced by a larger one only when a later
-    call has more shards, and lives until the process exits.  A worker
-    that dies fails no call: the shards run once more on a fresh pool,
-    and only a second death in the same call raises BrokenProcessPool.
+    call has more shards, and lives until the process exits.  A call
+    hands the pool its shards in contiguous batches of shards // workers
+    (at least 1), so 4 shards on 2 workers go as one batch of 2 to each,
+    and 3 shards, which the pool queues all at once, go one at a time.
+    A worker that dies fails no call: the shards run once more on a
+    fresh pool, and only a second death in the same call raises
+    BrokenProcessPool.  Every process that runs shards, the workers and
+    this one, keeps the engine's workspace until it exits: at most
+    2 * _CHUNK_ELEMS draws (64 MB) and a few arrays per realization.
     """
     vals, flagged, points, rounds, clamped = _run_all(config, workers, 1)
     k = config.assoc.k or 1
-    x = np.sort(vals[:, 0])
+    x = vals[:, 0]   # the one column of a fresh block: sorted in place
+    x.sort()
     if k > 1 and x[-1] > 1.0 / k:
         raise AssertionError(f"SF_{k} sample exceeds its support bound 1/{k}")
     return SimResult(dist=EmpiricalDistribution(samples=x), flagged=flagged,
@@ -644,9 +766,10 @@ def conjecture_report(samples: int, seed: int,
     res = sample_sf(config, workers)
     x = res.dist.samples
     moments = []
-    acc = np.ones_like(x)
+    acc = x.copy()
     for k in range(1, 11):
-        acc = acc * x
+        if k > 1:
+            acc *= x
         e = float(acc.mean())
         a = arcsine_moment(k)
         moments.append({"k": k, "empirical": e, "arcsine": a,

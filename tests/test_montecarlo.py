@@ -449,6 +449,18 @@ class TestDeterminism:
         np.testing.assert_allclose(vals, self.RECORDED_TOP3, rtol=1e-13,
                                    atol=0.0)
 
+    @pytest.mark.parametrize("samples", [40_000, 65_536, 81_920])
+    def test_shard_batches_match_one_worker(self, params_half, pool_of,
+                                            samples):
+        # 3, 4 and 5 shards, as one shard per call or in batches of two
+        cfg = SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
+                        assoc=AssociationRule.nba(), samples=samples, seed=39)
+        a = sample_sf(cfg, workers=1).dist.samples.tobytes()
+        for w in (2, 3):
+            pool_of(w)
+            assert sample_sf(cfg).dist.samples.tobytes() == a
+            assert len(_worker_pids()) == w
+
     def test_topk_invariance(self, params_half, pool_of):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
                         assoc=AssociationRule.kth_strongest(3), samples=40_000,
@@ -461,15 +473,19 @@ class TestDeterminism:
 
 
 class _RecordingRng:
-    """A generator that keeps every array a draw was asked to fill."""
+    """A generator that keeps every array a draw was asked to fill and,
+    given a barrier, waits at it before its first draw."""
 
-    def __init__(self, rng):
-        self.rng, self.outs = rng, []
+    def __init__(self, rng, barrier=None):
+        self.rng, self.outs, self.barrier = rng, [], barrier
 
     def __getattr__(self, name):
         draw = getattr(self.rng, name)
 
         def call(*args, **kwargs):
+            if self.barrier is not None:
+                self.barrier.wait()
+                self.barrier = None
             if kwargs.get("out") is not None:
                 self.outs.append(kwargs["out"])
             return draw(*args, **kwargs)
@@ -478,7 +494,8 @@ class _RecordingRng:
 
 class TestLeanRound:
     """Each round takes its one non-integer power from the chunk, holds
-    the live rows compacted, and draws into one workspace per call."""
+    the live rows compacted, and works in a workspace that the process
+    keeps, one per concurrent call."""
 
     @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5, 2.0 / 3.0, 0.9])
     def test_tail_powers_are_products_of_rp(self, delta):
@@ -526,6 +543,71 @@ class TestLeanRound:
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1:] == b[1:]
         assert not any(np.shares_memory(b[0], o) for o in outs + rng.outs)
+
+    @staticmethod
+    def rayleigh_config(n):
+        return SimConfig(params=NetworkParams.from_delta(2.0 / 3.0),
+                         fading=FadingModel.nakagami(1.0),
+                         assoc=AssociationRule.nba(), samples=n)
+
+    def test_successive_calls_share_a_workspace(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_spare_workspaces", [])
+        n, draws, spares = 4096, [], []
+        for _ in range(2):
+            rng = _RecordingRng(_rng_for(36, 0))
+            _sim_shard(self.rayleigh_config(n), n, rng)
+            draws.append(rng.outs[0])
+            spares.append(tuple(montecarlo._spare_workspaces))
+        # one workspace, made by the first call and taken by the second,
+        # whose first exponentials went where the first call's did
+        assert len(spares[0]) == 1 and spares[1] == spares[0]
+        assert np.shares_memory(draws[0], draws[1])
+
+    def test_concurrent_calls_work_apart(self, monkeypatch):
+        # two threads, each held at its first draw until the other is
+        # inside _sim_shard too, work in distinct workspaces and give
+        # the serial bytes
+        monkeypatch.setattr(montecarlo, "_spare_workspaces", [])
+        n = 4096
+        expected = _sim_shard(self.rayleigh_config(n), n, _rng_for(36, 0))
+        barrier = threading.Barrier(2, timeout=60)
+        results = [None, None]
+
+        def run(i):
+            rng = _RecordingRng(_rng_for(36, 0), barrier)
+            results[i] = _sim_shard(self.rayleigh_config(n), n, rng), rng.outs
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        for got, _ in results:
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1:] == expected[1:]
+        assert not np.shares_memory(results[0][1][0], results[1][1][0])
+        assert len(montecarlo._spare_workspaces) == 2
+
+    def test_workspace_keeps_a_bounded_draw_buffer(self, params_half,
+                                                   monkeypatch):
+        # a kth:k first chunk of more than _DRAWS_KEPT draws is the
+        # round's own; the later, smaller rounds draw into the kept buffer
+        monkeypatch.setattr(montecarlo, "_spare_workspaces", [])
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMS", 500)
+        monkeypatch.setattr(montecarlo, "_DRAWS_KEPT", 1000)
+        n = 100
+        cfg = SimConfig(params=params_half, fading=FadingModel.none(),
+                        assoc=AssociationRule.kth_strongest(11), samples=n,
+                        tail_eps=1e-5)
+        rng = _RecordingRng(_rng_for(38, 0))
+        _sim_shard(cfg, n, rng)
+        first, *later = [o for o in rng.outs if o.ndim == 2]
+        assert first.size == 11 * n and later
+        kept = montecarlo._spare_workspaces[0].draws(max(o.size for o in later))
+        assert all(np.shares_memory(o, kept) for o in later)
+        assert not np.shares_memory(first, kept)
+        assert kept.base.size <= 1000
 
 
 class TestWorkerPool:
@@ -643,6 +725,26 @@ class TestWorkerPool:
         assert pools == [{"max_workers": 2}] * 2
         np.testing.assert_array_equal(sample_sf(cfg, workers=2).dist.samples,
                                       expected)
+
+    def test_one_shard_batch_per_worker(self, params_half, monkeypatch):
+        # 4 shards on 2 workers go as two 2-shard batches, so neither
+        # worker waits for its second shard to be queued; the 3 calls of
+        # a 3-shard run all fit in the pool's queue, and stay one each
+        chunksizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunksizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize,
+                                   **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        for samples in (65_536, 40_000, 62 * 16_384):
+            cfg = self.config(params_half, samples)
+            assert (sample_sf(cfg).dist.samples.tobytes()
+                    == sample_sf(cfg, workers=1).dist.samples.tobytes())
+        assert chunksizes == [2, 1, 31]
+        assert len(_worker_pids()) == 2
 
     def test_child_process_runs_own_pool(self, params_half):
         # a forked child inherits the parent's pool object but not its
