@@ -47,13 +47,12 @@ order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from multiprocessing import util as mp_util
 
 import numpy as np
 
@@ -63,7 +62,6 @@ _SHARD = 16384        # realizations per RNG substream; part of the output contr
 _CHUNK_MIN = 5
 _CHUNK_ELEMS = 4_000_000
 _KTH_VALUES = 1 << 23   # k * rows of a kth:k shard's first chunk: 64 MiB
-_DRAWS_KEPT = 2 * _CHUNK_ELEMS   # the most draws a workspace keeps: 64 MB
 
 
 class SimulationError(RuntimeError):
@@ -169,11 +167,13 @@ class EmpiricalDistribution:
     def __post_init__(self):
         x = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", x)
+        if x.ndim != 1:
+            raise ValueError(f"samples must be 1-D, got shape {x.shape}")
         if x.size == 0:
             raise ValueError("empirical distribution needs at least one sample")
         if not np.all(np.isfinite(x)):
             raise ValueError("samples must be finite")
-        if x[0] < 0.0 or x[-1] > 1.0 or np.any(np.diff(x) < 0.0):
+        if x[0] < 0.0 or x[-1] > 1.0 or not np.all(x[:-1] <= x[1:]):
             raise ValueError("samples must be sorted and lie in [0, 1]")
 
 
@@ -265,11 +265,10 @@ def _cumulant(n: int, delta: float, hn: float):
     return hn * delta / (n - delta), (delta - n) / delta
 
 
-def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1, out=None):
+def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1):
     """(shape, scale, shift) of the translated gamma that stands in for
     the tail beyond arrival G = G_1 r, in G_1-relative units, given
-    rp = r^(-1/delta) and re1 = r * rp = r^e_1; written into the rows
-    of out, a (3, rows) array, if given.
+    rp = r^(-1/delta) and re1 = r * rp = r^e_1.
 
     shift + scale * Z, with Z standard gamma of this shape, has the
     tail's kappa_1, kappa_2 and kappa_3, each c_n G_1 r^e_n (Seal 1977).
@@ -279,54 +278,28 @@ def _gamma_tail(delta: float, fading: FadingModel, g1, r, rp, re1, out=None):
     c1, _ = _cumulant(1, delta, fading.moment(1))
     c2, _ = _cumulant(2, delta, fading.moment(2))
     c3, _ = _cumulant(3, delta, fading.moment(3))
-    shape, scale, shift = np.empty((3, np.size(g1))) if out is None else out
-    np.multiply(g1, 4.0 * c2 ** 3 / c3 ** 2, out=shape)
-    shape *= r
-    np.multiply(rp, c3 / (2.0 * c2), out=scale)
-    np.multiply(g1, c1 - 2.0 * c2 ** 2 / c3, out=shift)
-    shift *= re1
-    return shape, scale, shift
+    return (4.0 * c2 ** 3 / c3 ** 2 * g1 * r, c3 / (2.0 * c2) * rp,
+            (c1 - 2.0 * c2 ** 2 / c3) * g1 * re1)
 
 
-class _Workspace:
-    """The arrays an engine call works in, kept for the process's later
-    calls: each name holds one array, grown to the largest size a call
-    has asked for and never freed, so that a later shard works in the
-    same memory instead of faulting fresh pages in."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, name: str, size: int, dtype=float) -> np.ndarray:
-        """The named array's first size elements, whatever they hold."""
-        a = self._arrays.get(name)
-        if a is None or a.size < size:
-            a = self._arrays[name] = np.empty(size, dtype)
-        return a[:size]
-
-    def arange(self, size: int) -> np.ndarray:
-        """0, 1, ..., size - 1."""
-        a = self._arrays.get("arange")
-        if a is None or a.size < size:
-            a = self._arrays["arange"] = np.arange(size)
-        return a[:size]
-
-    def draws(self, size: int) -> np.ndarray:
-        """Room for size draws; only a kth:k first chunk asks for more
-        than _DRAWS_KEPT, and that room is the calling round's alone."""
-        if size > _DRAWS_KEPT:
-            return np.empty(size)
-        return self.get("draws", size)
-
-    def block(self, name: str, k: int, size: int) -> np.ndarray:
-        """A contiguous (k, size) block of the named array."""
-        return self.get(name, k * size).reshape(k, size)
-
-
-# Workspaces that no running call holds.  A call pops one, or makes one
-# if none is spare, and pushes it back when it ends; list.pop and
-# list.append are atomic, so two threads never work in the same one.
-_spare_workspaces: list[_Workspace] = []
+@functools.cache
+def _keep_freed_heap():
+    """On glibc, keep up to 64 MB of freed heap in this process and hand
+    each array of 32 MB or more back to the OS when it is freed, so that
+    a shard reuses the memory the shard before it freed instead of
+    faulting fresh pages in; on any other libc do nothing, which loses
+    only that saving.  Both thresholds are set: setting either turns
+    glibc's sliding mmap threshold off, and the trim threshold alone
+    would leave that at 128 KB, where a shard's per-row arrays would be
+    mapped and unmapped again."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
 def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
@@ -347,8 +320,8 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     become c_n G_1 r^e_n.  A round's one non-integer power is the chunk's:
     rp = r^(-1/delta) at its last arrival, taken before the gain, gives
     r^e_1 = r rp and r^e_4 = r (rp^2)^2.  G_1, the last arrival and the
-    power are held for the live rows only, compacted through one index
-    array as rows finish, whose totals go to their columns.
+    power are held for the live rows only, compacted as rows finish,
+    whose totals go to their columns.
 
     A row stops once the tail's fourth cumulant is at most
     tail_eps^2 * total^4, with total = power so far + tail mean, and its
@@ -389,29 +362,16 @@ def _sim_shard(config: SimConfig, n: int, rng: np.random.Generator,
     round of tail-pick proposals, a uniform for v, a standard gamma and
     a uniform for acceptance per proposing row.  A chunk is laid out as
     (points, rows): the exponentials and the gains are each drawn as one
-    (chunk, live rows) block, a realization is a column, and a running
-    sum along it is one vector op per point.  The values are held as
-    (k, n) and returned transposed.
+    (chunk, live rows) block into a buffer that the call reuses and
+    grows, a realization is a column, and a running sum along it is one
+    vector op per point.  The values are held as (k, n) and returned
+    transposed.
 
-    Every per-round array, the draws included, lives in an engine
-    workspace that this process keeps until it exits (_Workspace), one
-    per concurrent call; only the values, the totals and the index
-    arrays of the rows that finish or stay live are the call's own, and
-    a tail pick's proposals, which only rows picking from the tail make.
+    The first call in a process sets its allocator policy
+    (_keep_freed_heap): on glibc, later shards work in the heap memory
+    that earlier ones freed, up to 64 MB of it.
     """
-    try:
-        ws = _spare_workspaces.pop()
-    except IndexError:
-        ws = _Workspace()
-    try:
-        return _sim_rows(config, n, rng, keep, ws)
-    finally:
-        _spare_workspaces.append(ws)
-
-
-def _sim_rows(config: SimConfig, n: int, rng: np.random.Generator,
-              keep: int | None, ws: _Workspace):
-    # _sim_shard's rounds, in the arrays of workspace ws
+    _keep_freed_heap()
     delta = config.params.delta
     pw = -1.0 / delta
     # iid gains only rescale the power process (mapping theorem), so the
@@ -427,17 +387,12 @@ def _sim_rows(config: SimConfig, n: int, rng: np.random.Generator,
     k = config.assoc.k or 1
     keep = keep or k
 
-    # the live rows' columns of out, and their G_1, last arrival and
-    # power, each in one of two copies that compaction alternates
-    side = 0
-    idx = ws.get("idx0", n, np.intp)
-    idx[:] = ws.arange(n)
-    state = ws.block("state0", 3, n)
-    g1, glast, power = state
-    glast.fill(0.0)
-    power.fill(0.0)
+    idx = np.arange(n)      # the live rows' columns of out
+    glast = np.zeros(n)
+    power = np.zeros(n)
     total = np.empty(n)
     out = np.empty((keep, n))
+    buf = np.empty(0)
     flagged = clamped = npts = points = rounds = 0
     chunk = max(_CHUNK_MIN, k)   # SimConfig holds k within the budget
     while idx.size:
@@ -446,119 +401,85 @@ def _sim_rows(config: SimConfig, n: int, rng: np.random.Generator,
             chunk = min(max(_CHUNK_MIN, npts // 2), _CHUNK_ELEMS // na,
                         budget - npts)
         m = chunk * na
-        buf = ws.draws(2 * m if gains else m)   # the exponentials, the gains
+        size = 2 * m if gains else m   # the exponentials, then the gains
+        if buf.size < size:
+            buf = np.empty(size)
         e = rng.standard_exponential(out=buf[:m].reshape(chunk, na))
         e[0] += glast
         if rounds == 0:
-            np.copyto(g1, e[0])
+            g1 = e[0].copy()
         for i in range(1, chunk):   # the arrivals G, as np.cumsum adds them
             e[i] += e[i - 1]
-        np.copyto(glast, e[-1])
-        e *= np.divide(1.0, g1, out=ws.get("inv_g1", na))
-        # r, rp and re1 at the chunk's last arrival
-        ends = ws.block("ends", 3, na)
-        r, rp, re1 = ends
-        np.copyto(r, e[-1])
+        glast = e[-1].copy()
+        e *= 1.0 / g1
+        r = e[-1].copy()
         v = _pow_neg(e, pw, out=e)
-        np.copyto(rp, v[-1])
+        rp = v[-1].copy()
         if gains:
             v *= sample_nakagami(fading.m, rng,
                                  out=buf[m:2 * m].reshape(chunk, na))
-        w = np.add.reduce(v, axis=0, out=ws.get("w", na))
+        w = np.add.reduce(v, axis=0)
         power += w
         if rounds == 0:
             out[:] = v[k - keep:k]
         if rba:
-            u = rng.random(out=ws.get("u", na))
-            u *= power
+            u = rng.random(na) * power
             # the first partial sum >= u; they never decrease, so that is
             # the count of the first chunk - 1 that fall below u
-            cs = ws.get("cs", na)
-            cs.fill(0.0)
-            j = ws.get("j", na, np.intp)
-            j.fill(0)
-            below = ws.get("below", na, bool)
+            cs = np.zeros(na)
+            j = np.zeros(na, dtype=np.intp)
             for i in range(chunk - 1):
                 cs += v[i]
-                j += np.less(cs, u, out=below)
-            # the rows whose chunk takes over keep v[j], the others
-            # their candidate
-            j *= na
-            j += ws.arange(na)
-            pick = np.take(v.reshape(-1), j, out=ws.get("pick", na))
-            cand = np.take(out[0], idx, out=ws.get("cand", na))
-            np.copyto(cand, pick, where=np.less(u, w, out=below))
-            out[0, idx] = cand
+                j += cs < u
+            sw = np.flatnonzero(u < w)
+            out[0, idx[sw]] = v[j[sw], sw]
         npts += chunk
         points += m
         rounds += 1
 
-        np.multiply(r, rp, out=re1)
-        tot = np.multiply(g1, c1, out=ws.get("tot", na))
-        tot *= re1
-        tot += power
+        re1 = r * rp
+        tot = power + c1 * g1 * re1
         # kappa_4 / tot^4 as c4 g1 r (rp / tot)^4, since tot^4 would
         # underflow for a tiny total; a ratio past the largest double
         # means "far from done", and 0/0 (no power and no tail mean left)
         # satisfies kappa_4 <= tail_eps^2 tot^4 as 0 <= 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            q = np.divide(rp, tot, out=ws.get("q", na))
-            q *= q
-            q *= q
-            crit = np.multiply(g1, c4, out=ws.get("crit", na))
-            crit *= r
-            crit *= q
-            live = np.greater(crit, eps2, out=ws.get("live", na, bool))
+            q = rp / tot
+            live = c4 * g1 * r * (q * q) ** 2 > eps2
         if npts >= budget:
             flagged += np.count_nonzero(live)
             live[:] = False
-        fin = np.flatnonzero(np.logical_not(live, out=ws.get("fin", na, bool)))
-        nf = fin.size
-        if nf:
-            g1f, _, pf = np.take(state, fin, axis=1,
-                                 out=ws.block("state_fin", 3, nf))
-            rf, rpf, re1f = np.take(ends, fin, axis=1,
-                                    out=ws.block("ends_fin", 3, nf))
-            shape, scale, shift = _gamma_tail(delta, fading, g1f, rf, rpf,
-                                              re1f, ws.block("gamma", 3, nf))
-            tail = rng.standard_gamma(shape, out=ws.get("tail", nf))
-            tail *= scale
-            tail += shift
-            neg = np.less(tail, 0.0, out=ws.get("neg", nf, bool))
+        fin = np.flatnonzero(~live)
+        if fin.size:
+            shape, scale, shift = _gamma_tail(delta, fading, g1[fin], r[fin],
+                                              rp[fin], re1[fin])
+            tail = shift + scale * rng.standard_gamma(shape)
+            neg = tail < 0.0
             clamped += np.count_nonzero(neg)
             tail[neg] = 0.0
-            totf = np.add(pf, tail, out=ws.get("totf", nf))
+            totf = power[fin] + tail
             if not totf.all():
                 raise ValueError(
                     "a realization's received power underflows float64: every "
                     "fading gain generated and the drawn tail are 0, so its "
                     "signal fraction is undefined; use a larger delta or "
                     "Nakagami m")
-            cols = np.take(idx, fin, out=ws.get("cols_fin", nf, np.intp))
             if rba:
-                uf = rng.random(out=ws.get("uf", nf))
-                uf *= totf
-                todo = np.flatnonzero(
-                    np.greater(uf, pf, out=ws.get("to_tail", nf, bool)))
-                least = np.maximum(shift, 0.0, out=ws.get("least", nf))
-                least += pf
+                pf = power[fin]
+                todo = np.flatnonzero(rng.random(fin.size) * totf > pf)
+                least = pf + np.maximum(shift, 0.0)
                 while todo.size:   # least >= the first value, 1, so it ends
-                    v = rpf[todo] * rng.random(todo.size) ** (
+                    v = rp[fin[todo]] * rng.random(todo.size) ** (
                         1.0 / (1.0 - delta))
                     t = scale[todo] * rng.standard_gamma(shape[todo])
                     s = pf[todo] + v + np.maximum(shift[todo] + t, 0.0)
                     ok = rng.random(todo.size) * s < least[todo]
-                    out[0, cols[todo[ok]]] = v[ok]
+                    out[0, idx[fin[todo[ok]]]] = v[ok]
                     totf[todo[ok]] = s[ok]
                     todo = todo[~ok]
-            total[cols] = totf
+            total[idx[fin]] = totf
             rows = np.flatnonzero(live)
-            side ^= 1
-            state = np.take(state, rows, axis=1,
-                            out=ws.block(f"state{side}", 3, rows.size))
-            g1, glast, power = state
-            idx = np.take(idx, rows, out=ws.get(f"idx{side}", rows.size,
-                                                np.intp))
+            idx, g1, glast, power = idx[rows], g1[rows], glast[rows], power[rows]
     out /= total
     return out.T, int(flagged), points, rounds, int(clamped)
 
@@ -611,7 +532,7 @@ def worker_count() -> int:
 # The one worker pool of this process and its size.  The lock covers
 # every use of the pool, so a concurrent call can neither replace nor
 # shut it down under a running map.
-_pool: ProcessPoolExecutor | None = None
+_pool = None   # a concurrent.futures.ProcessPoolExecutor once started
 _pool_size = 0
 _pool_lock = threading.RLock()
 
@@ -639,6 +560,12 @@ def _map_shards(shards, w: int):
     """Run the shards on the process's pool, in order, growing it to w
     workers if it has fewer, and once more on a fresh pool if a worker
     has died since the last call or dies in it; a second death raises."""
+    # imported here, so that a process that never runs a pool loads none
+    # of multiprocessing
+    from concurrent import futures
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import util as mp_util
+
     global _pool, _pool_size
     with _pool_lock:
         if _pool is not None and w > _pool_size:
@@ -646,7 +573,7 @@ def _map_shards(shards, w: int):
             _close_pool()
         for rerun in (False, True):
             if _pool is None:
-                _pool = ProcessPoolExecutor(max_workers=w)
+                _pool = futures.ProcessPoolExecutor(max_workers=w)
                 _pool_size = w
                 # a multiprocessing child joins its children before
                 # concurrent.futures' exit hook would stop them, so it
@@ -706,9 +633,10 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     and 3 shards, which the pool queues all at once, go one at a time.
     A worker that dies fails no call: the shards run once more on a
     fresh pool, and only a second death in the same call raises
-    BrokenProcessPool.  Every process that runs shards, the workers and
-    this one, keeps the engine's workspace until it exits: at most
-    2 * _CHUNK_ELEMS draws (64 MB) and a few arrays per realization.
+    BrokenProcessPool.  On glibc, every process that runs shards, the
+    workers and this one, keeps up to 64 MB of the heap its shards free
+    for its later shards, and returns an array of 32 MB or more to the
+    OS when it is freed.
     """
     vals, flagged, points, rounds, clamped = _run_all(config, workers, 1)
     k = config.assoc.k or 1
