@@ -12,13 +12,14 @@ from .approx import (FitError, FitResult, GBParams, best_inverse,
                      markov_lower_bound, nba_m_cdf_asymptote, poly_ccdf,
                      rational_ccdf, rational_coeff, tail_ccdf)
 from .montecarlo import (AssociationRule, EmpiricalDistribution, FadingModel,
-                         SimConfig, SimResult, SimulationError, arcsine_cdf,
-                         arcsine_moment, conjecture_report, empirical_ccdf,
-                         empirical_moment, ks_distance, sample_nakagami,
-                         sample_sf, sample_sf_topk)
+                         SimConfig, SimResult, SimulationError,
+                         conjecture_report, empirical_ccdf, empirical_moment,
+                         ks_distance, sample_nakagami, sample_sf,
+                         sample_sf_topk)
 from .plp import (flatness_rate, g_n, g_n_is_exact, log_sf_gap,
                   mean_sf1_upper_bound, mean_sf_ratio, misf,
-                  ordered_pathloss_pdf, ratio_cdf, rba_cdf, rba_mean, rba_pdf)
+                  ordered_pathloss_pdf, ratio_cdf, rba_cdf, rba_moment,
+                  rba_pdf)
 from .rayleigh import (NetworkParams, misr, sf_ccdf_exact, sf_moment_exact,
                        sf_pdf_exact, sir_ccdf_exact)
 from .specfun import NumericError, beta_fn, harmonic, hyp2f1_11, sinc_pi

@@ -56,12 +56,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .plp import rba_moment
 from .rayleigh import NetworkParams
 
 _SHARD = 16384        # realizations per RNG substream; part of the output contract
 _CHUNK_MIN = 5
 _CHUNK_ELEMS = 4_000_000
 _KTH_VALUES = 1 << 23   # k * rows of a kth:k shard's first chunk: 64 MiB
+_DELTA_MIN = 2e-19   # (1 - 2^-53)^(-1/delta) overflows below ~1.56e-19
 
 
 class SimulationError(RuntimeError):
@@ -138,6 +140,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.params.delta < _DELTA_MIN:
+            raise ValueError(f"delta must be >= {_DELTA_MIN} to simulate, "
+                             f"got {self.params.delta}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.point_budget < 10:
@@ -662,14 +667,8 @@ def sample_sf_topk(config: SimConfig, workers: int | None = None):
     return vals, flagged
 
 
-def arcsine_moment(k: int) -> float:
-    """k-th moment of the arcsine law: C(2k, k) / 4^k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return math.comb(2 * k, k) / 4.0 ** k
-
-
 def arcsine_cdf(t):
+    """rba_cdf at delta = 1/2 in closed form, 2 arcsin(sqrt t) / pi."""
     return 2.0 / math.pi * np.arcsin(np.sqrt(t))
 
 
@@ -677,29 +676,30 @@ def conjecture_report(samples: int, seed: int,
                       point_budget: int = SimConfig.point_budget,
                       tail_eps: float = SimConfig.tail_eps,
                       workers: int | None = None) -> dict:
-    """Simulate NBA with Nakagami-1/2 fading at alpha = 4 and compare
-    against the arcsine distribution (cdf 2 arcsin(sqrt t) / pi), at
-    tail_eps.
+    """Simulate NBA with Nakagami-(1-delta) fading at alpha = 4 against
+    rba's law Beta(1-delta, delta) at delta = 1/2, the arcsine law, at
+    tail_eps.  The law is exact: at m = 1 - delta the interference
+    transform is (1 + s/m)^-delta, so I ~ Gamma(delta, rate m), which is
+    independent of h ~ Gamma(1-delta, rate m), and h/(h + I) is the law.
 
     Returns the body of the CLI's conjecture document: the run's size
     and seed, the first ten empirical and arcsine moments with their
     relative differences, the KS sup-distance, the engine counters and
     the tail_eps the run used.
     workers is as for sample_sf."""
-    config = SimConfig(params=NetworkParams.from_alpha(4.0),
-                       fading=FadingModel.nakagami(0.5),
+    p = NetworkParams.from_alpha(4.0)
+    config = SimConfig(params=p, fading=FadingModel.nakagami(1.0 - p.delta),
                        assoc=AssociationRule.nba(),
                        samples=samples, point_budget=point_budget,
                        tail_eps=tail_eps, seed=seed)
     res = sample_sf(config, workers)
     x = res.dist.samples
     moments = []
-    acc = x.copy()
+    acc = np.ones_like(x)
     for k in range(1, 11):
-        if k > 1:
-            acc *= x
+        acc *= x
         e = float(acc.mean())
-        a = arcsine_moment(k)
+        a = rba_moment(p, k)
         moments.append({"k": k, "empirical": e, "arcsine": a,
                         "rel_diff": abs(e - a) / a})
     return {

@@ -130,9 +130,12 @@ def rba_cdf(params: NetworkParams, t):
     return _rba_cdf(params.delta, _checked(t, "t", 0.0, 1.0))
 
 
-def rba_mean(params: NetworkParams) -> float:
-    """Mean of the random-association SF, 1 - delta."""
-    return 1.0 - params.delta
+def rba_moment(params: NetworkParams, k: int) -> float:
+    """k-th moment prod_{i<k} (1-d+i)/(1+i) of the random-association SF,
+    Beta(1-d, d): 1 - d at k = 1, the arcsine C(2k, k)/4^k at d = 1/2."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return math.prod((1.0 - params.delta + i) / (1.0 + i) for i in range(k))
 
 
 def flatness_rate(params: NetworkParams) -> float:

@@ -20,9 +20,8 @@ import pytest
 import sigfrac as sg
 from sigfrac.cli import main as cli_main
 from sigfrac.montecarlo import (AssociationRule, FadingModel, SimConfig,
-                                arcsine_cdf, conjecture_report,
-                                empirical_ccdf, ks_distance, sample_sf,
-                                sample_sf_topk)
+                                conjecture_report, empirical_ccdf,
+                                ks_distance, sample_sf, sample_sf_topk)
 from sigfrac.rayleigh import NetworkParams, sf_ccdf_exact
 
 from reference import gem_top_sf, nba_nakagami_ccdf
@@ -284,13 +283,9 @@ def test_criterion_07_rba_law():
         cfg = SimConfig(params=p, fading=FadingModel.none(),
                         assoc=AssociationRule.rba(), samples=n, seed=seed)
         dist = sample_sf(cfg).dist
-        if d == 0.5:
-            ks = ks_distance(dist, arcsine_cdf)
-        else:
-            ks = ks_distance(dist, lambda t: np.array(
-                [sg.rba_cdf(p, float(v)) for v in t]))
+        ks = ks_distance(dist, lambda t: sg.rba_cdf(p, t))
         se = float(dist.samples.std()) / math.sqrt(n)
-        zm = abs(float(dist.samples.mean()) - (1.0 - d)) / se
+        zm = abs(float(dist.samples.mean()) - sg.rba_moment(p, 1)) / se
         details.append(f"d={d:.3g}: KS={ks:.2e}, mean |z|={zm:.2f}")
         ok = ok and ks < 1.63 / math.sqrt(n) and zm < 3.0
     report("criterion 7 (random association matches the beta law)", ok,

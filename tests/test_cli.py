@@ -294,6 +294,18 @@ class TestSimulate:
             outs.append((out, err))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("delta", ["1e-19", "1e-200"])
+    def test_delta_below_floor_is_usage_error(self, capsys, monkeypatch,
+                                              delta):
+        # at 1e-19 a row's first value overflows, and at 1e-200 the
+        # tail's third cumulant squared underflows to 0
+        monkeypatch.setenv("SIGFRAC_THREADS", "1")
+        rc, out, err = run(capsys, "simulate", "--delta", delta,
+                           "--samples", "1000")
+        assert rc == 2
+        assert out == ""
+        assert "delta" in err
+
     def test_all_gains_underflow_is_domain_error(self, capsys, monkeypatch):
         # most Nakagami-1e-4 gains underflow to 0, so some rows have no
         # power at all and no signal fraction

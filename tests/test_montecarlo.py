@@ -18,7 +18,7 @@ import sigfrac as sg
 from sigfrac import montecarlo
 from sigfrac.montecarlo import (AssociationRule, EmpiricalDistribution,
                                 FadingModel, SimConfig, _cumulant, _gamma_tail,
-                                _pow_neg, _rng_for, _sim_shard, arcsine_moment,
+                                _pow_neg, _rng_for, _sim_shard,
                                 _close_pool, conjecture_report,
                                 empirical_ccdf, empirical_moment, ks_distance,
                                 sample_nakagami, sample_plp, sample_sf,
@@ -111,6 +111,22 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             SimConfig(params=params_half, fading=FadingModel.none(),
                       assoc=AssociationRule.nba(), samples=10, tail_eps=1.5)
+
+    @pytest.mark.parametrize("fading, assoc", [
+        (FadingModel.nakagami(1.0), AssociationRule.nba()),
+        (FadingModel.none(), AssociationRule.rba()),
+        (FadingModel.none(), AssociationRule.kth_strongest(3))])
+    def test_delta_floor(self, fading, assoc):
+        # below the floor a row's first value (1 - 2^-53)^(-1/delta)
+        # overflows; at the floor a shard runs with no RuntimeWarning
+        # (an error in this suite) and finite signal fractions
+        with pytest.raises(ValueError, match="delta must be >= 2e-19"):
+            SimConfig(params=NetworkParams(delta=1.9e-19), fading=fading,
+                      assoc=assoc, samples=10)
+        cfg = SimConfig(params=NetworkParams(delta=montecarlo._DELTA_MIN),
+                        fading=fading, assoc=assoc, samples=4096)
+        vals = _sim_shard(cfg, 4096, _rng_for(33, 0))[0]
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     @pytest.mark.parametrize("assoc, default", [
         (AssociationRule.nba(), 1e-3), (AssociationRule.isba(), 1e-3),
@@ -297,6 +313,22 @@ class TestSampleSf:
         assert ks_distance(dist, lambda t: np.array(
             [sg.rba_cdf(p, float(v)) for v in t])) \
             < KS99 / math.sqrt(dist.samples.size)
+
+    @pytest.mark.parametrize("d, seed", [(0.3, 3300), (0.8, 3800)])
+    def test_nba_at_m_one_minus_delta_is_rba_law(self, d, seed):
+        # under Nakagami-(1-d) fading the nearest-station SF is
+        # Beta(1-d, d) exactly, the rba law, as conjecture_report's d = 1/2
+        n = 200_000
+        p = NetworkParams.from_delta(d)
+        cfg = SimConfig(params=p, fading=FadingModel.nakagami(1.0 - d),
+                        assoc=AssociationRule.nba(), samples=n, seed=seed)
+        dist = sample_sf(cfg).dist
+        assert ks_distance(dist, lambda t: sg.rba_cdf(p, t)) \
+            < KS99 / math.sqrt(n)
+        for k in (1, 2):
+            xk = dist.samples ** k
+            se = float(xk.std()) / math.sqrt(n)
+            assert abs(float(xk.mean()) - sg.rba_moment(p, k)) < 3.0 * se
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_sf_ratio_law(self, nofad_half_top5, params_half, i):
@@ -1095,12 +1127,6 @@ class TestEmpirical:
 
 
 class TestConjectureReport:
-    def test_arcsine_moments(self):
-        assert arcsine_moment(1) == 0.5
-        assert arcsine_moment(2) == 0.375
-        assert arcsine_moment(10) == pytest.approx(
-            math.comb(20, 10) / 4.0 ** 10, rel=1e-15)
-
     def test_report_structure(self):
         rep = conjecture_report(20_000, seed=61)
         assert list(rep) == ["samples", "seed", "alpha", "fading_m",

@@ -6,24 +6,23 @@ import types
 
 import sigfrac as sg
 
-# every public non-module name `import sigfrac` gives, 61 of them; a
+# every public non-module name `import sigfrac` gives, 59 of them; a
 # change to the library's surface edits this set
 PUBLIC = {
     "AssociationRule", "AxisUnit", "EmpiricalDistribution", "FadingModel",
     "FitError", "FitResult", "GBParams", "NetworkParams", "NumericError",
-    "SimConfig", "SimResult", "SimulationError", "arcsine_cdf",
-    "arcsine_moment", "best_inverse", "best_sf_ccdf", "best_sir_ccdf",
-    "beta_fn", "conjecture_report", "convexity_sign", "db_to_linear",
-    "empirical_ccdf", "empirical_moment", "flatness_rate", "g_n",
-    "g_n_is_exact", "gb_cdf", "gb_fit", "gb_moment", "gb_params_from_pq",
-    "gb_pdf", "harmonic", "hyp2f1_11", "ks_distance", "linear_to_db",
-    "log_sf_gap", "markov_lower_bound", "mean_sf1_upper_bound",
-    "mean_sf_ratio", "misf", "misr", "nba_m_cdf_asymptote",
-    "ordered_pathloss_pdf", "poly_ccdf", "rational_ccdf", "rational_coeff",
-    "ratio_cdf", "rba_cdf", "rba_mean", "rba_pdf", "sample_nakagami",
-    "sample_sf", "sample_sf_topk", "sf_ccdf_exact", "sf_moment_exact",
-    "sf_pdf_exact", "sinc_pi", "sir_ccdf_exact", "t_inv", "t_map",
-    "tail_ccdf",
+    "SimConfig", "SimResult", "SimulationError", "best_inverse",
+    "best_sf_ccdf", "best_sir_ccdf", "beta_fn", "conjecture_report",
+    "convexity_sign", "db_to_linear", "empirical_ccdf", "empirical_moment",
+    "flatness_rate", "g_n", "g_n_is_exact", "gb_cdf", "gb_fit", "gb_moment",
+    "gb_params_from_pq", "gb_pdf", "harmonic", "hyp2f1_11", "ks_distance",
+    "linear_to_db", "log_sf_gap", "markov_lower_bound",
+    "mean_sf1_upper_bound", "mean_sf_ratio", "misf", "misr",
+    "nba_m_cdf_asymptote", "ordered_pathloss_pdf", "poly_ccdf",
+    "rational_ccdf", "rational_coeff", "ratio_cdf", "rba_cdf", "rba_moment",
+    "rba_pdf", "sample_nakagami", "sample_sf", "sample_sf_topk",
+    "sf_ccdf_exact", "sf_moment_exact", "sf_pdf_exact", "sinc_pi",
+    "sir_ccdf_exact", "t_inv", "t_map", "tail_ccdf",
 }
 
 

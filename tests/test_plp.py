@@ -8,7 +8,7 @@ import sigfrac as sg
 from sigfrac.plp import (flat_cdf_asymptote, flatness_rate, g1_unit_crossing,
                          g_n, g_n_is_exact, log_sf_gap, mean_sf1_upper_bound,
                          mean_sf_ratio, misf, ordered_pathloss_pdf, ratio_cdf,
-                         rba_cdf, rba_mean, rba_pdf)
+                         rba_cdf, rba_moment, rba_pdf)
 from sigfrac.rayleigh import NetworkParams
 
 from reference import quad
@@ -193,7 +193,21 @@ class TestRba:
             mean = quad(lambda t: t * rba_pdf(p, t), 0.0, 1.0,
                         left_power=2.0 - d, right_power=d)
             assert mean == pytest.approx(1.0 - d, abs=1e-8)
-            assert rba_mean(p) == 1.0 - d
+            assert rba_moment(p, 1) == 1.0 - d
+
+    def test_moments(self, params_half):
+        # at d = 1/2 the product is the arcsine moment C(2k, k)/4^k bit
+        # for bit; mpmath's beta-function ratio is the oracle elsewhere
+        for k in range(1, 11):
+            arcsine = math.comb(2 * k, k) / 4.0 ** k
+            assert rba_moment(params_half, k) == arcsine
+        for d in (0.3, 0.8):
+            p = NetworkParams.from_delta(d)
+            for k in range(1, 6):
+                ref = mp.beta(1 - mp.mpf(d) + k, d) / mp.beta(1 - mp.mpf(d), d)
+                assert rba_moment(p, k) == pytest.approx(float(ref), rel=1e-14)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            rba_moment(params_half, 0)
 
     @pytest.mark.parametrize("t", [5e-324, np.array([0.5, 5e-324])])
     def test_pdf_overflow_names_the_t(self, t):
