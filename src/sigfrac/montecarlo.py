@@ -518,10 +518,19 @@ def _run_shard(args):
     return _sim_shard(config, count, _rng_for(config.seed, shard_idx), keep)
 
 
+def _run_batch(batch):
+    """The results of a batch of shards, or the exception its first
+    failing shard raised, returned and not raised."""
+    try:
+        return [_run_shard(s) for s in batch]
+    except Exception as exc:
+        return exc
+
+
 def worker_count() -> int:
-    """Most worker processes in the pool: SIGFRAC_THREADS, else the CPUs
-    this process may use.  Never affects results, only speed; a count of
-    1 runs every shard in-process."""
+    """Most processes that run a call's shards, the calling one included:
+    SIGFRAC_THREADS, else the CPUs this process may use.  Never affects
+    results, only speed; a count of 1 runs every shard in-process."""
     env = os.environ.get("SIGFRAC_THREADS")
     if env:
         try:
@@ -534,67 +543,116 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-# The one worker pool of this process and its size.  The lock covers
-# every use of the pool, so a concurrent call can neither replace nor
-# shut it down under a running map.
-_pool = None   # a concurrent.futures.ProcessPoolExecutor once started
-_pool_size = 0
+# The worker processes of this process, each with this process's end of
+# its pipe.  The lock covers every use of them, so a concurrent call can
+# neither replace nor close them under a running call.
+_workers = []   # (multiprocessing.Process, Connection) pairs once started
 _pool_lock = threading.RLock()
 
 
 def _forget_pool():
-    # a forked child holds a copy of its parent's pool, whose workers
-    # and manager thread are not its own, and maybe a held lock
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.RLock()
+    # a forked child (a worker among them) holds copies of its parent's
+    # pipe ends, which would keep the parent's workers from seeing EOF
+    # when the parent exits, and maybe a held lock
+    global _workers, _pool_lock
+    for _, conn in _workers:
+        conn.close()
+    _workers, _pool_lock = [], threading.RLock()
 
 
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _serve(conn, parent_end):
+    """A worker: run each batch its pipe brings and send back the
+    results or the exception, never printing it; exit on EOF, which
+    comes once the parent closes its end, exits or dies."""
+    import signal
+
+    parent_end.close()
+    # a Ctrl-C reaches the parent too, whose exit ends this loop
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            batch = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send(_run_batch(batch))
+        except OSError:   # the parent has closed its end: nobody reads
+            return
+
+
 def _close_pool():
-    """Join the pool's workers and manager thread, and forget the pool."""
-    global _pool
+    """Close the workers' pipes, stop the workers, which may be running
+    a batch whose reply nobody will read, join them and forget them."""
+    global _workers
     with _pool_lock:
-        if _pool is not None:
-            _pool.shutdown(wait=True)
-            _pool = None
+        for proc, conn in _workers:
+            conn.close()
+            proc.terminate()
+        for proc, _ in _workers:
+            proc.join()
+        _workers = []
+
+
+def _pipes(n: int):
+    """This process's ends of n workers' pipes, replacing the workers by
+    n fresh ones if there are fewer."""
+    if len(_workers) < n:
+        # imported here, so that a process that starts no worker loads
+        # none of multiprocessing
+        import multiprocessing
+        from multiprocessing import util as mp_util
+
+        # the old workers end before any new fork
+        _close_pool()
+        for _ in range(n):
+            here, there = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(there, here),
+                                           daemon=True)
+            proc.start()
+            there.close()   # so that a dead worker's pipe reads EOF
+            _workers.append((proc, here))
+        # a multiprocessing child joins its children when it exits, so it
+        # needs this hook to close their pipes first
+        mp_util.Finalize(None, _close_pool, exitpriority=15)
+    return [conn for _, conn in _workers[:n]]
 
 
 def _map_shards(shards, w: int):
-    """Run the shards on the process's pool, in order, growing it to w
-    workers if it has fewer, and once more on a fresh pool if a worker
-    has died since the last call or dies in it; a second death raises."""
-    # imported here, so that a process that never runs a pool loads none
-    # of multiprocessing
-    from concurrent import futures
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import util as mp_util
-
-    global _pool, _pool_size
+    """The shards' results in order, run by w processes: this one and
+    w - 1 workers, each process taking one contiguous batch, the smaller
+    ones first (4 shards on 2 as 2 + 2, 3 as 1 + 2).  This process sends
+    batches 2..w down the workers' pipes, runs batch 1 itself and then
+    reads every reply before it raises the first error in shard order.
+    The workers are started, or replaced by more, as for _pipes; if one
+    has died since the last call or dies in it, the shards run once more
+    on fresh workers, and a second death raises BrokenProcessPool."""
+    cut = [i * len(shards) // w for i in range(w + 1)]
+    batches = [shards[a:b] for a, b in zip(cut, cut[1:])]
     with _pool_lock:
-        if _pool is not None and w > _pool_size:
-            # the old workers and manager thread end before any new fork
-            _close_pool()
         for rerun in (False, True):
-            if _pool is None:
-                _pool = futures.ProcessPoolExecutor(max_workers=w)
-                _pool_size = w
-                # a multiprocessing child joins its children before
-                # concurrent.futures' exit hook would stop them, so it
-                # needs this earlier hook to exit at all, and before the
-                # queues' own hooks (priority 10) stop their feeders
-                mp_util.Finalize(None, _close_pool, exitpriority=15)
-            # contiguous batches of shards // workers: the pool queues
-            # only one call more than it has workers, so with a call per
-            # shard a worker can wait for its next shard to be queued
+            conns = _pipes(w - 1)
             try:
-                return list(_pool.map(_run_shard, shards,
-                                      chunksize=max(1, len(shards) // w)))
-            except BrokenProcessPool:
+                for conn, batch in zip(conns, batches[1:]):
+                    conn.send(batch)
+                replies = [_run_batch(batches[0])]
+                replies += [conn.recv() for conn in conns]
+            except (EOFError, OSError):   # a worker has died
                 _close_pool()
                 if rerun:
-                    raise
+                    from concurrent.futures.process import BrokenProcessPool
+                    raise BrokenProcessPool(
+                        "a worker died while running shards, twice") from None
+                continue
+            except BaseException:   # replies may be left in the pipes
+                _close_pool()
+                raise
+            for reply in replies:
+                if isinstance(reply, Exception):
+                    raise reply
+            return [res for reply in replies for res in reply]
 
 
 def _run_all(config: SimConfig, workers: int | None, keep: int):
@@ -602,12 +660,8 @@ def _run_all(config: SimConfig, workers: int | None, keep: int):
               for i, start in enumerate(range(0, config.samples, _SHARD))]
     # worker_count() first, so a bad SIGFRAC_THREADS fails every call
     w = min(worker_count(), len(shards))
-    if w == 1 or workers == 1:
-        results = [_run_shard(s) for s in shards]
-    else:
-        results = _map_shards(shards, w)
-    # map keeps shard order, whichever worker ran a shard
-    vals, flagged, points, rounds, clamped = zip(*results)
+    vals, flagged, points, rounds, clamped = zip(
+        *_map_shards(shards, 1 if workers == 1 else w))
     flagged = sum(flagged)
     if flagged > 0.001 * config.samples:
         raise SimulationError(
@@ -629,19 +683,20 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
 
     workers is not a count: workers=1 runs the shards in this process,
     as does a run of one shard or a worker_count() of 1; any other
-    value, 0 and negative ones included, is ignored and the shards run
-    on the process's pool.  The pool starts with one worker per shard,
-    up to worker_count(), is replaced by a larger one only when a later
-    call has more shards, and lives until the process exits.  A call
-    hands the pool its shards in contiguous batches of shards // workers
-    (at least 1), so 4 shards on 2 workers go as one batch of 2 to each,
-    and 3 shards, which the pool queues all at once, go one at a time.
-    A worker that dies fails no call: the shards run once more on a
-    fresh pool, and only a second death in the same call raises
-    BrokenProcessPool.  On glibc, every process that runs shards, the
-    workers and this one, keeps up to 64 MB of the heap its shards free
-    for its later shards, and returns an array of 32 MB or more to the
-    OS when it is freed.
+    value, 0 and negative ones included, is ignored.  Otherwise the
+    shards run on w = min(worker_count(), shards) processes, this one
+    and w - 1 workers, in w contiguous batches, the smaller ones first:
+    4 shards on 2 go as 2 + 2 and 3 as 1 + 2, and this process runs the
+    first batch while the workers run the others.  The workers start
+    with the first call that needs them, are replaced by more only when
+    a later call needs more, and live until this process exits or dies.
+    A shard's error is raised as at one process, after every worker has
+    answered.  A worker that dies fails no call: the shards run once
+    more on fresh workers, and only a second death in the same call
+    raises BrokenProcessPool.  On glibc, every process that runs shards,
+    the workers and this one, keeps up to 64 MB of the heap its shards
+    free for its later shards, and returns an array of 32 MB or more to
+    the OS when it is freed.
     """
     vals, flagged, points, rounds, clamped = _run_all(config, workers, 1)
     k = config.assoc.k or 1

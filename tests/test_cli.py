@@ -306,16 +306,33 @@ class TestSimulate:
         assert out == ""
         assert "delta" in err
 
-    def test_all_gains_underflow_is_domain_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_all_gains_underflow_is_domain_error(self, capsys, monkeypatch,
+                                                 threads):
         # most Nakagami-1e-4 gains underflow to 0, so some rows have no
-        # power at all and no signal fraction
-        monkeypatch.setenv("SIGFRAC_THREADS", "1")
+        # power at all and no signal fraction; both shards fail, the
+        # calling process's and, at 2, the worker's, whose error comes
+        # back through the pipe, so the next call reads no stale reply
+        monkeypatch.setenv("SIGFRAC_THREADS", threads)
         rc, out, err = run(capsys, "simulate", "--alpha", "200", "--fading",
                            "nakagami:0.0001", "--samples", "20000",
                            "--seed", "1")
         assert rc == 2
         assert out == ""
-        assert "underflows float64" in err
+        assert err == (
+            "error: a realization's received power underflows float64: "
+            "every fading gain generated and the drawn tail are 0, so its "
+            "signal fraction is undefined; use a larger delta or Nakagami "
+            "m\n")
+        args = ("simulate", "--alpha", "3", "--samples", "40000", "--seed",
+                "12", "--format", "json")
+        outs = []
+        for n in ("2", "1"):
+            monkeypatch.setenv("SIGFRAC_THREADS", n)
+            rc, out, _ = run(capsys, *args)
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_chunk_rounds_worker_independent(self, capsys, monkeypatch):
         # 40,000 samples make three shards

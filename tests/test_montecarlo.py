@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -6,8 +5,8 @@ import os
 import signal
 import sys
 import threading
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -34,11 +33,17 @@ def _worker_pids():
 
 
 def _gone(pid):
+    """True once pid has exited, whether or not it has been reaped: a
+    worker whose parent died is reaped by init, which may be slow."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return True
-    return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return os.path.isdir("/proc")
 
 
 def _glibc():
@@ -48,16 +53,24 @@ def _glibc():
         return False
 
 
-def _exit_in_worker(args):
-    # stands in for montecarlo._run_shard, by name, in a pool worker
-    os._exit(1)
+def _exit_in_worker():
+    """A stand-in for montecarlo._run_shard, by name, that ends any
+    process but this one, which runs its own share of the shards."""
+    pid, run_shard = os.getpid(), montecarlo._run_shard
+
+    def run(args):
+        if os.getpid() != pid:
+            os._exit(1)
+        return run_shard(args)
+    return run
 
 
 @pytest.fixture
 def pool_of(monkeypatch):
-    """pool_of(n) closes the pool and caps the next one at n workers,
-    whatever pool an earlier test left or SIGFRAC_THREADS says; the pool
-    is closed again after the test."""
+    """pool_of(n) closes the pool and caps the next call at n processes,
+    the calling one and n - 1 workers, whatever pool an earlier test
+    left or SIGFRAC_THREADS says; the pool is closed again after the
+    test."""
     def start(n):
         _close_pool()
         monkeypatch.setenv("SIGFRAC_THREADS", str(n))
@@ -310,8 +323,7 @@ class TestSampleSf:
         cfg = SimConfig(params=p, fading=FadingModel.none(),
                         assoc=AssociationRule.rba(), samples=20_000, seed=25)
         dist = sample_sf(cfg).dist
-        assert ks_distance(dist, lambda t: np.array(
-            [sg.rba_cdf(p, float(v)) for v in t])) \
+        assert ks_distance(dist, lambda t: sg.rba_cdf(p, t)) \
             < KS99 / math.sqrt(dist.samples.size)
 
     @pytest.mark.parametrize("d, seed", [(0.3, 3300), (0.8, 3800)])
@@ -395,7 +407,7 @@ class TestDeterminism:
         pool_of(3)
         a = sample_sf(cfg, workers=1).dist.samples
         b = sample_sf(cfg).dist.samples
-        assert len(_worker_pids()) == 3
+        assert len(_worker_pids()) == 2
         np.testing.assert_array_equal(a, b)
 
     def test_worker_count_invariance_rba(self, params_half, pool_of):
@@ -404,7 +416,7 @@ class TestDeterminism:
         pool_of(2)
         a = sample_sf(cfg, workers=1).dist.samples
         b = sample_sf(cfg).dist.samples
-        assert len(_worker_pids()) == 2
+        assert len(_worker_pids()) == 1
         np.testing.assert_array_equal(a, b)
 
     def test_rba_tail_picks_finish_and_match_pool(self, pool_of):
@@ -416,7 +428,7 @@ class TestDeterminism:
         pool_of(2)
         a = sample_sf(cfg, workers=1).dist.samples
         b = sample_sf(cfg).dist.samples
-        assert len(_worker_pids()) == 2
+        assert len(_worker_pids()) == 1
         assert 0.0 <= a[0] and a[-1] <= 1.0
         assert a.tobytes() == b.tobytes()
 
@@ -492,14 +504,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("samples", [40_000, 65_536, 81_920])
     def test_shard_batches_match_one_worker(self, params_half, pool_of,
                                             samples):
-        # 3, 4 and 5 shards, as one shard per call or in batches of two
+        # 3, 4 and 5 shards in w contiguous batches, the calling process
+        # running the first
         cfg = SimConfig(params=params_half, fading=FadingModel.nakagami(1.0),
                         assoc=AssociationRule.nba(), samples=samples, seed=39)
         a = sample_sf(cfg, workers=1).dist.samples.tobytes()
         for w in (2, 3):
             pool_of(w)
             assert sample_sf(cfg).dist.samples.tobytes() == a
-            assert len(_worker_pids()) == w
+            assert len(_worker_pids()) == w - 1
 
     def test_topk_invariance(self, params_half, pool_of):
         cfg = SimConfig(params=params_half, fading=FadingModel.none(),
@@ -508,7 +521,7 @@ class TestDeterminism:
         pool_of(3)
         a, _ = sample_sf_topk(cfg, workers=1)
         b, _ = sample_sf_topk(cfg)
-        assert len(_worker_pids()) == 3
+        assert len(_worker_pids()) == 2
         np.testing.assert_array_equal(a, b)
 
 
@@ -631,15 +644,16 @@ class TestLeanRound:
 
 
 class TestWorkerPool:
-    """One pool per process: started by the first multi-shard call with
-    one worker per shard up to worker_count(), reused by every later
-    call with as many shards or fewer, replaced by a larger one for a
-    call with more, and replaced, with the call's shards run again,
-    after a worker dies."""
+    """One pool per process: the calling process runs the first batch
+    of a call's shards, and workers the others.  The first multi-shard
+    call starts one worker per shard but one, up to worker_count() - 1;
+    every later call with as many shards or fewer reuses them, one with
+    more replaces them by more, and a call that finds or meets a dead
+    worker runs its shards again on fresh ones."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, pool_of):
-        # each test starts its own pool, of two workers unless it says
+        # each test starts its own pool, for two processes unless it says
         # otherwise
         pool_of(2)
 
@@ -660,7 +674,7 @@ class TestWorkerPool:
         cfg = self.config(params_half, 20_000)     # two shards
         sample_sf(cfg, workers=2)
         pids = _worker_pids()
-        assert len(pids) == 2
+        assert len(pids) == 1
         sample_sf(cfg, workers=2)
         assert _worker_pids() == pids
         # the workers argument does not size the pool
@@ -668,22 +682,22 @@ class TestWorkerPool:
         assert _worker_pids() == pids
 
     def test_count_change_replaces_workers(self, params_half, pool_of):
-        # a one-shot two-shard call starts two workers, not
-        # worker_count(); a call with more shards grows the pool
+        # a one-shot two-shard call starts one worker, not
+        # worker_count() - 1; a call with more shards grows the pool
         pool_of(3)
         sample_sf(self.config(params_half, 20_000))     # two shards
         old = _worker_pids()
-        assert len(old) == 2
+        assert len(old) == 1
         sample_sf(self.config(params_half, 40_000))     # three shards
         new = _worker_pids()
-        assert len(new) == 3
+        assert len(new) == 2
         assert all(_gone(pid) for pid in old)
 
     def test_fewer_shards_keep_workers(self, params_half, pool_of):
         pool_of(3)
         sample_sf(self.config(params_half, 40_000))     # three shards
         pids = _worker_pids()
-        assert len(pids) == 3
+        assert len(pids) == 2
         sample_sf(self.config(params_half, 20_000))     # two shards
         assert _worker_pids() == pids
 
@@ -714,7 +728,7 @@ class TestWorkerPool:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(_worker_pids()) in (2, 3)
+        assert len(_worker_pids()) == 1
 
     def test_dead_worker_fails_no_call(self, params_half, monkeypatch):
         # a shard is a pure function of (config, shard index), so a call
@@ -729,44 +743,42 @@ class TestWorkerPool:
             np.testing.assert_array_equal(
                 sample_sf(cfg, workers=2).dist.samples, expected)
         # a worker dies in the rerun too: then the call raises, after its
-        # second pool, and the next one starts afresh
+        # second worker, and the next one starts afresh
         _close_pool()
-        pools = []
+        starts = []
 
-        def counted_pool(**kw):
-            pools.append(kw)
-            return ProcessPoolExecutor(**kw)
+        class CountedProcess(multiprocessing.Process):
+            def start(self):
+                starts.append(self)
+                super().start()
 
         with monkeypatch.context() as patch:
-            patch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                          counted_pool)
-            patch.setattr(montecarlo, "_run_shard", _exit_in_worker)
+            patch.setattr(multiprocessing, "Process", CountedProcess)
+            patch.setattr(montecarlo, "_run_shard", _exit_in_worker())
             with pytest.raises(BrokenProcessPool):
                 sample_sf(cfg, workers=2)
-        assert pools == [{"max_workers": 2}] * 2
+        assert len(starts) == 2
         np.testing.assert_array_equal(sample_sf(cfg, workers=2).dist.samples,
                                       expected)
 
     def test_one_shard_batch_per_worker(self, params_half, monkeypatch):
-        # 4 shards on 2 workers go as two 2-shard batches, so neither
-        # worker waits for its second shard to be queued; the 3 calls of
-        # a 3-shard run all fit in the pool's queue, and stay one each
-        chunksizes = []
+        # 4 shards on 2 processes go as two 2-shard batches, 3 as 1 + 2
+        # and 62 as 31 + 31; the calling process runs the first batch,
+        # and the worker the second
+        run_shard, ran = montecarlo._run_shard, []
 
-        class RecordingPool(ProcessPoolExecutor):
-            def map(self, fn, *iterables, chunksize=1, **kwargs):
-                chunksizes.append(chunksize)
-                return super().map(fn, *iterables, chunksize=chunksize,
-                                   **kwargs)
+        def recording(args):
+            ran.append(args[1])
+            return run_shard(args)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
-        for samples in (65_536, 40_000, 62 * 16_384):
+        monkeypatch.setattr(montecarlo, "_run_shard", recording)
+        for samples, first in ((65_536, 2), (40_000, 1), (62 * 16_384, 31)):
             cfg = self.config(params_half, samples)
-            assert (sample_sf(cfg).dist.samples.tobytes()
-                    == sample_sf(cfg, workers=1).dist.samples.tobytes())
-        assert chunksizes == [2, 1, 31]
-        assert len(_worker_pids()) == 2
+            ran.clear()
+            got = sample_sf(cfg).dist.samples.tobytes()
+            assert ran == list(range(first))
+            assert got == sample_sf(cfg, workers=1).dist.samples.tobytes()
+        assert len(_worker_pids()) == 1
 
     def test_child_process_runs_own_pool(self, params_half):
         # a forked child inherits the parent's pool object but not its
@@ -792,6 +804,36 @@ class TestWorkerPool:
             if child.exitcode is None:
                 os.killpg(child.pid, signal.SIGKILL)
                 child.join()
+
+    def test_killed_child_leaves_no_worker(self, params_half):
+        # a worker closes every parent-side pipe end it inherited, so it
+        # reads EOF and exits once the process that started it dies
+        cfg = self.config(params_half, 20_000)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def run():
+            sample_sf(cfg, workers=2)
+            send.send([p.pid for p in multiprocessing.active_children()])
+            signal.pause()
+
+        child = ctx.Process(target=run)
+        child.start()
+        pids = []
+        try:
+            assert recv.poll(60)
+            pids = recv.recv()
+            assert len(pids) == 1
+            os.kill(child.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while not all(map(_gone, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(_gone, pids))
+        finally:
+            for pid in [child.pid] + pids:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+            child.join()
 
 
 class TestTruncation:
@@ -941,7 +983,7 @@ class TestTailCorrection:
         pool_of(2)
         a = sample_sf(cfg, workers=1)
         b = sample_sf(cfg)
-        assert len(_worker_pids()) == 2
+        assert len(_worker_pids()) == 1
         assert 14.0 <= a.points_per_realization <= 56.0
         assert a.points_per_realization == b.points_per_realization
 
@@ -1036,7 +1078,7 @@ class TestTailCorrection:
         a = sample_sf(cfg, workers=1).tail_clamped
         assert a > 0
         assert sample_sf(cfg).tail_clamped == a
-        assert len(_worker_pids()) == 2
+        assert len(_worker_pids()) == 1
 
     @pytest.mark.parametrize("delta, fading", [
         (2.0 / 3.0, FadingModel.nakagami(1.0)),
