@@ -151,6 +151,15 @@ class SimConfig:
             raise ValueError(f"tail_eps must be in (0, 1), got {self.tail_eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.assoc.kind == "nba":
+            # _gamma_tail cubes c2 and squares c3, where float ** raises
+            # on overflow, and kappa_4 has c4; float * overflows to inf
+            c2, c3, c4 = (_cumulant(n, self.params.delta,
+                                    self.fading.moment(n))[0] for n in (2, 3, 4))
+            if not all(map(math.isfinite, (c2 * c2 * c2, c3 * c3, c4))):
+                raise ValueError(
+                    f"nakagami m = {self.fading.m} is too small to simulate "
+                    "nba: the tail's cumulants overflow a double")
         k, rows = self.assoc.k, min(self.samples, _SHARD)
         if k and k > self.point_budget:
             raise ValueError(f"point budget {self.point_budget} too small for "
@@ -528,9 +537,8 @@ def _run_batch(batch):
 
 
 def worker_count() -> int:
-    """Most processes that run a call's shards, the calling one included:
-    SIGFRAC_THREADS, else the CPUs this process may use.  Never affects
-    results, only speed; a count of 1 runs every shard in-process."""
+    """The default process count of a call's shards, the calling process
+    included: SIGFRAC_THREADS, else the CPUs this process may use."""
     env = os.environ.get("SIGFRAC_THREADS")
     if env:
         try:
@@ -545,7 +553,7 @@ def worker_count() -> int:
 
 # The worker processes of this process, each with this process's end of
 # its pipe.  The lock covers every use of them, so a concurrent call can
-# neither replace nor close them under a running call.
+# neither grow nor close them under a running call.
 _workers = []   # (multiprocessing.Process, Connection) pairs once started
 _pool_lock = threading.RLock()
 
@@ -597,26 +605,18 @@ def _close_pool():
 
 
 def _pipes(n: int):
-    """This process's ends of n workers' pipes, replacing the workers by
-    n fresh ones if there are fewer."""
+    """This process's ends of n workers' pipes, starting the missing
+    workers; multiprocessing is imported only then."""
     if len(_workers) < n:
-        # imported here, so that a process that starts no worker loads
-        # none of multiprocessing
         import multiprocessing
-        from multiprocessing import util as mp_util
 
-        # the old workers end before any new fork
-        _close_pool()
-        for _ in range(n):
+        while len(_workers) < n:
             here, there = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_serve, args=(there, here),
                                            daemon=True)
             proc.start()
             there.close()   # so that a dead worker's pipe reads EOF
             _workers.append((proc, here))
-        # a multiprocessing child joins its children when it exits, so it
-        # needs this hook to close their pipes first
-        mp_util.Finalize(None, _close_pool, exitpriority=15)
     return [conn for _, conn in _workers[:n]]
 
 
@@ -626,9 +626,14 @@ def _map_shards(shards, w: int):
     ones first (4 shards on 2 as 2 + 2, 3 as 1 + 2).  This process sends
     batches 2..w down the workers' pipes, runs batch 1 itself and then
     reads every reply before it raises the first error in shard order.
-    The workers are started, or replaced by more, as for _pipes; if one
-    has died since the last call or dies in it, the shards run once more
-    on fresh workers, and a second death raises BrokenProcessPool."""
+
+    The workers of a process form one pool, which only grows: the first
+    call that needs workers starts them, and a later call that needs
+    more starts only the missing ones.  They are daemonic, so they end
+    with this process, and they read EOF and exit if it dies.  If a
+    worker has died since the last call or dies in it, the shards run
+    once more on fresh workers, and a second death raises
+    BrokenProcessPool."""
     cut = [i * len(shards) // w for i in range(w + 1)]
     batches = [shards[a:b] for a, b in zip(cut, cut[1:])]
     with _pool_lock:
@@ -656,12 +661,14 @@ def _map_shards(shards, w: int):
 
 
 def _run_all(config: SimConfig, workers: int | None, keep: int):
+    if workers is None:
+        workers = worker_count()
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     shards = [(config, i, min(_SHARD, config.samples - start), keep)
               for i, start in enumerate(range(0, config.samples, _SHARD))]
-    # worker_count() first, so a bad SIGFRAC_THREADS fails every call
-    w = min(worker_count(), len(shards))
     vals, flagged, points, rounds, clamped = zip(
-        *_map_shards(shards, 1 if workers == 1 else w))
+        *_map_shards(shards, min(workers, len(shards))))
     flagged = sum(flagged)
     if flagged > 0.001 * config.samples:
         raise SimulationError(
@@ -678,25 +685,13 @@ def sample_sf(config: SimConfig, workers: int | None = None) -> SimResult:
     the fading; the others draw no gains.  kth_strongest(k) returns the k-th
     largest signal fraction; rba picks station k with probability SF_k, by a
     weighted reservoir over the generated chunks and a size-biased pick from
-    the truncated tail with the tail's share of the power.  Identical
-    configs (including seed) give bit-identical output for any worker count.
+    the truncated tail with the tail's share of the power.
 
-    workers is not a count: workers=1 runs the shards in this process,
-    as does a run of one shard or a worker_count() of 1; any other
-    value, 0 and negative ones included, is ignored.  Otherwise the
-    shards run on w = min(worker_count(), shards) processes, this one
-    and w - 1 workers, in w contiguous batches, the smaller ones first:
-    4 shards on 2 go as 2 + 2 and 3 as 1 + 2, and this process runs the
-    first batch while the workers run the others.  The workers start
-    with the first call that needs them, are replaced by more only when
-    a later call needs more, and live until this process exits or dies.
-    A shard's error is raised as at one process, after every worker has
-    answered.  A worker that dies fails no call: the shards run once
-    more on fresh workers, and only a second death in the same call
-    raises BrokenProcessPool.  On glibc, every process that runs shards,
-    the workers and this one, keeps up to 64 MB of the heap its shards
-    free for its later shards, and returns an array of 32 MB or more to
-    the OS when it is freed.
+    workers is the count of processes that run the shards, this one
+    included, worker_count() if None; a call runs on min(workers,
+    shards) of them (see _map_shards), and a count below 1 is a
+    ValueError.  Identical configs (including seed) give bit-identical
+    output for any count, and a shard's error is raised as at one.
     """
     vals, flagged, points, rounds, clamped = _run_all(config, workers, 1)
     k = config.assoc.k or 1

@@ -146,9 +146,10 @@ def flatness_rate(params: NetworkParams) -> float:
     1F1(-delta; 1-delta; s).  Evaluated at negative argument instead,
     the Kummer transformation shows 1F1(-delta; 1-delta; -s) =
     e^-s 1F1(1; 1-delta; s) > 0 for every s, so the zero can only sit
-    on the positive axis.  On the positive axis it falls from 1 at
-    s = 0, so one bracket [1e-12, 100] holds the zero whenever the value
-    at 100 is negative.
+    on the positive axis.  On the positive axis it falls from exactly 1
+    at s = 0, so the bracket [0, 100] holds the zero whenever the value
+    at 100 is negative, however close to 0 the zero, about (1-d)/d as
+    d -> 1, lies; the relative tolerance alone stops the iteration.
     """
     from scipy import optimize, special   # loaded on first call
 
@@ -160,7 +161,7 @@ def flatness_rate(params: NetworkParams) -> float:
     if not f(100.0) < 0.0:
         raise NumericError("no sign change of 1F1(-d, 1-d, s) on (0, 100]")
     try:
-        return optimize.brentq(f, 1e-12, 100.0, xtol=1e-15, rtol=8.9e-16,
+        return optimize.brentq(f, 0.0, 100.0, xtol=1e-300, rtol=8.9e-16,
                                maxiter=100)
     except RuntimeError as exc:   # brentq did not converge
         raise NumericError(f"root iteration failed: {exc}") from exc

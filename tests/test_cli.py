@@ -334,6 +334,24 @@ class TestSimulate:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("m", ["1e-78", "1e-300"])
+    def test_tail_cumulant_overflow_is_domain_error(self, capsys, m):
+        # below m ~ 5.5e-78 at delta = 1/2 the tail's third cumulant
+        # squared passes the largest double; the rules that draw no
+        # gains still run
+        rc, out, err = run(capsys, "simulate", "--delta", "0.5",
+                           "--fading", f"nakagami:{m}", "--samples", "1000")
+        assert rc == 2
+        assert out == ""
+        assert err == (f"error: nakagami m = {float(m)} is too small to "
+                       "simulate nba: the tail's cumulants overflow a "
+                       "double\n")
+        for assoc in ("rba", "kth:2", "isba"):
+            rc, _, _ = run(capsys, "simulate", "--delta", "0.5", "--fading",
+                           f"nakagami:{m}", "--assoc", assoc, "--samples",
+                           "1000")
+            assert rc == 0
+
     def test_chunk_rounds_worker_independent(self, capsys, monkeypatch):
         # 40,000 samples make three shards
         args = ("simulate", "--alpha", "3", "--fading", "nakagami:1",

@@ -644,12 +644,12 @@ class TestLeanRound:
 
 
 class TestWorkerPool:
-    """One pool per process: the calling process runs the first batch
-    of a call's shards, and workers the others.  The first multi-shard
-    call starts one worker per shard but one, up to worker_count() - 1;
-    every later call with as many shards or fewer reuses them, one with
-    more replaces them by more, and a call that finds or meets a dead
-    worker runs its shards again on fresh ones."""
+    """One pool per process: a call runs on min(workers, shards)
+    processes, workers defaulting to worker_count(); the calling process
+    runs the first batch of its shards, and workers the others.  The
+    pool only grows: a later call reuses the running workers and starts
+    only those it lacks, and a call that finds or meets a dead worker
+    runs its shards again on fresh ones."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, pool_of):
@@ -677,13 +677,14 @@ class TestWorkerPool:
         assert len(pids) == 1
         sample_sf(cfg, workers=2)
         assert _worker_pids() == pids
-        # the workers argument does not size the pool
+        # workers=5 on two shards runs on two processes: the same pool
         sample_sf(cfg, workers=5)
         assert _worker_pids() == pids
 
-    def test_count_change_replaces_workers(self, params_half, pool_of):
+    def test_count_change_grows_pool(self, params_half, pool_of):
         # a one-shot two-shard call starts one worker, not
-        # worker_count() - 1; a call with more shards grows the pool
+        # worker_count() - 1; a call with more shards adds one and keeps
+        # the running one
         pool_of(3)
         sample_sf(self.config(params_half, 20_000))     # two shards
         old = _worker_pids()
@@ -691,7 +692,33 @@ class TestWorkerPool:
         sample_sf(self.config(params_half, 40_000))     # three shards
         new = _worker_pids()
         assert len(new) == 2
-        assert all(_gone(pid) for pid in old)
+        assert old < new
+        assert not any(_gone(pid) for pid in old)
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg, w: sample_sf(cfg, workers=w),
+        lambda cfg, w: sample_sf_topk(
+            dataclasses.replace(cfg, assoc=AssociationRule.kth_strongest(2)),
+            workers=w),
+        lambda cfg, w: conjecture_report(cfg.samples, cfg.seed, workers=w),
+    ], ids=["sample_sf", "sample_sf_topk", "conjecture_report"])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_count_below_one_is_value_error(self, params_half, call,
+                                            workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, "
+                                             f"got {workers}"):
+            call(self.config(params_half, 20_000), workers)
+        assert _worker_pids() == set()
+
+    def test_workers_is_the_process_count(self, params_half, pool_of):
+        # workers=3 on three shards runs on three processes whatever
+        # SIGFRAC_THREADS says, with the bytes of one
+        pool_of(1)
+        cfg = self.config(params_half, 40_000)          # three shards
+        expected = sample_sf(cfg, workers=1).dist.samples.tobytes()
+        assert _worker_pids() == set()
+        assert sample_sf(cfg, workers=3).dist.samples.tobytes() == expected
+        assert len(_worker_pids()) == 2
 
     def test_fewer_shards_keep_workers(self, params_half, pool_of):
         pool_of(3)
@@ -702,8 +729,9 @@ class TestWorkerPool:
         assert _worker_pids() == pids
 
     def test_concurrent_calls(self, params_half):
-        # threads that pass changing workers arguments must neither close
-        # the pool under another's map nor start a second one
+        # threads that pass changing workers counts must neither close
+        # the pool under another's map nor start a second one: one pool,
+        # grown to the two workers of a three-process call
         cfg = self.config(params_half, 40_000)
         expected = sample_sf(cfg, workers=1).dist.samples
         errors = []
@@ -728,7 +756,7 @@ class TestWorkerPool:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(_worker_pids()) == 1
+        assert len(_worker_pids()) == 2
 
     def test_dead_worker_fails_no_call(self, params_half, monkeypatch):
         # a shard is a pure function of (config, shard index), so a call

@@ -45,7 +45,8 @@ def _fresh_interpreter(code):
 def test_cli_import_loads_no_scipy_solver():
     # importing the package and the CLI loads no SciPy, and neither do
     # the commands that need only numpy; exact loads scipy.special on
-    # its first call
+    # its first call.  At SIGFRAC_THREADS=1 a 4-shard simulate runs
+    # in-process and loads no multiprocessing
     _fresh_interpreter("""
         import contextlib, io, sys
 
@@ -71,6 +72,9 @@ def test_cli_import_loads_no_scipy_solver():
                 ("convert", "--value", "3", "--from", "dB", "--to", "MH")):
             run(*argv)
             assert not scipy_loaded(), (argv, scipy_loaded())
+        run("simulate", "--alpha", "4", "--samples", "65536")
+        mp = sorted(m for m in sys.modules if m.startswith("multiprocessing"))
+        assert not mp, mp
         run("exact", "--alpha", "4")
         assert "scipy.special" in sys.modules
         assert "scipy.optimize" not in sys.modules

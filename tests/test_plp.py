@@ -249,6 +249,17 @@ class TestFlatness:
         assert flatness_rate(NetworkParams.from_delta(d)) == pytest.approx(
             float(ref), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1 - 1e-9, 1 - 1e-13, 0.9999999999999999])
+    def test_near_one_against_mpmath(self, d):
+        # the zero, about (1-d)/d, falls below 1e-12 and down to 1e-16,
+        # so only a bracket from 0 and a relative tolerance hold it
+        dm = mp.mpf(d)
+        with mp.workdps(40):
+            ref = mp.findroot(lambda s: mp.hyp1f1(-dm, 1 - dm, s),
+                              (1 - dm) / dm)
+        assert flatness_rate(NetworkParams.from_delta(d)) == pytest.approx(
+            float(ref), rel=2e-16, abs=0.0)
+
     def test_frozen_values(self):
         refs = {0.4: 1.16751374090153, 0.5: 0.854032656598197,
                 2.0 / 3.0: 0.469732640172123}
